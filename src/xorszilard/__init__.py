@@ -1,18 +1,16 @@
 """XOR-game values and the Szilard feedback work of their induced channels."""
 
-from .channel import (BinaryChannel, RoundRecord, apply_noise, binary_entropy,
-                      compress, enumerate_rounds, induced_channel, make_round,
-                      mutual_information, orient, predicate_channel,
-                      referee_encode, rounds_to_csv)
+from .channel import (BinaryChannel, apply_noise, binary_entropy, compress,
+                      enumerate_rounds, induced_channel, mutual_information,
+                      orient, referee_encode, rounds_to_csv)
 from .dynamics import (ProtocolSchedule, ScalingFit, SigmaEstimate,
-                       estimate_sigma, fit_loglog_slope, run_branch_trajectory,
-                       scaling_fit, trajectory_energy_audit)
+                       estimate_sigma, fit_loglog_slope, scaling_fit,
+                       trajectory_energy_audit)
 from .engine import (CycleLedger, PosteriorBranch, SimulationStats,
                      branch_decomposition, branch_work, class_ceilings,
-                     cycle_ledger, exact_memory_ledger, feedback_value,
-                     memory_ledger, merge_stats, noise_threshold, posterior,
-                     simulate_rounds, small_bias_work, sweep_s_curve,
-                     trajectory_work)
+                     cycle_ledger, exact_memory_ledger, memory_ledger,
+                     merge_stats, noise_threshold, posterior, simulate_rounds,
+                     small_bias_work, sweep_s_curve, trajectory_work)
 from .errors import (BudgetError, ParseError, RegimeError, SimulationError,
                      ValidationError)
 from .games import (Behaviour, CorrelatorMatrix, XorGame, bias, chsh_S,

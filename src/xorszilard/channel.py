@@ -18,10 +18,10 @@ import csv
 import math
 from dataclasses import dataclass
 
-from .errors import ValidationError
-from .games import Behaviour, XorGame, game_value
+import numpy as np
 
-PROB_ATOL = 1e-12
+from .errors import ValidationError
+from .games import Behaviour, XorGame, _check_dims, game_value
 
 
 def _check_prob(p: float, name: str) -> float:
@@ -108,80 +108,47 @@ def orient(p: float) -> BinaryChannel:
     return BinaryChannel(p=p, flipped=False)
 
 
-def predicate_channel(success: float) -> BinaryChannel:
-    """Channel for any binary prediction task with the given success probability.
-
-    Any task that produces a binary guess for a binary target can feed the
-    engine through the same one-time-pad encoding; XOR games are the special
-    case where the guess is a xor b and the target is f(u,v).
-    """
-    return BinaryChannel(p=_check_prob(success, "success"))
-
-
 # ---------------------------------------------------------------------------
-# round transcripts
+# the round table
 
 
-@dataclass(frozen=True)
-class RoundRecord:
-    """One sampled round: microstate, questions, outputs, and derived bits."""
-
-    x: int
-    u: int
-    v: int
-    a: int
-    b: int
-    r: int
-    g: int
-    e: int
-    won: bool
-
-    def __post_init__(self):
-        for name in ("x", "a", "b", "r", "g", "e"):
-            _check_bit(getattr(self, name), name)
-        if self.g != self.a ^ self.b ^ self.r:
-            raise ValidationError("round record: g != a xor b xor r")
-        if self.e != self.g ^ self.x:
-            raise ValidationError("round record: e != g xor x")
-        if self.won != (self.e == 0):
-            raise ValidationError("round record: won flag inconsistent with e")
-
-
-def make_round(x: int, u: int, v: int, a: int, b: int, game: XorGame) -> RoundRecord:
-    """Assemble a full round record from sampled (x, u, v, a, b)."""
-    r = referee_encode(x, u, v, game)
-    g = compress(a, b, r)
-    e = g ^ x
-    return RoundRecord(x=x, u=u, v=v, a=a, b=b, r=r, g=g, e=e, won=e == 0)
+ROUND_DTYPE = np.dtype([("x", np.int8), ("u", np.int64), ("v", np.int64),
+                        ("a", np.int8), ("b", np.int8), ("r", np.int8),
+                        ("g", np.int8), ("e", np.int8), ("won", np.bool_)])
+CSV_HEADER = list(ROUND_DTYPE.names)
 
 
 def enumerate_rounds(game: XorGame, b: Behaviour):
-    """All rounds with their joint probabilities.
+    """Every round with its joint probability, as ``(probs, rounds)``.
 
-    Yields (probability, RoundRecord) over every (x, u, v, a, b) assignment;
-    x is uniform and independent of everything else, (u, v) follows mu, and
-    (a, b) follows the behaviour.  Zero-probability assignments are kept so
-    callers can separate support questions from impossible outputs.
+    ``rounds`` is a record array with one row per (x, u, v, a, b) cell, in
+    that nesting order, and the derived bits r = x xor f(u,v),
+    g = a xor b xor r, e = g xor x and won = (e == 0).  ``probs[i]`` is the
+    probability of row i: x is uniform and independent of everything else,
+    (u, v) follows mu, and (a, b) follows the behaviour.  Zero-probability
+    cells are kept, so callers can separate support questions from
+    impossible outputs.  This is the only place that maps a cell to its
+    derived bits; sampled transcripts are rows of this table.
     """
-    out = []
-    for x in (0, 1):
-        for u in range(game.nu):
-            for v in range(game.nv):
-                for a in (0, 1):
-                    for bb in (0, 1):
-                        prob = 0.5 * float(game.mu[u, v]) * float(b.table[u, v, a, bb])
-                        out.append((prob, make_round(x, u, v, a, bb, game)))
-    return out
-
-
-CSV_HEADER = ["x", "u", "v", "a", "b", "r", "g", "e", "won"]
+    _check_dims(game, b)
+    x, u, v, a, bb = (c.ravel() for c in
+                      np.indices((2, game.nu, game.nv, 2, 2)))
+    probs = 0.5 * game.mu[u, v] * b.table[u, v, a, bb]
+    r = x ^ game.f[u, v]
+    g = a ^ bb ^ r
+    e = g ^ x
+    rounds = np.rec.fromarrays([x, u, v, a, bb, r, g, e, e == 0],
+                               dtype=ROUND_DTYPE)
+    return probs, rounds
 
 
 def rounds_to_csv(records, path: str):
-    """Write a round batch as CSV with header x,u,v,a,b,r,g,e,won."""
+    """Write round records as CSV with header x,u,v,a,b,r,g,e,won.
+
+    Every field is written as an integer, ``won`` as 0 or 1.
+    """
+    columns = [records[name].astype(np.int64).tolist() for name in CSV_HEADER]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_HEADER)
-        for rec in records:
-            writer.writerow([rec.x, rec.u, rec.v, rec.a, rec.b, rec.r,
-                             rec.g, rec.e, int(rec.won)])
+        writer.writerows(zip(*columns))

@@ -37,6 +37,14 @@ EXIT_BUDGET = 4
 EXIT_REGIME = 5
 
 
+def _seed(text: str) -> int:
+    """argparse type of --seed: numpy seeds are non-negative integers."""
+    seed = int(text)
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"seed must be >= 0, got {seed}")
+    return seed
+
+
 def _fmt(x: float) -> str:
     return f"{x:.9g}"
 
@@ -210,8 +218,9 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    if args.step <= 0.0:
-        raise ValidationError(f"sweep step must be positive, got {args.step!r}")
+    if not (math.isfinite(args.step) and args.step > 0.0):
+        raise ValidationError(
+            f"sweep step must be finite and positive, got {args.step!r}")
     s_values = []
     s = 0.0
     while s < 4.0 + 1e-12:
@@ -276,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("value", help="local/quantum/nonsignalling values and ceilings")
     p.add_argument("--game", required=True)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
     p.add_argument("--restarts", type=int, default=optimize.DEFAULT_RESTARTS)
     common(p)
     p.set_defaults(func=cmd_value)
@@ -291,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--game", required=True)
     p.add_argument("--behaviour", required=True)
     p.add_argument("--rounds", type=int, default=100_000)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
     p.add_argument("--p-model", dest="p_model", type=float, default=None,
                    help="controller channel estimate (default: exact)")
     p.add_argument("--records", default=None,
@@ -313,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=float, default=0.85)
     p.add_argument("--tau-grid", dest="tau_grid", default="10,20,40,80,160")
     p.add_argument("--reps", type=int, default=2000)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
     p.add_argument("--rate", type=float, default=1.0)
     p.add_argument("--self-test", dest="self_test", action="store_true",
                    help="run the slope fit on synthetic 1/tau data")

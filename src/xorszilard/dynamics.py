@@ -67,11 +67,15 @@ class ProtocolSchedule:
         return cls(tau=tau, steps=steps, rate=rate)
 
 
-def _gap_grid(p: float, sched: ProtocolSchedule) -> np.ndarray:
+def _check_branch_p(p: float):
     if not 0.5 <= p < 1.0:
         raise ValidationError(
             f"branch success probability p = {p!r} must lie in [1/2, 1) "
             "(finite gap)")
+
+
+def _gap_grid(p: float, sched: ProtocolSchedule) -> np.ndarray:
+    _check_branch_p(p)
     s = np.arange(sched.steps + 1) / sched.steps
     if sched.gap_path is None:
         eps_star = 0.0 if p == 0.5 else math.log(p / (1.0 - p))
@@ -103,13 +107,6 @@ def _run_batch(p: float, sched: ProtocolSchedule, rng: np.random.Generator,
         heats += np.where(flips, gap * (1.0 - 2.0 * state), 0.0)
         state = np.where(flips, 1.0 - state, state)
     return works, heats, other
-
-
-def run_branch_trajectory(p: float, sched: ProtocolSchedule, seed: int) -> float:
-    """Extracted work (kT) of one finite-time branch trajectory."""
-    rng = np.random.default_rng([seed, 0])
-    works, _, _ = _run_batch(p, sched, rng, 1)
-    return float(works[0])
 
 
 def trajectory_energy_audit(p: float, sched: ProtocolSchedule,
@@ -147,6 +144,7 @@ def estimate_sigma(p: float, sched: ProtocolSchedule, reps: int,
     """
     if reps < 100:
         raise ValidationError(f"need reps >= 100, got {reps}")
+    _check_branch_p(p)
     w_qs = LN2 * (1.0 - binary_entropy(p))
     w_right = math.log(2.0 * p)
     w_wrong = math.log(2.0 * (1.0 - p))

@@ -16,20 +16,17 @@ reset the controller memory, so the net work is never positive.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import BinaryChannel, RoundRecord, apply_noise, binary_entropy, \
+from .channel import BinaryChannel, apply_noise, binary_entropy, \
     enumerate_rounds, mutual_information
 from .errors import SimulationError, ValidationError
-from .games import Behaviour, XorGame, game_value
+from .games import PROB_ATOL, Behaviour, XorGame, game_value
 from .optimize import ClassValueReport
 
 LN2 = math.log(2.0)
-
-PROB_ATOL = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -83,12 +80,7 @@ def branch_decomposition(q0: float, q1: float,
     arbitrary additive constant of the branch Hamiltonian.  The offset
     cancels in the sum, which equals ln 2 times ``branch_work``.
     """
-    if q0 < 0.0 or q1 < 0.0 or abs(q0 + q1 - 1.0) > PROB_ATOL:
-        raise ValidationError(f"invalid posterior ({q0!r}, {q1!r})")
-    h_nat = 0.0
-    for q in (q0, q1):
-        if q > 0.0:
-            h_nat -= q * math.log(q)
+    h_nat = LN2 * (1.0 - branch_work(q0, q1))
     return -h_nat - offset_kt, LN2 + offset_kt
 
 
@@ -107,17 +99,16 @@ def trajectory_work(x: int, branch: PosteriorBranch) -> float:
     return math.log(2.0 * q)
 
 
-def feedback_value(c: BinaryChannel) -> float:
-    """Average reversible feedback work in bits: the channel mutual information."""
-    return mutual_information(c)
-
-
 def class_ceilings(report: ClassValueReport) -> tuple[float, float, float]:
-    """Local/quantum/nonsignalling feedback-work ceilings in bits."""
+    """Local/quantum/nonsignalling feedback-work ceilings in bits.
+
+    The average reversible feedback work of a channel is its mutual
+    information, so each ceiling is 1 - h2(omega) of that class value.
+    """
     return (
-        feedback_value(BinaryChannel(report.omega_local)),
-        feedback_value(BinaryChannel(report.omega_quantum)),
-        feedback_value(BinaryChannel(report.omega_ns)),
+        mutual_information(BinaryChannel(report.omega_local)),
+        mutual_information(BinaryChannel(report.omega_quantum)),
+        mutual_information(BinaryChannel(report.omega_ns)),
     )
 
 
@@ -169,47 +160,46 @@ def cycle_ledger(c: BinaryChannel) -> CycleLedger:
 EPS_STAT = 1e-9
 # G is a deterministic function of the transcript, so the plug-in entropies
 # satisfy H(M) >= H(G) exactly; EPS_STAT only absorbs float rounding.
+TRANSCRIPT = ("g", "u", "v", "r", "a", "b")
 
 
-def _plugin_entropy(weights) -> float:
+def _entropy_bits(weights) -> float:
     total = math.fsum(weights)
-    h = 0.0
-    for w in weights:
-        if w > 0.0:
-            q = w / total
-            h -= q * math.log2(q)
-    return h
+    return -math.fsum(w / total * math.log2(w / total)
+                      for w in weights if w > 0.0)
+
+
+def _ledger(rounds, weights) -> tuple[float, float, bool]:
+    """Entropies of G and of M = (g, u, v, r, a, b) under weighted rounds.
+
+    ``weights`` are unit weights for a sampled batch (plug-in entropies) or
+    the exact cell probabilities; zero weights drop out.
+    """
+    _, m_idx = np.unique(np.stack([rounds[k] for k in TRANSCRIPT], axis=1),
+                         axis=0, return_inverse=True)
+    h_g = _entropy_bits(np.bincount(rounds["g"], weights=weights))
+    h_m = _entropy_bits(np.bincount(m_idx.ravel(), weights=weights))
+    return h_g, h_m, h_m >= h_g - EPS_STAT
 
 
 def memory_ledger(records) -> tuple[float, float, bool]:
     """Empirical entropies of the controller bit and the full transcript.
 
-    Returns (h_g, h_m, ok) in bits, where the transcript is
-    m = (g, u, v, r, a, b) and ok checks h_m >= h_g - EPS_STAT.  Storing the
-    auxiliary round variables can only increase the Landauer reset burden.
+    ``records`` are rows of the round table, such as the transcript that
+    ``simulate_rounds`` returns.  Returns (h_g, h_m, ok) in bits, where the
+    transcript is m = (g, u, v, r, a, b) and ok checks h_m >= h_g - EPS_STAT.
+    Storing the auxiliary round variables can only increase the Landauer
+    reset burden.
     """
-    records = list(records)
-    if not records:
+    if len(records) == 0:
         raise ValidationError("memory ledger needs a nonempty batch")
-    g_counts = Counter(rec.g for rec in records)
-    m_counts = Counter((rec.g, rec.u, rec.v, rec.r, rec.a, rec.b)
-                       for rec in records)
-    h_g = _plugin_entropy(g_counts.values())
-    h_m = _plugin_entropy(m_counts.values())
-    return h_g, h_m, h_m >= h_g - EPS_STAT
+    return _ledger(records, np.ones(len(records)))
 
 
 def exact_memory_ledger(game: XorGame, b: Behaviour) -> tuple[float, float, bool]:
     """Memory ledger from the exactly enumerated round distribution."""
-    g_w = Counter()
-    m_w = Counter()
-    for prob, rec in enumerate_rounds(game, b):
-        if prob > 0.0:
-            g_w[rec.g] += prob
-            m_w[(rec.g, rec.u, rec.v, rec.r, rec.a, rec.b)] += prob
-    h_g = _plugin_entropy(g_w.values())
-    h_m = _plugin_entropy(m_w.values())
-    return h_g, h_m, h_m >= h_g - EPS_STAT
+    probs, rounds = enumerate_rounds(game, b)
+    return _ledger(rounds, probs)
 
 
 # ---------------------------------------------------------------------------
@@ -290,50 +280,6 @@ def merge_stats(a: SimulationStats, b: SimulationStats) -> SimulationStats:
                            analytic_work_kt=a.analytic_work_kt, seed=a.seed)
 
 
-def _sample_categorical(rng, cum: np.ndarray, m: int) -> np.ndarray:
-    return np.searchsorted(cum, rng.random(m), side="right")
-
-
-def _simulate_stream(game, behaviour, m, rng, q_model, noise_delta,
-                     keep_records, records) -> int:
-    """Sample m rounds from one stream; return the number of correct guesses."""
-    cum_uv = np.cumsum(game.mu.reshape(-1))
-    cum_uv[-1] = 1.0
-    table2 = behaviour.table.reshape(game.nu * game.nv, 4)
-    f_flat = np.asarray(game.f).reshape(-1)
-
-    x = rng.integers(0, 2, size=m)
-    uv = _sample_categorical(rng, cum_uv, m)
-    cum_ab = np.cumsum(table2[uv], axis=1)
-    cum_ab[:, -1] = 1.0
-    ab = (rng.random((m, 1)) > cum_ab).sum(axis=1)
-    a = ab >> 1
-    b = ab & 1
-    fv = f_flat[uv]
-    r = x ^ fv
-    g = a ^ b ^ r
-    if noise_delta > 0.0:
-        g_ctrl = g ^ (rng.random(m) < noise_delta)
-    else:
-        g_ctrl = g
-    hits = int(np.count_nonzero(g_ctrl == x))
-
-    if q_model == 1.0 and hits < m:
-        raise SimulationError(
-            "controller model p=1 saw a wrong guess; the behaviour does "
-            "not win with certainty")
-    if keep_records:
-        u_idx = uv // game.nv
-        v_idx = uv % game.nv
-        e = g ^ x
-        for i in range(m):
-            records.append(RoundRecord(
-                x=int(x[i]), u=int(u_idx[i]), v=int(v_idx[i]),
-                a=int(a[i]), b=int(b[i]), r=int(r[i]),
-                g=int(g[i]), e=int(e[i]), won=bool(e[i] == 0)))
-    return hits
-
-
 def simulate_rounds(game: XorGame, behaviour: Behaviour, n: int, seed: int,
                     p_model: float | None = None, noise_delta: float = 0.0,
                     n_streams: int = 1, keep_records: bool = False):
@@ -346,10 +292,16 @@ def simulate_rounds(game: XorGame, behaviour: Behaviour, n: int, seed: int,
     probability).  A mismatched ``p_model`` models a controller with an
     imperfect channel estimate.
 
+    Rounds are independent, so a stream of m rounds is one multinomial
+    draw of m over the cells of ``enumerate_rounds``; the hits are the
+    counts in won cells, and controller noise thins the won and the lost
+    counts binomially.  Memory is constant in n unless records are kept.
+
     ``n_streams`` partitions the rounds across independently sub-seeded
     streams ((seed, k) for stream k) whose hit counts add exactly.
     Returns SimulationStats, or (SimulationStats, records) when
-    ``keep_records`` is set.  Records store the noiseless transcript.
+    ``keep_records`` is set.  Records are rows of the round table in a
+    random order: the noiseless transcript.
     """
     if n < 1:
         raise ValidationError(f"need n >= 1 rounds, got {n}")
@@ -367,19 +319,33 @@ def simulate_rounds(game: XorGame, behaviour: Behaviour, n: int, seed: int,
     w_miss = -math.inf if q == 1.0 else math.log(2.0 * (1.0 - q))
     analytic = _mean_work(p_true, w_hit, w_miss)
 
+    probs, rounds = enumerate_rounds(game, behaviour)
+    cells = np.flatnonzero(probs > 0.0)
+    pvals = probs[cells] / math.fsum(probs[cells])
+    won = rounds.won[cells]
     hits = 0
-    records: list[RoundRecord] = []
+    drawn = []
     base, extra = divmod(n, n_streams)
     for k in range(n_streams):
         m = base + (1 if k < extra else 0)
-        if m == 0:
-            continue
         rng = np.random.default_rng([seed, k])
-        hits += _simulate_stream(game, behaviour, m, rng, q, noise_delta,
-                                 keep_records, records)
+        counts = rng.multinomial(m, pvals)
+        m_hit = int(counts[won].sum())
+        if noise_delta > 0.0:
+            # the flip is independent of the round: it turns a lost round
+            # into a hit and a won round into a miss
+            gained = int(rng.binomial(m - m_hit, noise_delta))
+            m_hit += gained - int(rng.binomial(m_hit, noise_delta))
+        if q == 1.0 and m_hit < m:
+            raise SimulationError(
+                "controller model p=1 saw a wrong guess; the behaviour does "
+                "not win with certainty")
+        hits += m_hit
+        if keep_records:
+            drawn.append(rng.permutation(np.repeat(cells, counts)))
     stats = _count_stats(n, hits, w_hit, w_miss, analytic, seed)
     if keep_records:
-        return stats, records
+        return stats, rounds[np.concatenate(drawn)]
     return stats
 
 

@@ -93,6 +93,16 @@ class SeesawState:
             raise ValidationError(f"seesaw bias {self.bias!r} outside [-1, 1]")
 
 
+def _omega(bias: float) -> float:
+    """Game value (1 + bias) / 2 of a seesaw bias.
+
+    The seesaw bias of a perfectly winnable game can end a rounding error
+    above 1; omega_q <= omega_ns = 1 holds for every XOR game, so the value
+    is capped there.
+    """
+    return min(1.0, (1.0 + bias) / 2.0)
+
+
 def _normalize_rows(vecs: np.ndarray, fallback: np.ndarray) -> np.ndarray:
     # rows with zero weighted sum keep their previous direction
     norms = np.linalg.norm(vecs, axis=1, keepdims=True)
@@ -144,7 +154,7 @@ def _seesaw_restarts(game: XorGame, restarts: int, tol: float, max_iter: int,
     for k in range(restarts):
         rng = np.random.default_rng([seed, k])
         bias, av, bv, iters, conv, _ = _seesaw_once(game, rng, tol, max_iter)
-        omegas.append((1.0 + bias) / 2.0)
+        omegas.append(_omega(bias))
         if best_state is None or bias > best_state.bias:
             best_state = SeesawState(dim=game.nu + game.nv, avecs=av, bvecs=bv,
                                      bias=bias, iterations=iters, converged=conv)
@@ -162,7 +172,7 @@ def quantum_value(game: XorGame, restarts: int = DEFAULT_RESTARTS,
     ``converged=False``.
     """
     state, _ = _seesaw_restarts(game, restarts, tol, max_iter, seed)
-    return (1.0 + state.bias) / 2.0, state
+    return _omega(state.bias), state
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +269,7 @@ def class_report(game: XorGame, seed: int = DEFAULT_SEED,
     w_local, amap, bmap = local_value(game)
     state, omegas = _seesaw_restarts(game, restarts, DEFAULT_TOL,
                                      DEFAULT_MAX_ITER, seed)
-    w_quantum = (1.0 + state.bias) / 2.0
+    w_quantum = _omega(state.bias)
     w_ns, certificate = ns_value(game)
     check = is_nonsignalling(certificate)
     if not check or game_value(game, certificate) != 1.0:

@@ -85,13 +85,12 @@ def test_criterion_04_bsc_oracle_equivalence():
         "mix:pr:0.7": mix_with_uniform(pr_box(g), 0.7),
     }
     for label, b in behaviours.items():
-        rounds = enumerate_rounds(g, b)
-        p_g0 = sum(p for p, rec in rounds if rec.g == 0)
+        probs, rounds = enumerate_rounds(g, b)
+        p_g0 = sum(probs[rounds.g == 0])
         cond = []
         for x in (0, 1):
-            px = sum(p for p, rec in rounds if rec.x == x)
-            cond.append(sum(p for p, rec in rounds
-                            if rec.x == x and rec.g == x) / px)
+            px = sum(probs[rounds.x == x])
+            cond.append(sum(probs[(rounds.x == x) & (rounds.g == x)]) / px)
         w = game_value(g, b)
         assert abs(cond[0] - cond[1]) < 1e-12, label
         assert abs(cond[0] - w) < 1e-12, label

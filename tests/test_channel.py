@@ -3,11 +3,10 @@ import itertools
 
 import pytest
 
-from xorszilard import (BinaryChannel, RoundRecord, ValidationError,
-                        apply_noise, binary_entropy, compress,
-                        enumerate_rounds, game_value, induced_channel,
-                        make_chsh, make_round, mix_with_uniform,
-                        mutual_information, orient, pr_box, predicate_channel,
+from xorszilard import (BinaryChannel, ValidationError, apply_noise,
+                        binary_entropy, compress, enumerate_rounds, game_value,
+                        induced_channel, make_chained, make_chsh,
+                        mix_with_uniform, mutual_information, orient, pr_box,
                         quantum_optimal_chsh, referee_encode, rounds_to_csv,
                         uniform_behaviour)
 
@@ -40,14 +39,25 @@ def test_compress():
 
 
 def test_win_iff_correct_prediction_all_assignments():
-    # full 2^5 sweep: the controller bit equals x exactly on winning rounds
-    g = make_chsh()
-    for x, u, v, a, b in itertools.product((0, 1), repeat=5):
-        rec = make_round(x, u, v, a, b, g)
-        assert (rec.g == x) == (a ^ b == int(g.f[u, v]))
-        assert rec.won == (rec.g == x)
+    # every cell of the round table against the scalar encoders: the
+    # controller bit equals x exactly on winning rounds
+    for game in (make_chsh(), make_chained(3)):
+        probs, rounds = enumerate_rounds(game, uniform_behaviour(game))
+        cells = list(itertools.product((0, 1), range(game.nu), range(game.nv),
+                                       (0, 1), (0, 1)))
+        assert len(rounds) == len(probs) == 8 * game.nu * game.nv == len(cells)
+        for rec, (x, u, v, a, b) in zip(rounds, cells):
+            assert (rec.x, rec.u, rec.v, rec.a, rec.b) == (x, u, v, a, b)
+            assert rec.r == referee_encode(x, u, v, game)
+            assert rec.g == compress(a, b, rec.r) == a ^ b ^ rec.r
+            assert rec.e == rec.g ^ x
+            assert rec.won == (rec.e == 0) == (rec.g == x)
+            assert rec.won == (a ^ b == int(game.f[u, v]))
     # spot check from the definition: x=1, u=v=1, a=0, b=1 wins
-    rec = make_round(1, 1, 1, 0, 1, g)
+    g = make_chsh()
+    _, rounds = enumerate_rounds(g, pr_box(g))
+    (rec,) = rounds[(rounds.x == 1) & (rounds.u == 1) & (rounds.v == 1)
+                    & (rounds.a == 0) & (rounds.b == 1)]
     assert rec.r == 0 and rec.g == 1 and rec.won
 
 
@@ -117,24 +127,25 @@ def test_orient():
 
 
 def test_predicate_channel():
-    assert predicate_channel(1.0).p == 1.0
+    # any binary prediction task with success p feeds the engine as
+    # BinaryChannel(p); an XOR game is the case guess = a xor b
+    assert BinaryChannel(1.0).p == 1.0
     g = make_chsh()
     w = game_value(g, quantum_optimal_chsh())
-    assert predicate_channel(w).p == induced_channel(g, quantum_optimal_chsh()).p
-    assert abs(mutual_information(predicate_channel(0.6)) - 0.029049) < 1e-6
+    assert BinaryChannel(w).p == induced_channel(g, quantum_optimal_chsh()).p
+    assert abs(mutual_information(BinaryChannel(0.6)) - 0.029049) < 1e-6
     with pytest.raises(ValidationError):
-        predicate_channel(1.1)
+        BinaryChannel(1.1)
 
 
 def exhaustive_channel_stats(game, behaviour):
-    rounds = enumerate_rounds(game, behaviour)
-    total = sum(p for p, _ in rounds)
-    assert abs(total - 1.0) < 1e-12
-    p_g0 = sum(p for p, rec in rounds if rec.g == 0)
+    probs, rounds = enumerate_rounds(game, behaviour)
+    assert abs(sum(probs) - 1.0) < 1e-12
+    p_g0 = sum(probs[rounds.g == 0])
     cond = []
     for x in (0, 1):
-        px = sum(p for p, rec in rounds if rec.x == x)
-        cond.append(sum(p for p, rec in rounds if rec.x == x and rec.g == x) / px)
+        px = sum(probs[rounds.x == x])
+        cond.append(sum(probs[(rounds.x == x) & (rounds.g == x)]) / px)
     return p_g0, cond[0], cond[1]
 
 
@@ -150,16 +161,9 @@ def test_induced_channel_is_binary_symmetric():
         assert abs(c0 - w) < 1e-12
 
 
-def test_round_record_validation():
-    with pytest.raises(ValidationError):
-        RoundRecord(x=0, u=0, v=0, a=0, b=0, r=0, g=1, e=1, won=False)
-    with pytest.raises(ValidationError):
-        RoundRecord(x=0, u=0, v=0, a=1, b=0, r=0, g=1, e=1, won=True)
-
-
 def test_rounds_to_csv(tmp_path):
     g = make_chsh()
-    records = [rec for _, rec in enumerate_rounds(g, pr_box(g))][:8]
+    records = enumerate_rounds(g, pr_box(g))[1][:8]
     path = tmp_path / "rounds.csv"
     rounds_to_csv(records, str(path))
     with open(path, newline="") as fh:
@@ -170,6 +174,9 @@ def test_rounds_to_csv(tmp_path):
     assert rows[1] == [str(first.x), str(first.u), str(first.v), str(first.a),
                        str(first.b), str(first.r), str(first.g), str(first.e),
                        str(int(first.won))]
+    # integer fields and the csv module's CRLF line ends
+    assert path.read_bytes().startswith(
+        b"x,u,v,a,b,r,g,e,won\r\n0,0,0,0,0,0,0,0,1\r\n")
 
 
 def test_channel_rejects_bad_probability():

@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from xorszilard import cli, make_chained, save_game
+from xorszilard import XorGame, cli, make_chained, save_game
 from xorszilard.cli import (EXIT_BUDGET, EXIT_PARSE, EXIT_REGIME,
                             EXIT_VALIDATION, main)
 
@@ -38,6 +38,37 @@ def test_value_chained3(capsys):
     assert abs(data["omega_local"] - 0.833333) < 1e-6
     assert abs(data["omega_quantum"] - 0.933013) < 1e-6
     assert data["omega_ns"] == 1.0
+
+
+def test_value_perfect_game_caps_quantum_value(capsys, tmp_path):
+    # the seesaw bias of a perfectly winnable game can round above 1
+    path = tmp_path / "perfect.json"
+    save_game(XorGame(name="perfect-2x4", nu=2, nv=4, mu=[[0.125] * 4] * 2,
+                      f=[[0] * 4] * 2), str(path))
+    data = run_json(capsys, "value", "--game", str(path))
+    assert data["omega_quantum"] == 1.0
+    assert data["ceilings_bits"]["quantum"] == 1.0
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["value", "--game", "chsh", "--seed", "-1"], EXIT_PARSE),
+    (["simulate", "--game", "chsh", "--behaviour", "pr", "--seed", "-1"],
+     EXIT_PARSE),
+    (["finite-time", "--seed", "-1"], EXIT_PARSE),
+    (["finite-time", "--p", "1.0", "--tau-grid", "5,10", "--reps", "100"],
+     EXIT_VALIDATION),
+    (["sweep", "--step", "nan"], EXIT_VALIDATION),
+    (["sweep", "--step", "inf"], EXIT_VALIDATION),
+], ids=["value-seed", "simulate-seed", "finite-time-seed", "finite-time-p1",
+        "sweep-nan", "sweep-inf"])
+def test_bad_input_exit_codes(capsys, argv, code):
+    try:
+        rc = main(argv)
+    except SystemExit as exc:  # argparse rejects the value
+        rc = exc.code
+    err = capsys.readouterr().err
+    assert rc == code, err
+    assert "Traceback" not in err
 
 
 def test_value_bad_game_file_names_mu(capsys, tmp_path):

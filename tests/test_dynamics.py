@@ -3,8 +3,7 @@ import math
 import pytest
 
 from xorszilard import (ProtocolSchedule, RegimeError, ValidationError,
-                        estimate_sigma, fit_loglog_slope,
-                        run_branch_trajectory, scaling_fit,
+                        estimate_sigma, fit_loglog_slope, scaling_fit,
                         trajectory_energy_audit)
 from xorszilard.engine import LN2
 
@@ -38,21 +37,23 @@ def test_first_law_bookkeeping():
 
 
 def test_flat_posterior_gives_zero_work():
-    assert run_branch_trajectory(0.5, ProtocolSchedule.linear(10.0), seed=1) == 0.0
+    w, _, _ = trajectory_energy_audit(0.5, ProtocolSchedule.linear(10.0), seed=1)
+    assert w == 0.0
 
 
 def test_sudden_limit_zero_work():
     # no relaxation: the assignment and the frozen-state return cancel
     sched = ProtocolSchedule(tau=1e-9, steps=100)
     for seed in range(5):
-        assert abs(run_branch_trajectory(0.85, sched, seed=seed)) < 1e-12
+        w, _, _ = trajectory_energy_audit(0.85, sched, seed=seed)
+        assert abs(w) < 1e-12
 
 
 def test_rejects_deterministic_posterior():
     with pytest.raises(ValidationError):
-        run_branch_trajectory(1.0, ProtocolSchedule.linear(10.0), seed=0)
+        trajectory_energy_audit(1.0, ProtocolSchedule.linear(10.0), seed=0)
     with pytest.raises(ValidationError):
-        run_branch_trajectory(0.3, ProtocolSchedule.linear(10.0), seed=0)
+        trajectory_energy_audit(0.3, ProtocolSchedule.linear(10.0), seed=0)
 
 
 def test_estimate_sigma_basics():

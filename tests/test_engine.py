@@ -5,10 +5,11 @@ import pytest
 from xorszilard import (BinaryChannel, SimulationError, ValidationError,
                         branch_decomposition, branch_work, class_ceilings,
                         class_report, cycle_ledger, exact_memory_ledger,
-                        feedback_value, make_chsh, memory_ledger, merge_stats,
-                        mix_with_uniform, noise_threshold, posterior, pr_box,
-                        quantum_optimal_chsh, simulate_rounds, small_bias_work,
-                        sweep_s_curve, trajectory_work, uniform_behaviour)
+                        make_chsh, memory_ledger, merge_stats,
+                        mix_with_uniform, mutual_information, noise_threshold,
+                        posterior, pr_box, quantum_optimal_chsh,
+                        simulate_rounds, small_bias_work, sweep_s_curve,
+                        trajectory_work, uniform_behaviour)
 from xorszilard.engine import LN2
 from xorszilard.games import XorGame, deterministic_behaviour
 
@@ -82,20 +83,15 @@ def test_posterior_average_identity_grid():
 
 
 def test_feedback_value():
-    assert abs(feedback_value(BinaryChannel(0.75)) - 0.188722) < 1e-6
-    assert abs(feedback_value(BinaryChannel(Q_CHSH)) - 0.3991) < 5e-5
-    assert feedback_value(BinaryChannel(1.0)) == 1.0
+    # the average reversible feedback work is the channel mutual information
+    assert abs(mutual_information(BinaryChannel(0.75)) - 0.188722) < 1e-6
+    assert abs(mutual_information(BinaryChannel(Q_CHSH)) - 0.3991) < 5e-5
+    assert mutual_information(BinaryChannel(1.0)) == 1.0
     # bias form agrees
     for p in (0.5, 0.6, 0.75, 0.9):
         beta = 2 * p - 1
-        assert abs(feedback_value(BinaryChannel(p))
+        assert abs(mutual_information(BinaryChannel(p))
                    - (1 - h2((1 + beta) / 2))) < 1e-12
-
-
-def test_feedback_value_strictly_increasing():
-    grid = [0.5 + 0.005 * i for i in range(100)]
-    vals = [feedback_value(BinaryChannel(p)) for p in grid]
-    assert all(b > a for a, b in zip(vals, vals[1:]))
 
 
 def test_class_ceilings_chsh():
@@ -117,7 +113,7 @@ def test_class_ceilings_chained3():
 
 
 def test_class_ceilings_equal_values_map_equal():
-    made = [feedback_value(BinaryChannel(0.8)) for _ in range(3)]
+    made = [mutual_information(BinaryChannel(0.8)) for _ in range(3)]
     assert made[0] == made[1] == made[2]
 
 
@@ -258,6 +254,15 @@ def test_simulate_rejects_bad_model():
         simulate_rounds(g, pr_box(g), 100, seed=1, p_model=0.3)
     with pytest.raises(ValidationError):
         simulate_rounds(g, pr_box(g), 0, seed=1)
+
+
+def test_simulate_memory_constant_in_n():
+    # one multinomial draw per stream: 10^8 rounds cost no per-round memory
+    g = make_chsh()
+    stats = simulate_rounds(g, quantum_optimal_chsh(), 10 ** 8, seed=7)
+    se_p = math.sqrt(Q_CHSH * (1 - Q_CHSH) / stats.rounds)
+    assert abs(stats.empirical_p - Q_CHSH) < 4 * se_p
+    assert abs(stats.mean_work_kt - stats.analytic_work_kt) < 4 * stats.stderr_kt
 
 
 def test_simulate_records_match_stats():

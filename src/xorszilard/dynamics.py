@@ -44,12 +44,9 @@ class ProtocolSchedule:
     gap_path: Optional[Callable[[float], float]] = None
 
     def __post_init__(self):
-        if self.tau <= 0.0:
-            raise ValidationError(f"need tau > 0, got {self.tau!r}")
+        _check_tau_rate(self.tau, self.rate)
         if self.steps < 2:
             raise ValidationError(f"need steps >= 2, got {self.steps!r}")
-        if self.rate <= 0.0:
-            raise ValidationError(f"need rate > 0, got {self.rate!r}")
         if self.rate * self.tau / self.steps > 1.0:
             raise ValidationError(
                 f"step size too large: rate*dt = "
@@ -63,8 +60,16 @@ class ProtocolSchedule:
                steps: int | None = None) -> "ProtocolSchedule":
         """Linear ramp with the default step density max(100, 10*tau*rate)."""
         if steps is None:
+            _check_tau_rate(tau, rate)
             steps = max(100, int(round(10.0 * tau * rate)))
         return cls(tau=tau, steps=steps, rate=rate)
+
+
+def _check_tau_rate(tau: float, rate: float):
+    if not (math.isfinite(tau) and tau > 0.0):
+        raise ValidationError(f"need finite tau > 0, got {tau!r}")
+    if not (math.isfinite(rate) and rate > 0.0):
+        raise ValidationError(f"need finite rate > 0, got {rate!r}")
 
 
 def _check_branch_p(p: float):

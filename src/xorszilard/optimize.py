@@ -1,9 +1,13 @@
 """Game values over the local, quantum, and nonsignalling behaviour classes.
 
-The local value is an exact maximum over deterministic strategies.  The
-quantum value is lower-bounded by an alternating (seesaw) maximization of
-the bilinear bias over unit vectors, validated against known analytic
-values rather than dual certificates.  The nonsignalling value of an XOR
+The local value is an exact maximum over deterministic strategies: the
+smaller side's output maps are enumerated as bounded chunks of +-1 sign
+rows against the bias form W = mu * (-1)^f, the other side answering each
+of its questions best, so the nu + nv budget bounds the work.  The quantum
+value is lower-bounded by an alternating (seesaw) maximization of the
+bilinear bias over unit vectors, run for all restarts at once on stacked
+arrays in fixed-size blocks, and validated against known analytic values
+rather than dual certificates.  The nonsignalling value of an XOR
 game is always 1, witnessed by the predicate box.
 """
 
@@ -18,6 +22,9 @@ from .errors import BudgetError, ValidationError
 from .games import Behaviour, XorGame, game_value, pr_box
 
 LOCAL_BUDGET = 40  # enumeration budget: nu + nv question count
+_CHUNK_BITS = 10  # local enumeration chunks hold 2**10 maps
+_SLACK = 1e-12  # bias margin, far above rounding error since |W| sums to 1
+SEESAW_BLOCK = 32  # restarts run together
 
 DEFAULT_RESTARTS = 20
 DEFAULT_TOL = 1e-12
@@ -25,43 +32,124 @@ DEFAULT_MAX_ITER = 10_000
 DEFAULT_SEED = 1234
 
 
+def _weights(game: XorGame) -> np.ndarray:
+    """Bias form W = mu * (-1)^f: strategy signs s, t earn bias s.W.t."""
+    return game.mu * np.where(game.f == 0, 1.0, -1.0)
+
+
 # ---------------------------------------------------------------------------
 # local value
+
+
+def _bit_rows(index: np.ndarray, n: int) -> np.ndarray:
+    """Output maps of n questions numbered by ``index``, question 0 the most
+    significant bit, so increasing index is lexicographic order."""
+    return (index[:, None] >> np.arange(n - 1, -1, -1)) & 1
+
+
+def _signs(count: int, n: int) -> np.ndarray:
+    """+-1 sign rows (-1)^map of maps 0..count-1 of n questions."""
+    return np.where(_bit_rows(np.arange(count), n) == 1, -1.0, 1.0)
+
+
+def _near_best_rows(weights: np.ndarray) -> np.ndarray:
+    """Indices of the row player's maps with near-maximal best-response bias.
+
+    Map i gives signs s = (-1)^_bit_rows(i); the column player's best reply
+    earns bias sum_v |sum_u W_uv s_u|.  Only maps with s_0 = +1 are scored
+    (the global output flip preserves every bias).  Maps go in chunks of
+    2**_CHUNK_BITS rows: the low bits' partial sums are computed once and
+    each chunk adds its high bits' partial sum, so a chunk costs one
+    (rows, columns) add and reduction.  Every map within _SLACK of the
+    running maximum is kept, in increasing index order.
+    """
+    n = weights.shape[0]
+    low = min(n - 1, _CHUNK_BITS)
+    low_part = _signs(1 << low, low) @ weights[n - low:]
+    high_part = _signs(1 << (n - 1 - low), n - low) @ weights[:n - low]
+    column = np.empty_like(low_part)
+    best = -math.inf
+    kept = []  # (index, bias) of the maps within _SLACK of the running best
+    for h, shift in enumerate(high_part):
+        np.add(low_part, shift, out=column)
+        bias = np.abs(column, out=column).sum(axis=1)
+        top = bias.max()
+        if top > best:
+            best = top
+            kept = [(i[b >= best - _SLACK], b[b >= best - _SLACK])
+                    for i, b in kept]
+        near = np.flatnonzero(bias >= best - _SLACK)
+        kept.append(((h << low) + near, bias[near]))
+    return np.concatenate([i for i, _ in kept])
+
+
+def _replies(mu: np.ndarray, f: np.ndarray, amaps: np.ndarray) -> np.ndarray:
+    """The column player's best reply to each row of ``amaps``; ties keep 0.
+
+    Lost masses are summed in question order.  With mu and f transposed,
+    these are the row player's replies to column maps.
+    """
+    lost0 = np.zeros((len(amaps), f.shape[1]))
+    lost1 = np.zeros_like(lost0)
+    for u in range(f.shape[0]):
+        miss0 = amaps[:, u, None] != f[u]
+        lost0 += mu[u] * miss0
+        lost1 += mu[u] * ~miss0
+    return (lost1 < lost0).astype(np.int64)
+
+
+def _strategy_values(mu: np.ndarray, f: np.ndarray, amaps: np.ndarray,
+                     bmaps: np.ndarray) -> np.ndarray:
+    """1 minus the mu-weight of each strategy's violated pairs.
+
+    Each value is correctly rounded (one fsum), so near-1 values stay exact
+    and no value depends on question order.
+    """
+    weighted = mu > 0
+    lost = ((amaps[:, :, None] ^ bmaps[:, None, :]) != f)[:, weighted]
+    neg = -mu[weighted]
+    return np.array([math.fsum([1.0] + neg[row].tolist()) for row in lost])
 
 
 def local_value(game: XorGame) -> tuple[float, tuple[int, ...], tuple[int, ...]]:
     """Exact local value and one maximizing deterministic strategy.
 
-    Enumerates Alice's output maps with amap[0] fixed to 0 (flipping all
-    outputs of both players preserves a xor b, so this halves the search
-    without losing any value) and chooses Bob's best response per question.
-    Ties break to the lexicographically smallest (amap, bmap).
-
-    Strategy values are computed as 1 minus the mu-weight of violated
-    pairs, which keeps near-1 values exact in floating point.
+    The smaller side is enumerated (Alice's when nu <= nv) as chunks of +-1
+    sign rows scored by the other side's best response, so the budget
+    nu + nv <= LOCAL_BUDGET bounds the work at 2**(LOCAL_BUDGET/2 - 1)
+    maps.  Flipping all outputs of both players preserves a xor b, so the
+    first enumerated question's output is fixed.  The maps within _SLACK
+    of the best are re-evaluated exactly, in chunks: Alice's maps, or, when
+    Bob's side is enumerated, Alice's replies to each map and to its global
+    flip that have amap[0] = 0.  Ties break to the lexicographically
+    smallest (amap, bmap).
     """
     if game.nu + game.nv > LOCAL_BUDGET:
         raise BudgetError(
             f"local enumeration budget exceeded: nu + nv = "
             f"{game.nu + game.nv} > {LOCAL_BUDGET}")
-    nu, nv = game.nu, game.nv
     mu, f = game.mu, game.f
-    best_value = -1.0
-    best_amap = best_bmap = None
-    for bits in range(1 << (nu - 1)):
-        amap = np.zeros(nu, dtype=np.int64)
-        for i in range(1, nu):
-            amap[i] = (bits >> (nu - 1 - i)) & 1
-        # lost mass per Bob question for bmap[v] = 0 and 1
-        miss0 = amap[:, None] != f
-        lost0 = np.sum(mu * miss0, axis=0)
-        lost1 = np.sum(mu * ~miss0, axis=0)
-        bmap = (lost1 < lost0).astype(np.int64)  # ties keep 0
-        value = 1.0 - math.fsum(np.where(bmap == 1, lost1, lost0))
-        if value > best_value:
-            best_value = value
-            best_amap = tuple(int(x) for x in amap)
-            best_bmap = tuple(int(x) for x in bmap)
+    alice = game.nu <= game.nv
+    weights = _weights(game)
+    index = _near_best_rows(weights if alice else weights.T)
+    best_value, best_amap, best_bmap = -1.0, None, None
+    for start in range(0, len(index), 1 << _CHUNK_BITS):
+        maps = _bit_rows(index[start:start + (1 << _CHUNK_BITS)],
+                         min(game.nu, game.nv))
+        if alice:
+            amaps = maps
+        else:
+            amaps = _replies(mu.T, f.T, np.concatenate([maps, 1 - maps]))
+            amaps = amaps[amaps[:, 0] == 0]
+            amaps = amaps[np.lexsort(amaps.T[::-1])]
+        bmaps = _replies(mu, f, amaps)
+        values = _strategy_values(mu, f, amaps, bmaps)
+        j = int(np.argmax(values))  # rows are in lexicographic order
+        amap = tuple(int(x) for x in amaps[j])
+        if values[j] > best_value or (values[j] == best_value
+                                      and amap < best_amap):
+            best_value, best_amap = float(values[j]), amap
+            best_bmap = tuple(int(x) for x in bmaps[j])
     return best_value, best_amap, best_bmap
 
 
@@ -100,64 +188,96 @@ def _omega(bias: float) -> float:
     above 1; omega_q <= omega_ns = 1 holds for every XOR game, so the value
     is capped there.
     """
-    return min(1.0, (1.0 + bias) / 2.0)
+    return min(1.0, (1.0 + float(bias)) / 2.0)
 
 
-def _normalize_rows(vecs: np.ndarray, fallback: np.ndarray) -> np.ndarray:
-    # rows with zero weighted sum keep their previous direction
-    norms = np.linalg.norm(vecs, axis=1, keepdims=True)
-    zero = norms[:, 0] < 1e-300
-    out = np.where(zero[:, None], fallback, vecs / np.where(zero[:, None], 1.0, norms))
-    return out
+def _seesaw_starts(game: XorGame, seed: int, ks: range):
+    """Random unit-vector starts of restarts ks, stacked as (len(ks), nu,
+    dim) and (len(ks), nv, dim); restart k draws from sub-seed (seed, k)."""
+    dim = game.nu + game.nv
+    avecs = np.empty((len(ks), game.nu, dim))
+    bvecs = np.empty((len(ks), game.nv, dim))
+    for j, k in enumerate(ks):
+        rng = np.random.default_rng([seed, k])
+        avecs[j] = rng.normal(size=(game.nu, dim))
+        bvecs[j] = rng.normal(size=(game.nv, dim))
+    avecs /= np.linalg.norm(avecs, axis=2, keepdims=True)
+    bvecs /= np.linalg.norm(bvecs, axis=2, keepdims=True)
+    return avecs, bvecs
 
 
-def _seesaw_once(game: XorGame, rng: np.random.Generator, tol: float,
-                 max_iter: int):
-    """One seesaw run from a random start.
+def _unit_rows(vecs: np.ndarray, fallback: np.ndarray) -> np.ndarray:
+    """Scale each row of ``vecs`` to unit length, in place; rows with zero
+    weighted sum keep their previous direction from ``fallback``."""
+    norms = np.sqrt(np.add.reduce(vecs * vecs, axis=-1, keepdims=True))
+    zero = norms < 1e-300
+    vecs /= np.where(zero, 1.0, norms)
+    np.copyto(vecs, fallback, where=zero)
+    return vecs
 
-    Returns (bias, avecs, bvecs, iterations, converged, trace) where trace
-    is the per-iteration bias sequence; each half-step is the exact
-    maximizer over unit vectors given the other side, so the trace is
-    non-decreasing.
+
+def _seesaw_batch(weights: np.ndarray, avecs: np.ndarray, bvecs: np.ndarray,
+                  tol: float, max_iter: int):
+    """Seesaw from R stacked starts, avecs (R, nu, dim) and bvecs (R, nv, dim),
+    which are overwritten with the final states.
+
+    Each half-step is the exact maximizer over unit vectors given the other
+    side, so every restart's bias is non-decreasing.  A restart stops when
+    its bias gains less than ``tol`` and then keeps the larger of its last
+    two biases; the others go on.  Returns (bias, iterations, converged,
+    history), the last a list of R per-restart bias sequences.
     """
-    nu, nv = game.nu, game.nv
-    dim = nu + nv
-    weights = game.mu * np.where(game.f == 0, 1.0, -1.0)
-    avecs = rng.normal(size=(nu, dim))
-    avecs /= np.linalg.norm(avecs, axis=1, keepdims=True)
-    bvecs = rng.normal(size=(nv, dim))
-    bvecs /= np.linalg.norm(bvecs, axis=1, keepdims=True)
-    bias = float(np.einsum("uv,ud,vd->", weights, avecs, bvecs))
-    trace = [bias]
-    converged = False
-    iterations = 0
-    while iterations < max_iter:
-        iterations += 1
-        avecs = _normalize_rows(weights @ bvecs, avecs)
-        bvecs = _normalize_rows(weights.T @ avecs, bvecs)
-        new_bias = float(np.einsum("uv,ud,vd->", weights, avecs, bvecs))
-        trace.append(new_bias)
-        if new_bias - bias < tol:
-            bias = max(bias, new_bias)
-            converged = True
+    r = avecs.shape[0]
+    bias = np.einsum("uv,rud,rvd->r", weights, avecs, bvecs)
+    iterations = np.full(r, max_iter)
+    converged = np.zeros(r, dtype=bool)
+    history = [[x] for x in bias.tolist()]
+    live = np.arange(r)
+    a, b, last = avecs, bvecs, bias.copy()
+    for it in range(1, max_iter + 1):
+        a = _unit_rows(weights @ b, a)
+        b = _unit_rows(weights.T @ a, b)
+        new = np.einsum("uv,rud,rvd->r", weights, a, b)
+        for k, x in zip(live.tolist(), new.tolist()):
+            history[k].append(x)
+        stop = new - last < tol
+        if stop.any():
+            done = live[stop]
+            bias[done] = np.maximum(last, new)[stop]
+            iterations[done] = it
+            converged[done] = True
+            avecs[done], bvecs[done] = a[stop], b[stop]
+            go = ~stop
+            live, a, b, new = live[go], a[go], b[go], new[go]
+        last = new
+        if not live.size:
             break
-        bias = new_bias
-    return bias, avecs, bvecs, iterations, converged, trace
+    bias[live] = last
+    avecs[live], bvecs[live] = a, b
+    return bias, iterations, converged, history
 
 
 def _seesaw_restarts(game: XorGame, restarts: int, tol: float, max_iter: int,
                      seed: int):
+    """Best seesaw state over restarts 0..restarts-1, and every restart's
+    omega.  Restarts run as batches of SEESAW_BLOCK, so memory does not grow
+    with the restart count; the best is the first with the largest bias."""
     if restarts < 1:
         raise ValidationError(f"need restarts >= 1, got {restarts}")
+    weights = _weights(game)
     best_state = None
     omegas = []
-    for k in range(restarts):
-        rng = np.random.default_rng([seed, k])
-        bias, av, bv, iters, conv, _ = _seesaw_once(game, rng, tol, max_iter)
-        omegas.append(_omega(bias))
-        if best_state is None or bias > best_state.bias:
-            best_state = SeesawState(dim=game.nu + game.nv, avecs=av, bvecs=bv,
-                                     bias=bias, iterations=iters, converged=conv)
+    for first in range(0, restarts, SEESAW_BLOCK):
+        ks = range(first, min(first + SEESAW_BLOCK, restarts))
+        av, bv = _seesaw_starts(game, seed, ks)
+        bias, iters, conv, _ = _seesaw_batch(weights, av, bv, tol, max_iter)
+        for j in range(len(ks)):
+            omegas.append(_omega(bias[j]))
+            if best_state is None or bias[j] > best_state.bias:
+                best_state = SeesawState(
+                    dim=game.nu + game.nv, avecs=av[j].copy(),
+                    bvecs=bv[j].copy(), bias=float(bias[j]),
+                    iterations=int(iters[j]), converged=bool(conv[j]))
     return best_state, omegas
 
 
@@ -167,9 +287,9 @@ def quantum_value(game: XorGame, restarts: int = DEFAULT_RESTARTS,
     """Seesaw lower bound on the quantum value, best over seeded restarts.
 
     Restart k draws its start from the deterministic sub-seed (seed, k), so
-    runs are reproducible and restarts can be evaluated independently.  A
-    run that never meets the improvement tolerance is returned with
-    ``converged=False``.
+    runs are reproducible and restarts can be evaluated independently; the
+    restarts run together in blocks of SEESAW_BLOCK.  A run that never meets
+    the improvement tolerance is returned with ``converged=False``.
     """
     state, _ = _seesaw_restarts(game, restarts, tol, max_iter, seed)
     return _omega(state.bias), state

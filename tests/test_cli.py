@@ -59,8 +59,13 @@ def test_value_perfect_game_caps_quantum_value(capsys, tmp_path):
      EXIT_VALIDATION),
     (["sweep", "--step", "nan"], EXIT_VALIDATION),
     (["sweep", "--step", "inf"], EXIT_VALIDATION),
+    (["finite-time", "--rate", "nan", "--reps", "100"], EXIT_VALIDATION),
+    (["finite-time", "--rate", "inf", "--reps", "100"], EXIT_VALIDATION),
+    (["finite-time", "--tau-grid", "10,nan", "--reps", "100"], EXIT_VALIDATION),
+    (["finite-time", "--tau-grid", "10,inf", "--reps", "100"], EXIT_VALIDATION),
 ], ids=["value-seed", "simulate-seed", "finite-time-seed", "finite-time-p1",
-        "sweep-nan", "sweep-inf"])
+        "sweep-nan", "sweep-inf", "finite-time-rate-nan", "finite-time-rate-inf",
+        "finite-time-tau-nan", "finite-time-tau-inf"])
 def test_bad_input_exit_codes(capsys, argv, code):
     try:
         rc = main(argv)

@@ -8,7 +8,9 @@ from xorszilard import (Behaviour, BudgetError, ValidationError, XorGame,
                         class_report, deterministic_behaviour, game_value,
                         is_nonsignalling, local_value, make_chained, make_chsh,
                         ns_value, pr_box, quantum_value)
-from xorszilard.optimize import SeesawState, _seesaw_once
+from xorszilard.optimize import (DEFAULT_MAX_ITER, DEFAULT_TOL, SEESAW_BLOCK,
+                                 SeesawState, _omega, _seesaw_batch,
+                                 _seesaw_restarts, _seesaw_starts, _weights)
 
 
 def brute_force_local(game):
@@ -35,6 +37,19 @@ def random_game(nu, nv, seed):
     return XorGame(name=f"rand{seed}", nu=nu, nv=nv, mu=mu, f=f)
 
 
+def uniform_game(nu, nv, seed=None):
+    """Uniform weights; the all-zero predicate, or a random one from seed."""
+    f = (np.zeros((nu, nv), dtype=int) if seed is None
+         else np.random.default_rng(seed).integers(0, 2, size=(nu, nv)))
+    return XorGame(name=f"uniform{seed}", nu=nu, nv=nv,
+                   mu=np.full((nu, nv), 1.0 / (nu * nv)), f=f)
+
+
+def transpose(game):
+    return XorGame(name=f"{game.name}^T", nu=game.nv, nv=game.nu,
+                   mu=game.mu.T, f=game.f.T)
+
+
 def test_local_value_chsh():
     w, amap, bmap = local_value(make_chsh())
     assert w == 0.75
@@ -59,6 +74,12 @@ def test_local_matches_brute_force_oracle():
     games = [make_chsh(), make_chained(2), make_chained(3)]
     games += [random_game(2, 3, s) for s in range(5)]
     games += [random_game(3, 3, 40 + s) for s in range(3)]
+    # tall and wide games enumerate opposite players; uniform games are full
+    # of ties, so they pin the lexicographic tie-break on both sides
+    for nu, nv in ((4, 2), (2, 4), (5, 3), (3, 5)):
+        games += [random_game(nu, nv, 60 + s) for s in range(3)]
+        games += [uniform_game(nu, nv)]
+        games += [uniform_game(nu, nv, 80 + s) for s in range(3)]
     for g in games:
         w, amap, bmap = local_value(g)
         w_ref, pair_ref = brute_force_local(g)
@@ -66,8 +87,26 @@ def test_local_matches_brute_force_oracle():
         # the returned strategy achieves the oracle maximum
         assert game_value(g, deterministic_behaviour(g, amap, bmap)) \
             == pytest.approx(w_ref, abs=1e-12)
-        if abs(w - w_ref) == 0.0:
-            assert (amap, bmap) == pair_ref
+        assert (amap, bmap) == pair_ref
+        assert local_value(transpose(g))[0] == w
+
+
+def test_local_tall_game_within_budget():
+    # nu + nv = 40: enumerating the 38-question side would take hours
+    g = uniform_game(38, 2, seed=7)
+    w, amap, bmap = local_value(g)
+    wt, bmap_t, amap_t = local_value(transpose(g))
+    assert wt == w
+    assert game_value(g, deterministic_behaviour(g, amap, bmap)) \
+        == pytest.approx(w, abs=1e-12)
+    assert game_value(g, deterministic_behaviour(g, amap_t, bmap_t)) \
+        == pytest.approx(w, abs=1e-12)
+    # reference: Bob's four maps, each with Alice's best answer per question
+    ref = max(
+        sum(max(g.mu[u][np.array(b) == g.f[u]].sum(),
+                g.mu[u][np.array(b) != g.f[u]].sum()) for u in range(38))
+        for b in itertools.product((0, 1), repeat=2))
+    assert w == pytest.approx(ref, abs=1e-12)
 
 
 def test_local_budget_error():
@@ -99,13 +138,38 @@ def test_quantum_value_trivial_game():
 
 def test_seesaw_monotone_and_sound():
     for g in [make_chsh(), make_chained(4), random_game(3, 3, 9)]:
-        rng = np.random.default_rng(5)
-        _, _, _, _, _, trace = _seesaw_once(g, rng, tol=1e-12, max_iter=5000)
-        diffs = np.diff(np.array(trace))
-        assert diffs.min() > -1e-12
+        avecs, bvecs = _seesaw_starts(g, 5, range(4))
+        bias, iters, _, history = _seesaw_batch(_weights(g), avecs, bvecs,
+                                                tol=1e-12, max_iter=5000)
+        for k, trace in enumerate(history):
+            assert len(trace) == iters[k] + 1
+            assert np.diff(np.array(trace)).min() > -1e-12
+            assert bias[k] == max(trace[-2:])
         w_local = local_value(g)[0]
         w_quantum, _ = quantum_value(g, restarts=10, seed=6)
         assert w_quantum >= w_local - 1e-9
+
+
+@pytest.mark.parametrize("max_iter", [DEFAULT_MAX_ITER, 3])
+def test_seesaw_blocks_match_single_runs(max_iter):
+    g = random_game(3, 4, 12)
+    restarts = SEESAW_BLOCK + 5
+    state, omegas = _seesaw_restarts(g, restarts, DEFAULT_TOL, max_iter,
+                                     seed=3)
+    assert len(omegas) == restarts
+    avecs, bvecs = _seesaw_starts(g, 3, range(restarts))
+    bias, iters, conv, _ = _seesaw_batch(_weights(g), avecs, bvecs,
+                                         DEFAULT_TOL, max_iter)
+    for k in range(restarts):
+        a, b = _seesaw_starts(g, 3, range(k, k + 1))
+        one, one_iters, one_conv, _ = _seesaw_batch(_weights(g), a, b,
+                                                    DEFAULT_TOL, max_iter)
+        assert abs(_omega(one[0]) - omegas[k]) < 1e-12
+        assert (iters[k], conv[k]) == (one_iters[0], one_conv[0])
+        assert np.abs(avecs[k] - a[0]).max() < 1e-9
+    assert _omega(state.bias) == max(omegas)
+    if max_iter == 3:
+        assert not conv.all() and (iters[~conv] == 3).all()
 
 
 def test_quantum_value_reproducible():

@@ -14,7 +14,6 @@ only at the engine boundary.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -128,7 +127,7 @@ def enumerate_rounds(game: XorGame, b: Behaviour):
     (u, v) follows mu, and (a, b) follows the behaviour.  Zero-probability
     cells are kept, so callers can separate support questions from
     impossible outputs.  This is the only place that maps a cell to its
-    derived bits; sampled transcripts are rows of this table.
+    derived bits; a sampled transcript is an array of indices into it.
     """
     _check_dims(game, b)
     x, u, v, a, bb = (c.ravel() for c in
@@ -142,13 +141,17 @@ def enumerate_rounds(game: XorGame, b: Behaviour):
     return probs, rounds
 
 
-def rounds_to_csv(records, path: str):
-    """Write round records as CSV with header x,u,v,a,b,r,g,e,won.
+def rounds_to_csv(rounds, cells, path: str):
+    """Write a transcript as CSV with header x,u,v,a,b,r,g,e,won.
 
-    Every field is written as an integer, ``won`` as 0 or 1.
+    ``cells`` are indices into the round table ``rounds``, one per round in
+    transcript order.  Each table cell is encoded once as a CRLF-ended line
+    of integer fields, ``won`` as 0 or 1, and the file is those lines joined
+    over ``cells``.
     """
-    columns = [records[name].astype(np.int64).tolist() for name in CSV_HEADER]
+    columns = [rounds[name].astype(np.int64).tolist() for name in CSV_HEADER]
+    lines = np.array([",".join(map(str, row)) + "\r\n"
+                      for row in zip(*columns)], dtype=object)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_HEADER)
-        writer.writerows(zip(*columns))
+        fh.write(",".join(CSV_HEADER) + "\r\n")
+        fh.write("".join(lines[cells]))

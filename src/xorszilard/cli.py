@@ -9,7 +9,10 @@ distinct operation from channel noise).
 
 Outputs are dimensionless by default (bits, kT); ``--kt`` rescales kT to a
 physical energy.  CSV floats carry 9 significant digits with '.' decimals.
-Exit codes: 0 ok, 2 parse, 3 validation, 4 budget, 5 regime.
+Exit codes: 0 ok, 2 parse (also a --kt that is not finite and > 0),
+3 validation, 4 budget (local enumeration, rounds per simulate batch and
+kept transcript rows, finite-time steps and reps*steps, sweep rows),
+5 regime.
 The environment variable XORSZILARD_OUT_DIR sets the default directory for
 relative output paths.
 """
@@ -36,6 +39,8 @@ EXIT_VALIDATION = 3
 EXIT_BUDGET = 4
 EXIT_REGIME = 5
 
+MAX_SWEEP_ROWS = 10**6  # rows of one sweep, about 4/step
+
 
 def _seed(text: str) -> int:
     """argparse type of --seed: numpy seeds are non-negative integers."""
@@ -43,6 +48,15 @@ def _seed(text: str) -> int:
     if seed < 0:
         raise argparse.ArgumentTypeError(f"seed must be >= 0, got {seed}")
     return seed
+
+
+def _kt(text: str) -> float:
+    """argparse type of --kt: a physical energy scale, finite and > 0."""
+    kt = float(text)
+    if not (math.isfinite(kt) and kt > 0.0):
+        raise argparse.ArgumentTypeError(
+            f"kT scale must be finite and > 0, got {text}")
+    return kt
 
 
 def _fmt(x: float) -> str:
@@ -200,8 +214,9 @@ def cmd_simulate(args) -> int:
                                     p_model=args.p_model, noise_delta=delta,
                                     keep_records=args.records is not None)
     if args.records is not None:
-        stats, records = result
-        chan.rounds_to_csv(records, _out_path(args.records))
+        stats, cells = result
+        _, rounds = chan.enumerate_rounds(game, behaviour)
+        chan.rounds_to_csv(rounds, cells, _out_path(args.records))
     else:
         stats = result
     z = 0.0
@@ -221,6 +236,10 @@ def cmd_sweep(args) -> int:
     if not (math.isfinite(args.step) and args.step > 0.0):
         raise ValidationError(
             f"sweep step must be finite and positive, got {args.step!r}")
+    if 4.0 / args.step > MAX_SWEEP_ROWS:
+        raise BudgetError(
+            f"sweep row budget exceeded: 4/step = {4.0 / args.step:.3g} > "
+            f"{MAX_SWEEP_ROWS}")
     s_values = []
     s = 0.0
     while s < 4.0 + 1e-12:
@@ -279,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--kt", type=float, default=1.0,
+        p.add_argument("--kt", type=_kt, default=1.0,
                        help="physical energy per kT (default 1: dimensionless)")
         p.add_argument("--out", default=None, help="also write output to this file")
 

@@ -23,9 +23,11 @@ import numpy as np
 
 from .engine import LN2
 from .channel import binary_entropy
-from .errors import RegimeError, ValidationError
+from .errors import BudgetError, RegimeError, ValidationError
 
 _CHUNK = 65536
+MAX_STEPS = 10**7  # steps of one schedule: the gap grid holds steps + 1 floats
+MAX_UPDATES = 10**10  # reps * steps of one estimate or one scaling fit
 
 
 @dataclass(frozen=True)
@@ -47,6 +49,7 @@ class ProtocolSchedule:
         _check_tau_rate(self.tau, self.rate)
         if self.steps < 2:
             raise ValidationError(f"need steps >= 2, got {self.steps!r}")
+        _check_steps(self.steps)
         if self.rate * self.tau / self.steps > 1.0:
             raise ValidationError(
                 f"step size too large: rate*dt = "
@@ -61,6 +64,7 @@ class ProtocolSchedule:
         """Linear ramp with the default step density max(100, 10*tau*rate)."""
         if steps is None:
             _check_tau_rate(tau, rate)
+            _check_steps(10.0 * tau * rate)
             steps = max(100, int(round(10.0 * tau * rate)))
         return cls(tau=tau, steps=steps, rate=rate)
 
@@ -70,6 +74,19 @@ def _check_tau_rate(tau: float, rate: float):
         raise ValidationError(f"need finite tau > 0, got {tau!r}")
     if not (math.isfinite(rate) and rate > 0.0):
         raise ValidationError(f"need finite rate > 0, got {rate!r}")
+
+
+def _check_steps(steps: float):
+    if steps > MAX_STEPS:
+        raise BudgetError(
+            f"step budget exceeded: steps = {steps:.4g} > {MAX_STEPS}")
+
+
+def _check_updates(reps: int, steps: int):
+    if reps * steps > MAX_UPDATES:
+        raise BudgetError(
+            f"update budget exceeded: reps * steps = {reps * steps:.4g} > "
+            f"{MAX_UPDATES}")
 
 
 def _check_branch_p(p: float):
@@ -150,6 +167,7 @@ def estimate_sigma(p: float, sched: ProtocolSchedule, reps: int,
     if reps < 100:
         raise ValidationError(f"need reps >= 100, got {reps}")
     _check_branch_p(p)
+    _check_updates(reps, sched.steps)
     w_qs = LN2 * (1.0 - binary_entropy(p))
     w_right = math.log(2.0 * p)
     w_wrong = math.log(2.0 * (1.0 - p))
@@ -226,8 +244,9 @@ def scaling_fit(p: float, tau_grid, reps: int, seed: int,
         raise ValidationError("scaling fit needs a tau grid with >= 2 points")
     if sched_template is None:
         sched_template = lambda tau: ProtocolSchedule.linear(tau, rate=rate)
-    estimates = [estimate_sigma(p, sched_template(tau), reps, seed)
-                 for tau in taus]
+    scheds = [sched_template(tau) for tau in taus]
+    _check_updates(reps, sum(sched.steps for sched in scheds))
+    estimates = [estimate_sigma(p, sched, reps, seed) for sched in scheds]
     bad = [est for est in estimates if est.mean_sigma <= 0.0]
     if bad:
         detail = ", ".join(

@@ -22,11 +22,13 @@ import numpy as np
 
 from .channel import BinaryChannel, apply_noise, binary_entropy, \
     enumerate_rounds, mutual_information
-from .errors import SimulationError, ValidationError
+from .errors import BudgetError, SimulationError, ValidationError
 from .games import PROB_ATOL, Behaviour, XorGame, game_value
 from .optimize import ClassValueReport
 
 LN2 = math.log(2.0)
+MAX_ROUNDS = 10**18  # rounds per batch; multinomial counts are int64
+MAX_RECORDS = 10**7  # rounds per batch with the transcript kept
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +162,6 @@ def cycle_ledger(c: BinaryChannel) -> CycleLedger:
 EPS_STAT = 1e-9
 # G is a deterministic function of the transcript, so the plug-in entropies
 # satisfy H(M) >= H(G) exactly; EPS_STAT only absorbs float rounding.
-TRANSCRIPT = ("g", "u", "v", "r", "a", "b")
 
 
 def _entropy_bits(weights) -> float:
@@ -170,30 +171,31 @@ def _entropy_bits(weights) -> float:
 
 
 def _ledger(rounds, weights) -> tuple[float, float, bool]:
-    """Entropies of G and of M = (g, u, v, r, a, b) under weighted rounds.
+    """Entropies of G and of M = (g, u, v, r, a, b) under weighted cells.
 
-    ``weights`` are unit weights for a sampled batch (plug-in entropies) or
-    the exact cell probabilities; zero weights drop out.
+    ``weights`` holds one weight per cell of the round table ``rounds``:
+    the counts of a sampled batch (plug-in entropies) or the exact cell
+    probabilities; zero weights drop out.  M and the cell (x, u, v, a, b)
+    determine each other, since x = r xor f(u, v), so H(M) is the entropy
+    of the cell weights themselves.
     """
-    _, m_idx = np.unique(np.stack([rounds[k] for k in TRANSCRIPT], axis=1),
-                         axis=0, return_inverse=True)
     h_g = _entropy_bits(np.bincount(rounds["g"], weights=weights))
-    h_m = _entropy_bits(np.bincount(m_idx.ravel(), weights=weights))
+    h_m = _entropy_bits(weights)
     return h_g, h_m, h_m >= h_g - EPS_STAT
 
 
-def memory_ledger(records) -> tuple[float, float, bool]:
+def memory_ledger(rounds, cells) -> tuple[float, float, bool]:
     """Empirical entropies of the controller bit and the full transcript.
 
-    ``records`` are rows of the round table, such as the transcript that
+    ``cells`` index the round table ``rounds``, such as the transcript that
     ``simulate_rounds`` returns.  Returns (h_g, h_m, ok) in bits, where the
     transcript is m = (g, u, v, r, a, b) and ok checks h_m >= h_g - EPS_STAT.
     Storing the auxiliary round variables can only increase the Landauer
     reset burden.
     """
-    if len(records) == 0:
+    if len(cells) == 0:
         raise ValidationError("memory ledger needs a nonempty batch")
-    return _ledger(records, np.ones(len(records)))
+    return _ledger(rounds, np.bincount(cells, minlength=len(rounds)))
 
 
 def exact_memory_ledger(game: XorGame, b: Behaviour) -> tuple[float, float, bool]:
@@ -299,12 +301,19 @@ def simulate_rounds(game: XorGame, behaviour: Behaviour, n: int, seed: int,
 
     ``n_streams`` partitions the rounds across independently sub-seeded
     streams ((seed, k) for stream k) whose hit counts add exactly.
-    Returns SimulationStats, or (SimulationStats, records) when
-    ``keep_records`` is set.  Records are rows of the round table in a
-    random order: the noiseless transcript.
+    Returns SimulationStats, or (SimulationStats, cells) when
+    ``keep_records`` is set.  ``cells`` index the rows of
+    ``enumerate_rounds(game, behaviour)[1]`` in a random order: the
+    noiseless transcript.  A batch is capped at MAX_ROUNDS rounds, and at
+    MAX_RECORDS when its transcript is kept (BudgetError).
     """
     if n < 1:
         raise ValidationError(f"need n >= 1 rounds, got {n}")
+    limit = MAX_RECORDS if keep_records else MAX_ROUNDS
+    if n > limit:
+        raise BudgetError(
+            f"round budget exceeded: n = {n} > {limit}"
+            + (" with records kept" if keep_records else ""))
     if n_streams < 1 or n_streams > n:
         raise ValidationError(f"need 1 <= n_streams <= n, got {n_streams}")
     if not 0.0 <= noise_delta <= 0.5:
@@ -345,7 +354,7 @@ def simulate_rounds(game: XorGame, behaviour: Behaviour, n: int, seed: int,
             drawn.append(rng.permutation(np.repeat(cells, counts)))
     stats = _count_stats(n, hits, w_hit, w_miss, analytic, seed)
     if keep_records:
-        return stats, rounds[np.concatenate(drawn)]
+        return stats, np.concatenate(drawn)
     return stats
 
 

@@ -114,28 +114,32 @@ def _strategy_values(mu: np.ndarray, f: np.ndarray, amaps: np.ndarray,
 def local_value(game: XorGame) -> tuple[float, tuple[int, ...], tuple[int, ...]]:
     """Exact local value and one maximizing deterministic strategy.
 
-    The smaller side is enumerated (Alice's when nu <= nv) as chunks of +-1
-    sign rows scored by the other side's best response, so the budget
-    nu + nv <= LOCAL_BUDGET bounds the work at 2**(LOCAL_BUDGET/2 - 1)
-    maps.  Flipping all outputs of both players preserves a xor b, so the
-    first enumerated question's output is fixed.  The maps within _SLACK
-    of the best are re-evaluated exactly, in chunks: Alice's maps, or, when
-    Bob's side is enumerated, Alice's replies to each map and to its global
-    flip that have amap[0] = 0.  Ties break to the lexicographically
-    smallest (amap, bmap).
+    Questions of zero weight (an all-zero row or column of mu) never affect
+    the value, so they are dropped before enumerating and answered with
+    output 0, the lexicographically smallest choice.  Of the remaining
+    questions the smaller side is enumerated (Alice's when nu <= nv) as
+    chunks of +-1 sign rows scored by the other side's best response, so
+    the budget nu + nv <= LOCAL_BUDGET bounds the work at
+    2**(LOCAL_BUDGET/2 - 1) maps.  Flipping all outputs of both players
+    preserves a xor b, so the first enumerated question's output is fixed.
+    The maps within _SLACK of the best are re-evaluated exactly, in chunks:
+    Alice's maps, or, when Bob's side is enumerated, Alice's replies to each
+    map and to its global flip that have amap[0] = 0.  Ties break to the
+    lexicographically smallest (amap, bmap).
     """
     if game.nu + game.nv > LOCAL_BUDGET:
         raise BudgetError(
             f"local enumeration budget exceeded: nu + nv = "
             f"{game.nu + game.nv} > {LOCAL_BUDGET}")
-    mu, f = game.mu, game.f
-    alice = game.nu <= game.nv
-    weights = _weights(game)
+    rows, cols = game.mu.any(axis=1), game.mu.any(axis=0)
+    mu, f = game.mu[rows][:, cols], game.f[rows][:, cols]
+    weights = _weights(game)[rows][:, cols]
+    alice = mu.shape[0] <= mu.shape[1]
     index = _near_best_rows(weights if alice else weights.T)
     best_value, best_amap, best_bmap = -1.0, None, None
     for start in range(0, len(index), 1 << _CHUNK_BITS):
         maps = _bit_rows(index[start:start + (1 << _CHUNK_BITS)],
-                         min(game.nu, game.nv))
+                         min(mu.shape))
         if alice:
             amaps = maps
         else:
@@ -148,9 +152,15 @@ def local_value(game: XorGame) -> tuple[float, tuple[int, ...], tuple[int, ...]]
         amap = tuple(int(x) for x in amaps[j])
         if values[j] > best_value or (values[j] == best_value
                                       and amap < best_amap):
-            best_value, best_amap = float(values[j]), amap
-            best_bmap = tuple(int(x) for x in bmaps[j])
-    return best_value, best_amap, best_bmap
+            best_value, best_amap, best_bmap = float(values[j]), amap, bmaps[j]
+    return best_value, _answers(best_amap, rows), _answers(best_bmap, cols)
+
+
+def _answers(outputs, asked: np.ndarray) -> tuple[int, ...]:
+    """A full output map: ``outputs`` on the ``asked`` questions, 0 elsewhere."""
+    full = np.zeros(len(asked), dtype=np.int64)
+    full[asked] = outputs
+    return tuple(int(x) for x in full)
 
 
 # ---------------------------------------------------------------------------

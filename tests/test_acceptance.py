@@ -193,8 +193,8 @@ def test_criterion_11_memory_scope():
     for seed, b in [(21, pr_box(g)), (22, quantum_optimal_chsh()),
                     (23, uniform_behaviour(g)),
                     (24, mix_with_uniform(pr_box(g), 0.7))]:
-        _, records = simulate_rounds(g, b, 3000, seed=seed, keep_records=True)
-        s_h_g, s_h_m, s_ok = memory_ledger(records)
+        _, cells = simulate_rounds(g, b, 3000, seed=seed, keep_records=True)
+        s_h_g, s_h_m, s_ok = memory_ledger(enumerate_rounds(g, b)[1], cells)
         assert s_ok
         assert s_h_m >= s_h_g - 1e-9
     _pass(11, f"exact PR transcript: H(G) = {h_g:.1f}, H(M) = {h_m:.1f} bits; "

@@ -163,14 +163,15 @@ def test_induced_channel_is_binary_symmetric():
 
 def test_rounds_to_csv(tmp_path):
     g = make_chsh()
-    records = enumerate_rounds(g, pr_box(g))[1][:8]
+    rounds = enumerate_rounds(g, pr_box(g))[1]
+    cells = list(range(8))
     path = tmp_path / "rounds.csv"
-    rounds_to_csv(records, str(path))
+    rounds_to_csv(rounds, cells, str(path))
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["x", "u", "v", "a", "b", "r", "g", "e", "won"]
     assert len(rows) == 9
-    first = records[0]
+    first = rounds[cells[0]]
     assert rows[1] == [str(first.x), str(first.u), str(first.v), str(first.a),
                        str(first.b), str(first.r), str(first.g), str(first.e),
                        str(int(first.won))]

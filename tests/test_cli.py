@@ -1,10 +1,13 @@
+import csv
+import io
 import json
 import math
 import os
 
 import pytest
 
-from xorszilard import XorGame, cli, make_chained, save_game
+from xorszilard import (XorGame, cli, enumerate_rounds, games, make_chained,
+                        save_game, simulate_rounds)
 from xorszilard.cli import (EXIT_BUDGET, EXIT_PARSE, EXIT_REGIME,
                             EXIT_VALIDATION, main)
 
@@ -63,10 +66,28 @@ def test_value_perfect_game_caps_quantum_value(capsys, tmp_path):
     (["finite-time", "--rate", "inf", "--reps", "100"], EXIT_VALIDATION),
     (["finite-time", "--tau-grid", "10,nan", "--reps", "100"], EXIT_VALIDATION),
     (["finite-time", "--tau-grid", "10,inf", "--reps", "100"], EXIT_VALIDATION),
+    (["simulate", "--game", "chsh", "--behaviour", "pr",
+      "--rounds", "100000000000000000000"], EXIT_BUDGET),
+    (["simulate", "--game", "chsh", "--behaviour", "pr",
+      "--rounds", "100000000000", "--records", "never-written.csv"],
+     EXIT_BUDGET),
+    (["finite-time", "--tau-grid", "10,1e12", "--reps", "100"], EXIT_BUDGET),
+    (["finite-time", "--tau-grid", "10,1e300", "--reps", "100"], EXIT_BUDGET),
+    (["finite-time", "--reps", "100000000000000000000"], EXIT_BUDGET),
+    (["sweep", "--step", "1e-20"], EXIT_BUDGET),
+    (["sweep", "--step", "1e-9"], EXIT_BUDGET),
+    (["cycle", "--p", "0.8", "--kt", "nan"], EXIT_PARSE),
+    (["cycle", "--p", "0.8", "--kt", "0"], EXIT_PARSE),
+    (["cycle", "--p", "0.8", "--kt=-2"], EXIT_PARSE),
+    (["cycle", "--p", "0.8", "--kt", "inf"], EXIT_PARSE),
 ], ids=["value-seed", "simulate-seed", "finite-time-seed", "finite-time-p1",
         "sweep-nan", "sweep-inf", "finite-time-rate-nan", "finite-time-rate-inf",
-        "finite-time-tau-nan", "finite-time-tau-inf"])
-def test_bad_input_exit_codes(capsys, argv, code):
+        "finite-time-tau-nan", "finite-time-tau-inf", "simulate-rounds",
+        "simulate-records", "finite-time-tau-1e12", "finite-time-tau-1e300",
+        "finite-time-reps", "sweep-step-1e-20", "sweep-step-1e-9", "kt-nan",
+        "kt-zero", "kt-negative", "kt-inf"])
+def test_bad_input_exit_codes(capsys, tmp_path, monkeypatch, argv, code):
+    monkeypatch.chdir(tmp_path)
     try:
         rc = main(argv)
     except SystemExit as exc:  # argparse rejects the value
@@ -161,6 +182,25 @@ def test_simulate_records_csv(capsys, tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "x,u,v,a,b,r,g,e,won"
     assert len(lines) == 51
+
+
+def test_simulate_records_bytes_match_csv_writer(capsys, tmp_path):
+    # the transcript file is the csv module's rendering of the drawn rows
+    path = tmp_path / "rounds.csv"
+    data = run_json(capsys, "simulate", "--game", "chained:3", "--behaviour",
+                    "mix:pr:0.75", "--rounds", "3000", "--seed", "7",
+                    "--records", str(path))
+    g = make_chained(3)
+    b = games.mix_with_uniform(games.pr_box(g), 0.75)
+    stats, cells = simulate_rounds(g, b, 3000, 7, keep_records=True)
+    assert stats.to_json_dict().items() <= data.items()
+    rows = enumerate_rounds(g, b)[1][cells]
+    ref = io.StringIO(newline="")
+    header = ["x", "u", "v", "a", "b", "r", "g", "e", "won"]
+    writer = csv.writer(ref)
+    writer.writerow(header)
+    writer.writerows([int(r[k]) for k in header] for r in rows)
+    assert path.read_bytes() == ref.getvalue().encode("utf-8")
 
 
 def test_sweep_markers(capsys):

@@ -1,11 +1,13 @@
 import math
+from collections import Counter
 
 import pytest
 
 from xorszilard import (BinaryChannel, SimulationError, ValidationError,
                         branch_decomposition, branch_work, class_ceilings,
-                        class_report, cycle_ledger, exact_memory_ledger,
-                        make_chsh, memory_ledger, merge_stats,
+                        class_report, cycle_ledger, enumerate_rounds,
+                        exact_memory_ledger, make_chained, make_chsh,
+                        memory_ledger, merge_stats,
                         mix_with_uniform, mutual_information, noise_threshold,
                         posterior, pr_box, quantum_optimal_chsh,
                         simulate_rounds, small_bias_work, sweep_s_curve,
@@ -104,7 +106,6 @@ def test_class_ceilings_chsh():
 
 
 def test_class_ceilings_chained3():
-    from xorszilard import make_chained
     rep = class_report(make_chained(3), seed=2)
     w_l, w_q, w_ns = class_ceilings(rep)
     assert abs(w_l - (1 - h2(5 / 6))) < 1e-12
@@ -171,13 +172,31 @@ def test_memory_ledger_sampled_batches():
     g = make_chsh()
     for seed, b in [(1, quantum_optimal_chsh()), (2, uniform_behaviour(g)),
                     (3, pr_box(g))]:
-        _, records = simulate_rounds(g, b, 4000, seed=seed, keep_records=True)
-        h_g, h_m, ok = memory_ledger(records)
+        _, cells = simulate_rounds(g, b, 4000, seed=seed, keep_records=True)
+        h_g, h_m, ok = memory_ledger(enumerate_rounds(g, b)[1], cells)
         assert ok
         assert h_m >= h_g - 1e-9
         assert 0.0 <= h_g <= 1.0
     with pytest.raises(ValidationError):
-        memory_ledger([])
+        memory_ledger(enumerate_rounds(g, pr_box(g))[1], [])
+
+
+def test_memory_ledger_matches_transcript_counts():
+    # the plug-in entropy of the (g, u, v, r, a, b) tuples themselves
+    g = make_chained(3)
+    b = mix_with_uniform(pr_box(g), 0.6)
+    rounds = enumerate_rounds(g, b)[1]
+    _, cells = simulate_rounds(g, b, 5000, seed=8, keep_records=True)
+    counts = Counter(tuple(int(rounds[k][i]) for k in "guvrab")
+                     for i in cells)
+    h_m = -math.fsum(c / 5000 * math.log2(c / 5000) for c in counts.values())
+    g_counts = Counter(int(rounds.g[i]) for i in cells)
+    h_g = -math.fsum(c / 5000 * math.log2(c / 5000)
+                     for c in g_counts.values())
+    got_g, got_m, ok = memory_ledger(rounds, cells)
+    assert got_m == pytest.approx(h_m, abs=1e-12)
+    assert got_g == pytest.approx(h_g, abs=1e-12)
+    assert ok
 
 
 # ---------------------------------------------------------------------------
@@ -267,8 +286,9 @@ def test_simulate_memory_constant_in_n():
 
 def test_simulate_records_match_stats():
     g = make_chsh()
-    stats, records = simulate_rounds(g, quantum_optimal_chsh(), 2000, seed=11,
-                                     keep_records=True)
+    b = quantum_optimal_chsh()
+    stats, cells = simulate_rounds(g, b, 2000, seed=11, keep_records=True)
+    records = enumerate_rounds(g, b)[1][cells]
     assert len(records) == 2000
     assert stats.empirical_p == pytest.approx(
         sum(r.won for r in records) / 2000, abs=1e-15)

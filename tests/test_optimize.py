@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -45,6 +46,17 @@ def uniform_game(nu, nv, seed=None):
                    mu=np.full((nu, nv), 1.0 / (nu * nv)), f=f)
 
 
+def sparse_game(nu, nv, cells, seed):
+    """Random predicate, with all of mu's weight on ``cells``."""
+    rng = np.random.default_rng(seed)
+    mu = np.zeros((nu, nv))
+    for u, v in cells:
+        mu[u, v] = rng.random() + 0.5
+    mu /= mu.sum()
+    return XorGame(name=f"sparse{seed}", nu=nu, nv=nv, mu=mu,
+                   f=rng.integers(0, 2, size=(nu, nv)))
+
+
 def transpose(game):
     return XorGame(name=f"{game.name}^T", nu=game.nv, nv=game.nu,
                    mu=game.mu.T, f=game.f.T)
@@ -80,6 +92,11 @@ def test_local_matches_brute_force_oracle():
         games += [random_game(nu, nv, 60 + s) for s in range(3)]
         games += [uniform_game(nu, nv)]
         games += [uniform_game(nu, nv, 80 + s) for s in range(3)]
+    # zero-weight questions are answered 0 whatever their predicate
+    games += [sparse_game(4, 4, [(2, 3)], 90 + s) for s in range(2)]
+    games += [sparse_game(5, 3, [(1, 0), (1, 2), (4, 2)], 92),
+              sparse_game(3, 5, [(0, 4), (2, 1)], 93),
+              sparse_game(4, 3, [(0, 1), (3, 1), (2, 1)], 94)]
     for g in games:
         w, amap, bmap = local_value(g)
         w_ref, pair_ref = brute_force_local(g)
@@ -107,6 +124,21 @@ def test_local_tall_game_within_budget():
                 g.mu[u][np.array(b) != g.f[u]].sum()) for u in range(38))
         for b in itertools.product((0, 1), repeat=2))
     assert w == pytest.approx(ref, abs=1e-12)
+
+
+def test_local_one_cell_game_is_instant():
+    # 2^19 maps of a 20x20 game tie exactly when one cell holds all weight
+    for f_cell in (0, 1):
+        g = sparse_game(20, 20, [(3, 5)], seed=5)
+        f = g.f.copy()
+        f[3, 5] = f_cell
+        g = XorGame(name="one-cell", nu=20, nv=20, mu=g.mu, f=f)
+        t0 = time.perf_counter()
+        w, amap, bmap = local_value(g)
+        assert time.perf_counter() - t0 < 0.1
+        assert w == 1.0
+        assert amap == (0,) * 20
+        assert bmap == tuple(f_cell if v == 5 else 0 for v in range(20))
 
 
 def test_local_budget_error():

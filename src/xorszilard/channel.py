@@ -115,6 +115,7 @@ ROUND_DTYPE = np.dtype([("x", np.int8), ("u", np.int64), ("v", np.int64),
                         ("a", np.int8), ("b", np.int8), ("r", np.int8),
                         ("g", np.int8), ("e", np.int8), ("won", np.bool_)])
 CSV_HEADER = list(ROUND_DTYPE.names)
+_CSV_ROWS = 2**16  # transcript rows per joined string
 
 
 def enumerate_rounds(game: XorGame, b: Behaviour):
@@ -146,12 +147,13 @@ def rounds_to_csv(rounds, cells, path: str):
 
     ``cells`` are indices into the round table ``rounds``, one per round in
     transcript order.  Each table cell is encoded once as a CRLF-ended line
-    of integer fields, ``won`` as 0 or 1, and the file is those lines joined
-    over ``cells``.
+    of integer fields, ``won`` as 0 or 1, and the file is those lines over
+    ``cells``, joined and written _CSV_ROWS rows at a time.
     """
     columns = [rounds[name].astype(np.int64).tolist() for name in CSV_HEADER]
     lines = np.array([",".join(map(str, row)) + "\r\n"
                       for row in zip(*columns)], dtype=object)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(CSV_HEADER) + "\r\n")
-        fh.write("".join(lines[cells]))
+        for start in range(0, len(cells), _CSV_ROWS):
+            fh.write("".join(lines[cells[start:start + _CSV_ROWS]]))

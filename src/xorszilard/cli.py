@@ -9,7 +9,8 @@ distinct operation from channel noise).
 
 Outputs are dimensionless by default (bits, kT); ``--kt`` rescales kT to a
 physical energy.  CSV floats carry 9 significant digits with '.' decimals.
-Exit codes: 0 ok, 2 parse (also a --kt that is not finite and > 0),
+Exit codes: 0 ok, 2 parse (also a --kt that is not finite and > 0, and a
+--tau-grid entry that is not a number),
 3 validation, 4 budget (local enumeration, rounds per simulate batch and
 kept transcript rows, finite-time steps and reps*steps, sweep rows),
 5 regime.
@@ -57,6 +58,19 @@ def _kt(text: str) -> float:
         raise argparse.ArgumentTypeError(
             f"kT scale must be finite and > 0, got {text}")
     return kt
+
+
+def _tau_grid(text: str) -> list[float]:
+    """argparse type of --tau-grid: a comma-separated list of numbers.
+
+    Only the syntax is checked here; dynamics rejects a non-finite or
+    non-positive tau (exit 3).
+    """
+    try:
+        return [float(t) for t in text.split(",") if t.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"tau grid must be comma-separated numbers, got {text!r}") from None
 
 
 def _fmt(x: float) -> str:
@@ -273,8 +287,7 @@ def cmd_finite_time(args) -> int:
         slope, se = dynamics.fit_loglog_slope(taus, [0.7 / t for t in taus])
         _emit_json({"self_test": True, "slope": slope, "slope_stderr": se}, args.out)
         return 0
-    taus = [float(t) for t in args.tau_grid.split(",") if t.strip()]
-    fit = dynamics.scaling_fit(args.p, taus, args.reps, args.seed,
+    fit = dynamics.scaling_fit(args.p, args.tau_grid, args.reps, args.seed,
                                rate=args.rate)
     rows = [(est.tau, est.mean_sigma, est.stderr, est.reps, est.seed)
             for est in fit.estimates]
@@ -339,7 +352,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("finite-time", help="dissipation scaling over a tau grid")
     p.add_argument("--p", type=float, default=0.85)
-    p.add_argument("--tau-grid", dest="tau_grid", default="10,20,40,80,160")
+    p.add_argument("--tau-grid", dest="tau_grid", type=_tau_grid,
+                   default="10,20,40,80,160")
     p.add_argument("--reps", type=int, default=2000)
     p.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
     p.add_argument("--rate", type=float, default=1.0)

@@ -7,6 +7,15 @@ Glauber updates toward the instantaneous Gibbs state.  The shortfall from
 the quasistatic work defines the dimensionless dissipation Sigma, which for
 slow smooth driving scales as 1/tau.
 
+Sampling: a Glauber step flips to the other level with probability
+rate*dt times that level's Gibbs weight, which is the law of a heat-bath
+step that, with probability rate*dt, redraws the state from the
+instantaneous Gibbs law and otherwise keeps it.  The redraw events do not
+depend on the state, so each trajectory's events are drawn directly as
+geometric gaps along its steps (uniformization), and a trajectory costs
+O(rate*tau) events instead of O(steps) updates.  reps*steps still bounds
+the work, since there are never more events than updates.
+
 Conventions: the predicted level is pinned at energy zero and the gap is
 the single control parameter (the net branch work is independent of that
 energy-zero choice).  Work is the energy change under gap moves at fixed
@@ -21,11 +30,12 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .engine import LN2
+from .engine import LN2, merge_moments
 from .channel import binary_entropy
 from .errors import BudgetError, RegimeError, ValidationError
 
-_CHUNK = 65536
+_TILE_EVENTS = 2**13  # expected resample events per tile
+_TILE_REPS = 65536  # trajectories per tile, at most
 MAX_STEPS = 10**7  # steps of one schedule: the gap grid holds steps + 1 floats
 MAX_UPDATES = 10**10  # reps * steps of one estimate or one scaling fit
 
@@ -105,30 +115,114 @@ def _gap_grid(p: float, sched: ProtocolSchedule) -> np.ndarray:
     return np.array([float(sched.gap_path(si)) for si in s])
 
 
-def _run_batch(p: float, sched: ProtocolSchedule, rng: np.random.Generator,
-               reps: int):
-    """Vectorized trajectories; returns (works, heats, sampled_other).
+def _resample_cells(rng: np.random.Generator, cells: int,
+                    c: float) -> np.ndarray:
+    """Sorted flat indices of the resample events on a grid of ``cells``.
+
+    Each cell is an event with probability c, independently, so the
+    distances between events are Geometric(c): floor(Exp(1)/lam) + 1 with
+    lam = -log(1 - c).  They are drawn until they pass the grid's end.
+    """
+    if c >= 1.0:
+        return np.arange(cells)
+    if c <= 0.0:  # rate*dt can underflow to zero
+        return np.arange(0)
+    lam = -math.log1p(-c)
+    parts = []
+    last = -1
+    while last < cells - 1:
+        expected = (cells - 1 - last) * c
+        skips = rng.standard_exponential(
+            int(expected + 4.0 * math.sqrt(expected)) + 16)
+        # a skip past the grid's end needs no exact length, and when c is
+        # tiny it would overflow a float or an int64
+        np.minimum(skips, cells * lam, out=skips)
+        skips /= lam
+        np.floor(skips, out=skips)
+        pos = skips.astype(np.int64)
+        pos += 1
+        np.cumsum(pos, out=pos)
+        pos += last
+        last = int(pos[-1])
+        parts.append(pos)
+    pos = parts[0] if len(parts) == 1 else np.concatenate(parts)
+    return pos[:np.searchsorted(pos, cells)]
+
+
+def _run_batch(p: float, sched: ProtocolSchedule, reps: int, seed: int):
+    """Yield (works, heats, sampled_other) for successive blocks of reps.
 
     State is 0 for the predicted level (posterior probability p) and 1 for
-    the other one.  Flip probability per step is rate*dt times the Gibbs
-    weight of the target state, a detailed-balance chain with the
-    instantaneous Gibbs distribution stationary.
+    the other one.  A Glauber step flips to the target level with
+    probability c * pi_target, c = rate*dt, a detailed-balance chain with
+    the instantaneous Gibbs law stationary.  It is sampled as its
+    heat-bath step (module docstring): the resample events are drawn
+    straight onto the (rep, step) grid, and each redraws the state, to the
+    other level with probability 1/(1 + e^gap).
+
+    The grid is cut into tiles, a block of reps by a window of steps, of
+    about _TILE_EVENTS expected events each, seeded (seed, tile); a
+    trajectory carries its state from one window into the next.  Work is
+    the gap drop at fixed state, summed over the constant-state segments
+    between events; heat is the gap at each event times the state change.
     """
     gaps = _gap_grid(p, sched)
-    dt = sched.tau / sched.steps
-    other = rng.random(reps) >= p
-    state = other.astype(np.float64)
-    works = -gaps[0] * state  # assignment quench from the degenerate level
-    heats = np.zeros(reps)
-    for k in range(1, sched.steps + 1):
-        works += (gaps[k - 1] - gaps[k]) * state
-        gap = gaps[k]
-        pi_other = 1.0 / (1.0 + math.exp(gap))
-        p_target = np.where(state == 0.0, pi_other, 1.0 - pi_other)
-        flips = rng.random(reps) < sched.rate * dt * p_target
-        heats += np.where(flips, gap * (1.0 - 2.0 * state), 0.0)
-        state = np.where(flips, 1.0 - state, state)
-    return works, heats, other
+    pi_other = np.exp(gaps)  # 1/(1 + e^gap), built in place
+    pi_other += 1.0
+    np.reciprocal(pi_other, out=pi_other)
+    steps = sched.steps
+    c = sched.rate * sched.tau / steps
+    # steps per window, then reps per block; the tests on the expected
+    # event count keep a tiny (or zero) c out of the divisions
+    window = steps if c * steps <= _TILE_EVENTS else int(_TILE_EVENTS / c)
+    block = (_TILE_REPS if c * window * _TILE_REPS <= _TILE_EVENTS
+             else max(1, int(_TILE_EVENTS / (c * window))))
+    tile = 0
+    for r0 in range(0, reps, block):
+        m = min(block, reps - r0)
+        rng = np.random.default_rng([seed, tile])
+        other = rng.random(m) >= p
+        state = other.astype(np.float64)
+        works = -gaps[0] * state  # assignment quench from the degenerate level
+        heats = np.zeros(m)
+        for w0 in range(0, steps, window):
+            if w0:
+                rng = np.random.default_rng([seed, tile])
+            w1 = min(steps, w0 + window)
+            k = _resample_cells(rng, m * (w1 - w0), c)
+            rep = k // (w1 - w0)
+            k -= rep * (w1 - w0)
+            k += w0 + 1  # the update of each event
+            g = gaps[k]
+            new = rng.random(k.size) < pi_other[k]
+            # each rep's first and last event in this window
+            first = np.ones(k.size, dtype=bool)
+            np.not_equal(rep[1:], rep[:-1], out=first[1:])
+            last = np.ones(k.size, dtype=bool)
+            last[:-1] = first[1:]
+            fi, li = np.flatnonzero(first), np.flatnonzero(last)
+            hit = rep[fi]
+            # occupancy form: the state before the first event holds from
+            # w0 to it, each event's state until the next one or w1 (the
+            # arrays are reused in place to keep a tile's memory small)
+            g_first = np.full(m, gaps[w1])
+            g_first[hit] = g[fi]
+            works += state * (gaps[w0] - g_first)
+            seg = np.empty(k.size)  # the next event's gap, then the work
+            seg[:-1] = g[1:]
+            seg[li] = gaps[w1]
+            np.subtract(g, seg, out=seg)
+            seg *= new
+            works[hit] += np.add.reduceat(seg, fi)
+            # flip form: the gap at each event times the state change
+            seg[1:] = new[:-1]  # the state before each event, then the heat
+            seg[fi] = state[hit]
+            np.subtract(new, seg, out=seg)
+            seg *= g
+            heats[hit] += np.add.reduceat(seg, fi)
+            state[hit] = new[li]
+            tile += 1
+        yield works, heats, other
 
 
 def trajectory_energy_audit(p: float, sched: ProtocolSchedule,
@@ -138,8 +232,7 @@ def trajectory_energy_audit(p: float, sched: ProtocolSchedule,
     The protocol starts and ends degenerate, so the energy change is zero
     and first-law bookkeeping requires heat == work.
     """
-    rng = np.random.default_rng([seed, 0])
-    works, heats, _ = _run_batch(p, sched, rng, 1)
+    works, heats, _ = next(_run_batch(p, sched, 1, seed))
     return float(works[0]), float(heats[0]), float(heats[0] - works[0])
 
 
@@ -171,21 +264,14 @@ def estimate_sigma(p: float, sched: ProtocolSchedule, reps: int,
     w_qs = LN2 * (1.0 - binary_entropy(p))
     w_right = math.log(2.0 * p)
     w_wrong = math.log(2.0 * (1.0 - p))
-    n = s = s2 = 0.0
-    chunk_idx = 0
-    remaining = reps
-    while remaining > 0:
-        m = min(_CHUNK, remaining)
-        rng = np.random.default_rng([seed, chunk_idx])
-        works, _, other = _run_batch(p, sched, rng, m)
+    moments = None
+    for works, _, other in _run_batch(p, sched, reps, seed):
         sigma = np.where(other, w_wrong, w_right) - works
-        n += m
-        s += float(sigma.sum())
-        s2 += float((sigma * sigma).sum())
-        remaining -= m
-        chunk_idx += 1
-    mean = s / n
-    var = max(0.0, (s2 - n * mean * mean) / (n - 1))
+        mean = float(sigma.mean())
+        block = (sigma.size, mean, float(np.sum((sigma - mean) ** 2)))
+        moments = block if moments is None else merge_moments(moments, block)
+    n, mean, m2 = moments
+    var = m2 / (n - 1)
     return SigmaEstimate(tau=sched.tau, mean_sigma=mean,
                          stderr=math.sqrt(var / n), reps=reps,
                          w_qs_kt=w_qs, seed=seed)

@@ -262,21 +262,33 @@ def _count_stats(n: int, hits: int, w_hit: float, w_miss: float,
                            seed=seed)
 
 
+def merge_moments(a: tuple[int, float, float],
+                  b: tuple[int, float, float]) -> tuple[int, float, float]:
+    """Merge two (count, mean, summed squared deviations) triples.
+
+    Chan, Golub & LeVeque's pairwise update: batches with equal means and
+    zero spread merge unchanged, and no sum of squares is formed.
+    """
+    n_a, mean_a, m2_a = a
+    n_b, mean_b, m2_b = b
+    n = n_a + n_b
+    delta = mean_b - mean_a
+    return (n, mean_a + delta * n_b / n,
+            m2_a + m2_b + delta * delta * n_a * n_b / n)
+
+
 def merge_stats(a: SimulationStats, b: SimulationStats) -> SimulationStats:
     """Merge partial round batches by the pairwise mean/variance update.
 
-    Uses Chan, Golub & LeVeque's update of the mean and of the summed squared
-    deviations, so batches with equal means and zero standard error merge
-    unchanged; a merge of exact batches stays exact.
+    Uses ``merge_moments``, so batches with equal means and zero standard
+    error merge unchanged; a merge of exact batches stays exact.
     """
     if a.analytic_work_kt != b.analytic_work_kt:
         raise ValidationError("cannot merge stats with different analytic targets")
-    n = a.rounds + b.rounds
     hits = round(a.empirical_p * a.rounds) + round(b.empirical_p * b.rounds)
-    delta = b.mean_work_kt - a.mean_work_kt
-    mean = a.mean_work_kt + delta * b.rounds / n
-    m2 = sum(s.stderr_kt ** 2 * s.rounds * (s.rounds - 1) for s in (a, b)) \
-        + delta * delta * a.rounds * b.rounds / n
+    n, mean, m2 = merge_moments(
+        (a.rounds, a.mean_work_kt, a.stderr_kt ** 2 * a.rounds * (a.rounds - 1)),
+        (b.rounds, b.mean_work_kt, b.stderr_kt ** 2 * b.rounds * (b.rounds - 1)))
     return SimulationStats(rounds=n, empirical_p=hits / n, mean_work_kt=mean,
                            stderr_kt=math.sqrt(m2 / (n - 1) / n),
                            analytic_work_kt=a.analytic_work_kt, seed=a.seed)
@@ -351,10 +363,12 @@ def simulate_rounds(game: XorGame, behaviour: Behaviour, n: int, seed: int,
                 "not win with certainty")
         hits += m_hit
         if keep_records:
-            drawn.append(rng.permutation(np.repeat(cells, counts)))
+            order = np.repeat(cells, counts)
+            rng.shuffle(order)  # in place: the draws of rng.permutation
+            drawn.append(order)
     stats = _count_stats(n, hits, w_hit, w_miss, analytic, seed)
     if keep_records:
-        return stats, np.concatenate(drawn)
+        return stats, drawn[0] if n_streams == 1 else np.concatenate(drawn)
     return stats
 
 

@@ -66,6 +66,7 @@ def test_value_perfect_game_caps_quantum_value(capsys, tmp_path):
     (["finite-time", "--rate", "inf", "--reps", "100"], EXIT_VALIDATION),
     (["finite-time", "--tau-grid", "10,nan", "--reps", "100"], EXIT_VALIDATION),
     (["finite-time", "--tau-grid", "10,inf", "--reps", "100"], EXIT_VALIDATION),
+    (["finite-time", "--tau-grid", "10,abc", "--reps", "100"], EXIT_PARSE),
     (["simulate", "--game", "chsh", "--behaviour", "pr",
       "--rounds", "100000000000000000000"], EXIT_BUDGET),
     (["simulate", "--game", "chsh", "--behaviour", "pr",
@@ -82,7 +83,8 @@ def test_value_perfect_game_caps_quantum_value(capsys, tmp_path):
     (["cycle", "--p", "0.8", "--kt", "inf"], EXIT_PARSE),
 ], ids=["value-seed", "simulate-seed", "finite-time-seed", "finite-time-p1",
         "sweep-nan", "sweep-inf", "finite-time-rate-nan", "finite-time-rate-inf",
-        "finite-time-tau-nan", "finite-time-tau-inf", "simulate-rounds",
+        "finite-time-tau-nan", "finite-time-tau-inf", "finite-time-tau-abc",
+        "simulate-rounds",
         "simulate-records", "finite-time-tau-1e12", "finite-time-tau-1e300",
         "finite-time-reps", "sweep-step-1e-20", "sweep-step-1e-9", "kt-nan",
         "kt-zero", "kt-negative", "kt-inf"])

@@ -32,8 +32,7 @@ from . import channel as chan
 from . import dynamics, engine, games, optimize
 from .errors import (BudgetError, ParseError, RegimeError, SimulationError,
                      ValidationError)
-
-DEFAULT_SEED = 1234  # fixed constant, never time-based
+from .optimize import DEFAULT_SEED
 
 EXIT_PARSE = 2
 EXIT_VALIDATION = 3
@@ -145,10 +144,7 @@ def parse_behaviour_spec(spec: str, game: games.XorGame):
         except ValueError:
             raise ParseError(f"behaviour spec '{spec}': delta must be a number")
         b, d0, label = parse_behaviour_spec(inner, game)
-        combined = d0 + delta - 2.0 * d0 * delta
-        if not 0.0 <= delta <= 0.5:
-            raise ValidationError(f"noise delta = {delta!r} outside [0, 1/2]")
-        return b, combined, f"noisy:{label}:{delta:g}"
+        return b, chan.apply_noise(d0, delta), f"noisy:{label}:{delta:g}"
     if spec.startswith("mix:"):
         inner, _, tail = spec[len("mix:"):].rpartition(":")
         if not inner:

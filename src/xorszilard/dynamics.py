@@ -30,8 +30,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .engine import LN2, merge_moments
-from .channel import binary_entropy
+from .channel import BinaryChannel
+from .engine import LN2, posterior, trajectory_work
 from .errors import BudgetError, RegimeError, ValidationError
 
 _TILE_EVENTS = 2**13  # expected resample events per tile
@@ -110,8 +110,7 @@ def _gap_grid(p: float, sched: ProtocolSchedule) -> np.ndarray:
     _check_branch_p(p)
     s = np.arange(sched.steps + 1) / sched.steps
     if sched.gap_path is None:
-        eps_star = 0.0 if p == 0.5 else math.log(p / (1.0 - p))
-        return eps_star * (1.0 - s)
+        return posterior(0, BinaryChannel(p)).gap_kt * (1.0 - s)
     return np.array([float(sched.gap_path(si)) for si in s])
 
 
@@ -236,6 +235,21 @@ def trajectory_energy_audit(p: float, sched: ProtocolSchedule,
     return float(works[0]), float(heats[0]), float(heats[0] - works[0])
 
 
+def _merge_moments(a: tuple[int, float, float],
+                   b: tuple[int, float, float]) -> tuple[int, float, float]:
+    """Merge two (count, mean, summed squared deviations) triples.
+
+    Chan, Golub & LeVeque's pairwise update: batches with equal means and
+    zero spread merge unchanged, and no sum of squares is formed.
+    """
+    n_a, mean_a, m2_a = a
+    n_b, mean_b, m2_b = b
+    n = n_a + n_b
+    delta = mean_b - mean_a
+    return (n, mean_a + delta * n_b / n,
+            m2_a + m2_b + delta * delta * n_a * n_b / n)
+
+
 @dataclass(frozen=True)
 class SigmaEstimate:
     """Monte Carlo estimate of the finite-time dissipation at one tau."""
@@ -261,15 +275,15 @@ def estimate_sigma(p: float, sched: ProtocolSchedule, reps: int,
         raise ValidationError(f"need reps >= 100, got {reps}")
     _check_branch_p(p)
     _check_updates(reps, sched.steps)
-    w_qs = LN2 * (1.0 - binary_entropy(p))
-    w_right = math.log(2.0 * p)
-    w_wrong = math.log(2.0 * (1.0 - p))
+    branch = posterior(0, BinaryChannel(p))
+    w_qs = branch.branch_work_bits * LN2
+    w_right, w_wrong = trajectory_work(0, branch), trajectory_work(1, branch)
     moments = None
     for works, _, other in _run_batch(p, sched, reps, seed):
         sigma = np.where(other, w_wrong, w_right) - works
         mean = float(sigma.mean())
         block = (sigma.size, mean, float(np.sum((sigma - mean) ** 2)))
-        moments = block if moments is None else merge_moments(moments, block)
+        moments = block if moments is None else _merge_moments(moments, block)
     n, mean, m2 = moments
     var = m2 / (n - 1)
     return SigmaEstimate(tau=sched.tau, mean_sigma=mean,

@@ -16,12 +16,12 @@ reset the controller memory, so the net work is never positive.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .channel import BinaryChannel, apply_noise, binary_entropy, \
-    enumerate_rounds, mutual_information
+from .channel import BinaryChannel, _check_bit, apply_noise, \
+    binary_entropy, enumerate_rounds, mutual_information
 from .errors import BudgetError, SimulationError, ValidationError
 from .games import PROB_ATOL, Behaviour, XorGame, game_value
 from .optimize import ClassValueReport
@@ -54,15 +54,14 @@ class PosteriorBranch:
 
 def posterior(g: int, c: BinaryChannel) -> PosteriorBranch:
     """Posterior branch of an oriented channel (p >= 1/2) for controller bit g."""
-    if g not in (0, 1):
-        raise ValidationError(f"controller bit g = {g!r} is not a bit")
+    g = _check_bit(g, "controller bit g")
     if c.p < 0.5:
         raise ValidationError(
             f"channel p = {c.p!r} < 1/2: orient the channel before feedback")
     p = c.p
     q0, q1 = (p, 1.0 - p) if g == 0 else (1.0 - p, p)
     gap = math.inf if p == 1.0 else math.log(p / (1.0 - p))
-    return PosteriorBranch(g=int(g), q0=q0, q1=q1, gap_kt=gap,
+    return PosteriorBranch(g=g, q0=q0, q1=q1, gap_kt=gap,
                            branch_work_bits=branch_work(q0, q1))
 
 
@@ -93,8 +92,7 @@ def trajectory_work(x: int, branch: PosteriorBranch) -> float:
     expanding); -inf flags the probability-zero wrong branch of a
     deterministic posterior.
     """
-    if x not in (0, 1):
-        raise ValidationError(f"microstate x = {x!r} is not a bit")
+    x = _check_bit(x, "microstate x")
     q = branch.q0 if x == 0 else branch.q1
     if q == 0.0:
         return -math.inf
@@ -137,15 +135,7 @@ class CycleLedger:
     w_net_bits: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "i_bits": self.i_bits,
-            "h_g_bits": self.h_g_bits,
-            "h_g_given_x_bits": self.h_g_given_x_bits,
-            "w_fb_bits": self.w_fb_bits,
-            "w_reset_bits": self.w_reset_bits,
-            "w_net_bits": self.w_net_bits,
-        }
+        return asdict(self)
 
 
 def cycle_ledger(c: BinaryChannel) -> CycleLedger:
@@ -210,14 +200,37 @@ def exact_memory_ledger(game: XorGame, b: Behaviour) -> tuple[float, float, bool
 
 @dataclass(frozen=True)
 class SimulationStats:
-    """Summary of a simulated batch of feedback rounds."""
+    """A simulated batch of feedback rounds, as its hit count.
+
+    A round's trajectory work takes one of two values, ln 2q on a hit and
+    ln 2(1-q) on a miss, where q = ``p_model`` is the controller's branch,
+    so ``(rounds, hits)`` and q determine the batch.  The empirical success
+    rate, the mean work and its standard error follow from those integers
+    with no per-round sum; a batch of all hits or all misses is exact: its
+    mean is that work and its standard error is 0.
+    """
 
     rounds: int
-    empirical_p: float
-    mean_work_kt: float
-    stderr_kt: float
+    hits: int
+    p_model: float
     analytic_work_kt: float
     seed: int
+
+    @property
+    def empirical_p(self) -> float:
+        return self.hits / self.rounds
+
+    @property
+    def mean_work_kt(self) -> float:
+        return _mean_work(self.empirical_p, *_hit_miss_works(self.p_model))
+
+    @property
+    def stderr_kt(self) -> float:
+        n, hits = self.rounds, self.hits
+        if not 0 < hits < n:
+            return 0.0
+        w_hit, w_miss = _hit_miss_works(self.p_model)
+        return abs(w_hit - w_miss) * math.sqrt(hits * (n - hits) / (n - 1)) / n
 
     def to_json_dict(self) -> dict:
         return {
@@ -228,6 +241,12 @@ class SimulationStats:
             "analytic_work_kt": self.analytic_work_kt,
             "seed": self.seed,
         }
+
+
+def _hit_miss_works(q: float) -> tuple[float, float]:
+    """Trajectory works (hit, miss) in kT of the branch matched to q."""
+    branch = posterior(0, BinaryChannel(q))
+    return trajectory_work(0, branch), trajectory_work(1, branch)
 
 
 def _mean_work(p_hit: float, w_hit: float, w_miss: float) -> float:
@@ -243,61 +262,22 @@ def _mean_work(p_hit: float, w_hit: float, w_miss: float) -> float:
     return p_hit * w_hit + (1.0 - p_hit) * w_miss
 
 
-def _count_stats(n: int, hits: int, w_hit: float, w_miss: float,
-                 analytic: float, seed: int) -> SimulationStats:
-    """Stats of n rounds from the hit count alone.
-
-    Trajectory work takes only the two values ``w_hit`` and ``w_miss``, so
-    the mean and the standard error follow from the integer counts, with no
-    per-round sum.  A batch of all hits or all misses is exact: its mean is
-    that work and its standard error is 0.
-    """
-    p_hat = hits / n
-    stderr = 0.0
-    if 0 < hits < n:
-        stderr = abs(w_hit - w_miss) * math.sqrt(hits * (n - hits) / (n - 1)) / n
-    return SimulationStats(rounds=n, empirical_p=p_hat,
-                           mean_work_kt=_mean_work(p_hat, w_hit, w_miss),
-                           stderr_kt=stderr, analytic_work_kt=analytic,
-                           seed=seed)
-
-
-def merge_moments(a: tuple[int, float, float],
-                  b: tuple[int, float, float]) -> tuple[int, float, float]:
-    """Merge two (count, mean, summed squared deviations) triples.
-
-    Chan, Golub & LeVeque's pairwise update: batches with equal means and
-    zero spread merge unchanged, and no sum of squares is formed.
-    """
-    n_a, mean_a, m2_a = a
-    n_b, mean_b, m2_b = b
-    n = n_a + n_b
-    delta = mean_b - mean_a
-    return (n, mean_a + delta * n_b / n,
-            m2_a + m2_b + delta * delta * n_a * n_b / n)
-
-
 def merge_stats(a: SimulationStats, b: SimulationStats) -> SimulationStats:
-    """Merge partial round batches by the pairwise mean/variance update.
+    """Pool two batches of one controller model by adding their counts.
 
-    Uses ``merge_moments``, so batches with equal means and zero standard
-    error merge unchanged; a merge of exact batches stays exact.
+    The merge is exact and associative, and equals the stats of the pooled
+    batch; it keeps ``a``'s seed.
     """
-    if a.analytic_work_kt != b.analytic_work_kt:
-        raise ValidationError("cannot merge stats with different analytic targets")
-    hits = round(a.empirical_p * a.rounds) + round(b.empirical_p * b.rounds)
-    n, mean, m2 = merge_moments(
-        (a.rounds, a.mean_work_kt, a.stderr_kt ** 2 * a.rounds * (a.rounds - 1)),
-        (b.rounds, b.mean_work_kt, b.stderr_kt ** 2 * b.rounds * (b.rounds - 1)))
-    return SimulationStats(rounds=n, empirical_p=hits / n, mean_work_kt=mean,
-                           stderr_kt=math.sqrt(m2 / (n - 1) / n),
-                           analytic_work_kt=a.analytic_work_kt, seed=a.seed)
+    if a.p_model != b.p_model or a.analytic_work_kt != b.analytic_work_kt:
+        raise ValidationError("cannot merge stats with different controller "
+                              "models or analytic targets")
+    return replace(a, rounds=a.rounds + b.rounds, hits=a.hits + b.hits)
 
 
 def simulate_rounds(game: XorGame, behaviour: Behaviour, n: int, seed: int,
                     p_model: float | None = None, noise_delta: float = 0.0,
-                    n_streams: int = 1, keep_records: bool = False):
-    """Sample n feedback rounds and tally the extracted trajectory work.
+                    keep_records: bool = False):
+    """Sample n feedback rounds and count the controller's hits.
 
     Each round draws x uniformly, (u, v) from mu, and (a, b) from the
     behaviour with no access to x; the controller sees the compressed bit
@@ -306,13 +286,13 @@ def simulate_rounds(game: XorGame, behaviour: Behaviour, n: int, seed: int,
     probability).  A mismatched ``p_model`` models a controller with an
     imperfect channel estimate.
 
-    Rounds are independent, so a stream of m rounds is one multinomial
-    draw of m over the cells of ``enumerate_rounds``; the hits are the
-    counts in won cells, and controller noise thins the won and the lost
-    counts binomially.  Memory is constant in n unless records are kept.
+    Rounds are independent, so the batch is one multinomial draw of n over
+    the cells of ``enumerate_rounds``, from the generator seeded
+    (seed, 0); the hits are the counts in won cells, and controller noise
+    thins the won and the lost counts binomially.  Memory is constant in n
+    unless records are kept.  Batches of one model combine exactly with
+    ``merge_stats``.
 
-    ``n_streams`` partitions the rounds across independently sub-seeded
-    streams ((seed, k) for stream k) whose hit counts add exactly.
     Returns SimulationStats, or (SimulationStats, cells) when
     ``keep_records`` is set.  ``cells`` index the rows of
     ``enumerate_rounds(game, behaviour)[1]`` in a random order: the
@@ -326,49 +306,35 @@ def simulate_rounds(game: XorGame, behaviour: Behaviour, n: int, seed: int,
         raise BudgetError(
             f"round budget exceeded: n = {n} > {limit}"
             + (" with records kept" if keep_records else ""))
-    if n_streams < 1 or n_streams > n:
-        raise ValidationError(f"need 1 <= n_streams <= n, got {n_streams}")
-    if not 0.0 <= noise_delta <= 0.5:
-        raise ValidationError(f"noise delta = {noise_delta!r} outside [0, 1/2]")
     p_true = apply_noise(game_value(game, behaviour), noise_delta)
     q = p_true if p_model is None else float(p_model)
     if not 0.5 <= q <= 1.0:
         raise ValidationError(
             f"controller model p = {q!r} outside [1/2, 1]; orient the "
             "channel before feedback")
-    w_hit = math.log(2.0 * q)
-    w_miss = -math.inf if q == 1.0 else math.log(2.0 * (1.0 - q))
-    analytic = _mean_work(p_true, w_hit, w_miss)
+    analytic = _mean_work(p_true, *_hit_miss_works(q))
 
     probs, rounds = enumerate_rounds(game, behaviour)
     cells = np.flatnonzero(probs > 0.0)
     pvals = probs[cells] / math.fsum(probs[cells])
-    won = rounds.won[cells]
-    hits = 0
-    drawn = []
-    base, extra = divmod(n, n_streams)
-    for k in range(n_streams):
-        m = base + (1 if k < extra else 0)
-        rng = np.random.default_rng([seed, k])
-        counts = rng.multinomial(m, pvals)
-        m_hit = int(counts[won].sum())
-        if noise_delta > 0.0:
-            # the flip is independent of the round: it turns a lost round
-            # into a hit and a won round into a miss
-            gained = int(rng.binomial(m - m_hit, noise_delta))
-            m_hit += gained - int(rng.binomial(m_hit, noise_delta))
-        if q == 1.0 and m_hit < m:
-            raise SimulationError(
-                "controller model p=1 saw a wrong guess; the behaviour does "
-                "not win with certainty")
-        hits += m_hit
-        if keep_records:
-            order = np.repeat(cells, counts)
-            rng.shuffle(order)  # in place: the draws of rng.permutation
-            drawn.append(order)
-    stats = _count_stats(n, hits, w_hit, w_miss, analytic, seed)
+    rng = np.random.default_rng([seed, 0])
+    counts = rng.multinomial(n, pvals)
+    hits = int(counts[rounds.won[cells]].sum())
+    if noise_delta > 0.0:
+        # the flip is independent of the round: it turns a lost round into
+        # a hit and a won round into a miss
+        hits += (int(rng.binomial(n - hits, noise_delta))
+                 - int(rng.binomial(hits, noise_delta)))
+    if q == 1.0 and hits < n:
+        raise SimulationError(
+            "controller model p=1 saw a wrong guess; the behaviour does not "
+            "win with certainty")
+    stats = SimulationStats(rounds=n, hits=hits, p_model=q,
+                            analytic_work_kt=analytic, seed=seed)
     if keep_records:
-        return stats, drawn[0] if n_streams == 1 else np.concatenate(drawn)
+        order = np.repeat(cells, counts)
+        rng.shuffle(order)  # in place: the draws of rng.permutation
+        return stats, order
     return stats
 
 

@@ -29,7 +29,7 @@ SEESAW_BLOCK = 32  # restarts run together
 DEFAULT_RESTARTS = 20
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITER = 10_000
-DEFAULT_SEED = 1234
+DEFAULT_SEED = 1234  # fixed constant, never time-based
 
 
 def _weights(game: XorGame) -> np.ndarray:
@@ -360,7 +360,6 @@ class ClassValueReport:
     omega_ns: float
     local_strategy: tuple[tuple[int, ...], tuple[int, ...]]
     ns_certificate: Behaviour
-    quantum_stderr: float
     converged: bool
     restarts: int
 
@@ -389,7 +388,6 @@ class ClassValueReport:
             "strategy": {"amap": list(amap), "bmap": list(bmap)},
             "converged": self.converged,
             "restarts": self.restarts,
-            "quantum_stderr": self.quantum_stderr,
         }
 
 
@@ -397,14 +395,11 @@ def class_report(game: XorGame, seed: int = DEFAULT_SEED,
                  restarts: int = DEFAULT_RESTARTS) -> ClassValueReport:
     """Bundle local, quantum (seesaw), and nonsignalling values for a game."""
     w_local, amap, bmap = local_value(game)
-    state, omegas = _seesaw_restarts(game, restarts, DEFAULT_TOL,
-                                     DEFAULT_MAX_ITER, seed)
-    w_quantum = _omega(state.bias)
+    w_quantum, state = quantum_value(game, restarts=restarts, seed=seed)
     w_ns, certificate = ns_value(game)
     check = is_nonsignalling(certificate)
     if not check or game_value(game, certificate) != 1.0:
         raise ValidationError("predicate-box certificate failed verification")
-    stderr = float(np.std(omegas)) if len(omegas) > 1 else 0.0
     return ClassValueReport(
         game=game.name,
         omega_local=w_local,
@@ -412,7 +407,6 @@ def class_report(game: XorGame, seed: int = DEFAULT_SEED,
         omega_ns=w_ns,
         local_strategy=(amap, bmap),
         ns_certificate=certificate,
-        quantum_stderr=stderr,
         converged=state.converged,
         restarts=restarts,
     )

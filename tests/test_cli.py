@@ -3,11 +3,12 @@ import io
 import json
 import math
 import os
+import shlex
 
 import pytest
 
-from xorszilard import (XorGame, cli, enumerate_rounds, games, make_chained,
-                        save_game, simulate_rounds)
+from xorszilard import (XorGame, apply_noise, cli, enumerate_rounds, games,
+                        make_chained, save_game, simulate_rounds)
 from xorszilard.cli import (EXIT_BUDGET, EXIT_PARSE, EXIT_REGIME,
                             EXIT_VALIDATION, main)
 
@@ -99,6 +100,23 @@ def test_bad_input_exit_codes(capsys, tmp_path, monkeypatch, argv, code):
     assert "Traceback" not in err
 
 
+def test_readme_cli_lines_parse():
+    # every command in README's CLI block is accepted by the parser
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(path, encoding="utf-8") as fh:
+        block = fh.read().split("## CLI", 1)[1]
+    block = block.split("```sh", 1)[1].split("```", 1)[0]
+    lines = [line.split("#", 1)[0] for line in block.splitlines()
+             if line.startswith("xorszilard ")]
+    assert len(lines) >= 9
+    parser = cli.build_parser()
+    for line in lines:
+        try:
+            parser.parse_args(shlex.split(line)[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {line.strip()}")
+
+
 def test_value_bad_game_file_names_mu(capsys, tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({
@@ -141,6 +159,12 @@ def test_channel_mix_spec(capsys):
     assert data["p"] == pytest.approx(0.75, abs=1e-12)
     assert data["mutual_information_bits"] == pytest.approx(0.188722, abs=1e-6)
     assert data["nonsignalling"] is True
+
+
+def test_channel_nested_noise_composes(capsys):
+    data = run_json(capsys, "channel", "--game", "chsh",
+                    "--behaviour", "noisy:noisy:pr:0.1:0.2")
+    assert abs(data["p"] - apply_noise(apply_noise(1.0, 0.1), 0.2)) < 1e-15
 
 
 def test_channel_quantum_opt_requires_chsh(capsys):

@@ -1,3 +1,5 @@
+import dataclasses
+import functools
 import math
 from collections import Counter
 
@@ -212,13 +214,18 @@ def test_simulate_pr_box_exact():
     assert stats.stderr_kt == 0.0
 
 
-@pytest.mark.parametrize("n, n_streams", [
+@pytest.mark.parametrize("n, parts", [
     (n, k) for n in (1, 7, 128, 20_000, 100_000) for k in (1, 3) if k <= n])
-def test_simulate_pr_box_exact_any_batch_size(n, n_streams):
+def test_simulate_pr_box_exact_any_batch_size(n, parts):
     # a per-round float sum misses ln 2 by an ulp for some of these n, or
-    # reports a nonzero spread; the mean of n equal works must be that work
+    # reports a nonzero spread; the mean of n equal works must be that work,
+    # whether the n rounds are one batch or a merge of several
     g = make_chsh()
-    stats = simulate_rounds(g, pr_box(g), n, seed=5, n_streams=n_streams)
+    base, extra = divmod(n, parts)
+    batches = [simulate_rounds(g, pr_box(g), base + (k < extra), seed=5 + k)
+               for k in range(parts)]
+    stats = functools.reduce(merge_stats, batches)
+    assert stats.rounds == n
     assert stats.empirical_p == 1.0
     assert stats.mean_work_kt == LN2
     assert stats.stderr_kt == 0.0
@@ -276,7 +283,7 @@ def test_simulate_rejects_bad_model():
 
 
 def test_simulate_memory_constant_in_n():
-    # one multinomial draw per stream: 10^8 rounds cost no per-round memory
+    # one multinomial draw per batch: 10^8 rounds cost no per-round memory
     g = make_chsh()
     stats = simulate_rounds(g, quantum_optimal_chsh(), 10 ** 8, seed=7)
     se_p = math.sqrt(Q_CHSH * (1 - Q_CHSH) / stats.rounds)
@@ -297,18 +304,13 @@ def test_simulate_records_match_stats():
 def test_simulate_streams_deterministic_and_mergeable():
     g = make_chsh()
     b = quantum_optimal_chsh()
-    s1 = simulate_rounds(g, b, 30_000, seed=12, n_streams=3)
-    s2 = simulate_rounds(g, b, 30_000, seed=12, n_streams=3)
-    assert s1 == s2
-    parts = [simulate_rounds(g, b, 10_000, seed=s, n_streams=1)
-             for s in (20, 21, 22)]
+    assert simulate_rounds(g, b, 30_000, seed=12) \
+        == simulate_rounds(g, b, 30_000, seed=12)
+    parts = [simulate_rounds(g, b, 10_000, seed=s) for s in (20, 21, 22)]
     left = merge_stats(merge_stats(parts[0], parts[1]), parts[2])
     right = merge_stats(parts[0], merge_stats(parts[1], parts[2]))
-    assert left.rounds == right.rounds == 30_000
-    assert left.mean_work_kt == pytest.approx(right.mean_work_kt, abs=1e-12)
-    assert left.stderr_kt == pytest.approx(right.stderr_kt, abs=1e-12)
-    pooled = math.fsum(p.mean_work_kt * p.rounds for p in parts) / 30_000
-    assert left.mean_work_kt == pytest.approx(pooled, abs=1e-12)
+    assert left.rounds == 30_000
+    assert left.to_json_dict() == right.to_json_dict()
 
 
 def test_monte_carlo_consistency_suite():
@@ -332,12 +334,49 @@ def test_merge_stats_exact_batches_stay_exact():
     assert merged.stderr_kt == 0.0
 
 
+def test_merge_stats_equals_pooled_counts():
+    # the stats of the summed counts, by the two-valued work formulas
+    g = make_chsh()
+    b = quantum_optimal_chsh()
+    parts = [simulate_rounds(g, b, n, seed=s)
+             for n, s in ((10_000, 20), (3, 21), (25_001, 22))]
+    merged = functools.reduce(merge_stats, parts)
+    n = sum(p.rounds for p in parts)
+    hits = sum(p.hits for p in parts)
+    q = parts[0].p_model
+    w_hit, w_miss = math.log(2.0 * q), math.log(2.0 * (1.0 - q))
+    p_hat = hits / n
+    assert merged.to_json_dict() == {
+        "rounds": n,
+        "empirical_p": p_hat,
+        "mean_work_kt": p_hat * w_hit + (1.0 - p_hat) * w_miss,
+        "stderr_kt": (w_hit - w_miss) * math.sqrt(hits * (n - hits) / (n - 1))
+                     / n,
+        "analytic_work_kt": parts[0].analytic_work_kt,
+        "seed": 20,
+    }
+
+
+def test_merge_stats_hits_exact_at_1e17_rounds():
+    # a hit count rebuilt from a float success rate is off by units here
+    g = make_chsh()
+    b = quantum_optimal_chsh()
+    a = simulate_rounds(g, b, 10 ** 17, seed=40)
+    c = simulate_rounds(g, b, 10 ** 17, seed=41)
+    merged = merge_stats(a, c)
+    assert merged.rounds == 2 * 10 ** 17
+    assert merged.hits == a.hits + c.hits
+    assert merged.empirical_p == (a.hits + c.hits) / (2 * 10 ** 17)
+
+
 def test_merge_stats_rejects_different_targets():
     g = make_chsh()
     a = simulate_rounds(g, pr_box(g), 100, seed=1)
     b = simulate_rounds(g, uniform_behaviour(g), 100, seed=1)
     with pytest.raises(ValidationError):
         merge_stats(a, b)
+    with pytest.raises(ValidationError):
+        merge_stats(a, dataclasses.replace(a, p_model=0.9))
 
 
 # ---------------------------------------------------------------------------

@@ -9,11 +9,11 @@ distinct operation from channel noise).
 
 Outputs are dimensionless by default (bits, kT); ``--kt`` rescales kT to a
 physical energy.  CSV floats carry 9 significant digits with '.' decimals.
-Exit codes: 0 ok, 2 parse (also a --kt that is not finite and > 0, and a
---tau-grid entry that is not a number),
-3 validation, 4 budget (local enumeration, rounds per simulate batch and
-kept transcript rows, finite-time steps and reps*steps, sweep rows),
-5 regime.
+Exit codes: 0 ok, 2 parse (also a --kt that is not finite and > 0, a
+--tau-grid entry that is not a number, and an output file that cannot be
+written), 3 validation, 4 budget (chained:N length, local enumeration,
+rounds per simulate batch and kept transcript rows, finite-time steps and
+reps*steps, sweep rows), 5 regime.
 The environment variable XORSZILARD_OUT_DIR sets the default directory for
 relative output paths.
 """
@@ -87,11 +87,11 @@ def _out_path(path: str | None) -> str | None:
 
 def _emit_json(data: dict, out: str | None):
     text = json.dumps(data, indent=2)
-    print(text)
     path = _out_path(out)
     if path:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
+    print(text)
 
 
 def _write_csv(rows, header: list[str], path: str | None):
@@ -314,7 +314,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("value", help="local/quantum/nonsignalling values and ceilings")
     p.add_argument("--game", required=True)
     p.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
-    p.add_argument("--restarts", type=int, default=optimize.DEFAULT_RESTARTS)
+    p.add_argument("--restarts", type=int, default=optimize.DEFAULT_RESTARTS,
+                   help="cap on seesaw restarts, run until one is certified")
     common(p)
     p.set_defaults(func=cmd_value)
 
@@ -381,6 +382,9 @@ def main(argv=None) -> int:
     except SimulationError as exc:
         print(f"error (simulation): {exc}", file=sys.stderr)
         return 1
+    except OSError as exc:  # writes only: games maps failed reads to ParseError
+        print(f"error (output): {exc}", file=sys.stderr)
+        return EXIT_PARSE
 
 
 if __name__ == "__main__":

@@ -20,10 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParseError, ValidationError
+from .errors import BudgetError, ParseError, ValidationError
 
 PROB_ATOL = 1e-12
 RENORM_ATOL = 1e-9
+MAX_CHAIN = 256  # chained:N budget; a simulated PR box peaks at ~81 MB there
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -137,10 +138,12 @@ def make_chained(n: int) -> XorGame:
     Questions run over {0..N-1} on both sides; the referee samples uniformly
     from the 2N pairs (j, j) and (j+1 mod N, j).  All constrained pairs
     demand equal outputs except the wrap-around pair (0, N-1), which demands
-    unequal ones.
+    unequal ones.  N is capped at MAX_CHAIN: mu and f are dense N x N.
     """
     if not isinstance(n, int) or n < 2:
         raise ValidationError(f"chained game: need integer N >= 2, got {n!r}")
+    if n > MAX_CHAIN:
+        raise BudgetError(f"chained game: N = {n} > {MAX_CHAIN}")
     mu = np.zeros((n, n))
     f = np.zeros((n, n), dtype=int)
     w = 1.0 / (2 * n)

@@ -5,10 +5,10 @@ smaller side's output maps are enumerated as bounded chunks of +-1 sign
 rows against the bias form W = mu * (-1)^f, the other side answering each
 of its questions best, so the nu + nv budget bounds the work.  The quantum
 value is lower-bounded by an alternating (seesaw) maximization of the
-bilinear bias over unit vectors, run for all restarts at once on stacked
-arrays in fixed-size blocks, and validated against known analytic values
-rather than dual certificates.  The nonsignalling value of an XOR
-game is always 1, witnessed by the predicate box.
+bilinear bias over unit vectors and upper-bounded by a feasible point of
+the XOR-game SDP dual built from the same vectors; the seesaw stops once
+the two are within a tolerance.  The nonsignalling value of an XOR game is
+always 1, witnessed by the predicate box.
 """
 
 from __future__ import annotations
@@ -24,10 +24,10 @@ from .games import Behaviour, XorGame, game_value, pr_box
 LOCAL_BUDGET = 40  # enumeration budget: nu + nv question count
 _CHUNK_BITS = 10  # local enumeration chunks hold 2**10 maps
 _SLACK = 1e-12  # bias margin, far above rounding error since |W| sums to 1
-SEESAW_BLOCK = 32  # restarts run together
+CHECK_EVERY = 8  # seesaw steps between dual-bound checks
 
 DEFAULT_RESTARTS = 20
-DEFAULT_TOL = 1e-12
+DEFAULT_TOL = 1e-12  # certified gap of the quantum bias
 DEFAULT_MAX_ITER = 10_000
 DEFAULT_SEED = 1234  # fixed constant, never time-based
 
@@ -169,17 +169,20 @@ def _answers(outputs, asked: np.ndarray) -> tuple[int, ...]:
 
 @dataclass(frozen=True, eq=False)
 class SeesawState:
-    """Final state of one seesaw optimization.
+    """Final state of a seesaw optimization.
 
     ``avecs``/``bvecs`` hold one unit vector per question as rows of an
-    (n, dim) array; ``bias`` is the achieved bilinear bias.
+    (n, dim) array; ``bias`` is their bilinear bias, ``upper`` a dual bound
+    on every quantum bias, and ``converged`` means upper - bias < tol.
     """
 
     dim: int
     avecs: np.ndarray
     bvecs: np.ndarray
     bias: float
+    upper: float
     iterations: int
+    restarts: int
     converged: bool
 
     def __post_init__(self):
@@ -192,7 +195,7 @@ class SeesawState:
 
 
 def _omega(bias: float) -> float:
-    """Game value (1 + bias) / 2 of a seesaw bias.
+    """Game value (1 + bias) / 2 of a bias.
 
     The seesaw bias of a perfectly winnable game can end a rounding error
     above 1; omega_q <= omega_ns = 1 holds for every XOR game, so the value
@@ -201,18 +204,15 @@ def _omega(bias: float) -> float:
     return min(1.0, (1.0 + float(bias)) / 2.0)
 
 
-def _seesaw_starts(game: XorGame, seed: int, ks: range):
-    """Random unit-vector starts of restarts ks, stacked as (len(ks), nu,
-    dim) and (len(ks), nv, dim); restart k draws from sub-seed (seed, k)."""
+def _seesaw_start(game: XorGame, seed: int, k: int):
+    """Random unit-vector start of restart k, (nu, dim) and (nv, dim) rows
+    drawn from sub-seed (seed, k)."""
     dim = game.nu + game.nv
-    avecs = np.empty((len(ks), game.nu, dim))
-    bvecs = np.empty((len(ks), game.nv, dim))
-    for j, k in enumerate(ks):
-        rng = np.random.default_rng([seed, k])
-        avecs[j] = rng.normal(size=(game.nu, dim))
-        bvecs[j] = rng.normal(size=(game.nv, dim))
-    avecs /= np.linalg.norm(avecs, axis=2, keepdims=True)
-    bvecs /= np.linalg.norm(bvecs, axis=2, keepdims=True)
+    rng = np.random.default_rng([seed, k])
+    avecs = rng.normal(size=(game.nu, dim))
+    bvecs = rng.normal(size=(game.nv, dim))
+    avecs /= np.linalg.norm(avecs, axis=1, keepdims=True)
+    bvecs /= np.linalg.norm(bvecs, axis=1, keepdims=True)
     return avecs, bvecs
 
 
@@ -226,83 +226,68 @@ def _unit_rows(vecs: np.ndarray, fallback: np.ndarray) -> np.ndarray:
     return vecs
 
 
-def _seesaw_batch(weights: np.ndarray, avecs: np.ndarray, bvecs: np.ndarray,
-                  tol: float, max_iter: int):
-    """Seesaw from R stacked starts, avecs (R, nu, dim) and bvecs (R, nv, dim),
-    which are overwritten with the final states.
-
-    Each half-step is the exact maximizer over unit vectors given the other
-    side, so every restart's bias is non-decreasing.  A restart stops when
-    its bias gains less than ``tol`` and then keeps the larger of its last
-    two biases; the others go on.  Returns (bias, iterations, converged,
-    history), the last a list of R per-restart bias sequences.
-    """
-    r = avecs.shape[0]
-    bias = np.einsum("uv,rud,rvd->r", weights, avecs, bvecs)
-    iterations = np.full(r, max_iter)
-    converged = np.zeros(r, dtype=bool)
-    history = [[x] for x in bias.tolist()]
-    live = np.arange(r)
-    a, b, last = avecs, bvecs, bias.copy()
-    for it in range(1, max_iter + 1):
-        a = _unit_rows(weights @ b, a)
-        b = _unit_rows(weights.T @ a, b)
-        new = np.einsum("uv,rud,rvd->r", weights, a, b)
-        for k, x in zip(live.tolist(), new.tolist()):
-            history[k].append(x)
-        stop = new - last < tol
-        if stop.any():
-            done = live[stop]
-            bias[done] = np.maximum(last, new)[stop]
-            iterations[done] = it
-            converged[done] = True
-            avecs[done], bvecs[done] = a[stop], b[stop]
-            go = ~stop
-            live, a, b, new = live[go], a[go], b[go], new[go]
-        last = new
-        if not live.size:
-            break
-    bias[live] = last
-    avecs[live], bvecs[live] = a, b
-    return bias, iterations, converged, history
+def _dual_upper(weights: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
+    """Bound on the bias of every unit-vector strategy from the XOR-game SDP
+    dual (Tsirelson; Cleve, Hoyer, Toner and Watrous 2004), valid for any
+    unit rows a, b and tight at an optimum: the point y_u = |(W b)_u| / 2,
+    z_v = |(W^T a)_v| / 2, shifted by the least eigenvalue of
+    M = [[diag y, -W/2], [-W^T/2, diag z]].  The shift adds eigvalsh's
+    backward error n * eps * |M|_F to each of the n = nu + nv diagonal
+    entries; |M|_F <= 1, so that costs under 4e-13 for n <= 40."""
+    y = 0.5 * np.linalg.norm(weights @ b, axis=1)
+    z = 0.5 * np.linalg.norm(weights.T @ a, axis=1)
+    n = len(y) + len(z)
+    m = np.block([[np.diag(y), -0.5 * weights], [-0.5 * weights.T, np.diag(z)]])
+    lam = np.linalg.eigvalsh(m)[0]
+    slack = -lam + n * np.finfo(float).eps * np.linalg.norm(m)
+    return float(y.sum() + z.sum() + n * max(0.0, slack))
 
 
-def _seesaw_restarts(game: XorGame, restarts: int, tol: float, max_iter: int,
-                     seed: int):
-    """Best seesaw state over restarts 0..restarts-1, and every restart's
-    omega.  Restarts run as batches of SEESAW_BLOCK, so memory does not grow
-    with the restart count; the best is the first with the largest bias."""
-    if restarts < 1:
-        raise ValidationError(f"need restarts >= 1, got {restarts}")
-    weights = _weights(game)
-    best_state = None
-    omegas = []
-    for first in range(0, restarts, SEESAW_BLOCK):
-        ks = range(first, min(first + SEESAW_BLOCK, restarts))
-        av, bv = _seesaw_starts(game, seed, ks)
-        bias, iters, conv, _ = _seesaw_batch(weights, av, bv, tol, max_iter)
-        for j in range(len(ks)):
-            omegas.append(_omega(bias[j]))
-            if best_state is None or bias[j] > best_state.bias:
-                best_state = SeesawState(
-                    dim=game.nu + game.nv, avecs=av[j].copy(),
-                    bvecs=bv[j].copy(), bias=float(bias[j]),
-                    iterations=int(iters[j]), converged=bool(conv[j]))
-    return best_state, omegas
+def _seesaw(weights: np.ndarray, a: np.ndarray, b: np.ndarray, tol: float,
+            max_iter: int):
+    """One seesaw run from unit rows a (nu, dim) and b (nv, dim), returning
+    (a, b, bias, upper, iterations); running on from the returned vectors
+    continues the same run.  Each half-step is the exact maximizer given the
+    other side, so the bias never falls.  Every CHECK_EVERY steps the run
+    stops if its gap to _dual_upper is below ``tol``."""
+    it = 0
+    while True:
+        bias = float(np.einsum("uv,ud,vd->", weights, a, b))
+        upper = _dual_upper(weights, a, b)
+        if upper - bias < tol or it == max_iter:
+            return a, b, bias, upper, it
+        for _ in range(min(CHECK_EVERY, max_iter - it)):
+            a = _unit_rows(weights @ b, a)
+            b = _unit_rows(weights.T @ a, b)
+        it = min(it + CHECK_EVERY, max_iter)
 
 
 def quantum_value(game: XorGame, restarts: int = DEFAULT_RESTARTS,
                   tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER,
                   seed: int = DEFAULT_SEED) -> tuple[float, SeesawState]:
-    """Seesaw lower bound on the quantum value, best over seeded restarts.
+    """Seesaw lower bound on the quantum value, certified by a dual bound.
 
-    Restart k draws its start from the deterministic sub-seed (seed, k), so
-    runs are reproducible and restarts can be evaluated independently; the
-    restarts run together in blocks of SEESAW_BLOCK.  A run that never meets
-    the improvement tolerance is returned with ``converged=False``.
+    Restart k starts from the deterministic sub-seed (seed, k).  Restarts
+    run while the best bias is ``tol`` or more below the least dual bound,
+    so ``restarts`` is a cap; the first restart is nearly always certified.
+    Otherwise the state has ``converged=False``, and its bound still holds.
     """
-    state, _ = _seesaw_restarts(game, restarts, tol, max_iter, seed)
-    return _omega(state.bias), state
+    if restarts < 1:
+        raise ValidationError(f"need restarts >= 1, got {restarts}")
+    weights = _weights(game)
+    best, upper = None, math.inf
+    for k in range(restarts):
+        run = _seesaw(weights, *_seesaw_start(game, seed, k), tol, max_iter)
+        upper = min(upper, run[3])
+        if best is None or run[2] > best[2]:
+            best = run
+        if upper - best[2] < tol:
+            break
+    a, b, bias, _, iterations = best
+    state = SeesawState(dim=game.nu + game.nv, avecs=a, bvecs=b, bias=bias,
+                        upper=upper, iterations=iterations, restarts=k + 1,
+                        converged=upper - bias < tol)
+    return _omega(bias), state
 
 
 # ---------------------------------------------------------------------------
@@ -352,11 +337,13 @@ def ns_value(game: XorGame) -> tuple[float, Behaviour]:
 
 @dataclass(frozen=True, eq=False)
 class ClassValueReport:
-    """Local, quantum, and nonsignalling values of one game."""
+    """Local, quantum (best found and dual bound), and nonsignalling values
+    of one game."""
 
     game: str
     omega_local: float
     omega_quantum: float
+    omega_quantum_upper: float
     omega_ns: float
     local_strategy: tuple[tuple[int, ...], tuple[int, ...]]
     ns_certificate: Behaviour
@@ -367,16 +354,13 @@ class ClassValueReport:
         if not 0.5 <= self.omega_local:
             raise ValidationError(
                 f"report: omega_local = {self.omega_local!r} below 1/2")
-        if not self.omega_local <= self.omega_quantum + 1e-6:
-            raise ValidationError(
-                f"report: omega_local = {self.omega_local!r} exceeds "
-                f"omega_quantum = {self.omega_quantum!r}")
-        if not self.omega_quantum <= self.omega_ns + 1e-6:
-            raise ValidationError(
-                f"report: omega_quantum = {self.omega_quantum!r} exceeds "
-                f"omega_ns = {self.omega_ns!r}")
         if self.omega_ns != 1.0:
             raise ValidationError("report: omega_ns must be 1 for XOR games")
+        if not (self.omega_local <= self.omega_quantum
+                <= self.omega_quantum_upper <= self.omega_ns):
+            raise ValidationError(
+                f"report: class values out of order: {self.omega_local!r}, "
+                f"{self.omega_quantum!r}, {self.omega_quantum_upper!r}")
 
     def to_json_dict(self) -> dict:
         amap, bmap = self.local_strategy
@@ -384,6 +368,7 @@ class ClassValueReport:
             "game": self.game,
             "omega_local": self.omega_local,
             "omega_quantum": self.omega_quantum,
+            "omega_quantum_upper": self.omega_quantum_upper,
             "omega_ns": self.omega_ns,
             "strategy": {"amap": list(amap), "bmap": list(bmap)},
             "converged": self.converged,
@@ -393,7 +378,8 @@ class ClassValueReport:
 
 def class_report(game: XorGame, seed: int = DEFAULT_SEED,
                  restarts: int = DEFAULT_RESTARTS) -> ClassValueReport:
-    """Bundle local, quantum (seesaw), and nonsignalling values for a game."""
+    """Bundle local, quantum (seesaw), and nonsignalling values for a game;
+    a local strategy is also a quantum one, so it bounds omega_quantum too."""
     w_local, amap, bmap = local_value(game)
     w_quantum, state = quantum_value(game, restarts=restarts, seed=seed)
     w_ns, certificate = ns_value(game)
@@ -403,10 +389,11 @@ def class_report(game: XorGame, seed: int = DEFAULT_SEED,
     return ClassValueReport(
         game=game.name,
         omega_local=w_local,
-        omega_quantum=w_quantum,
+        omega_quantum=max(w_quantum, w_local),
+        omega_quantum_upper=_omega(state.upper),
         omega_ns=w_ns,
         local_strategy=(amap, bmap),
         ns_certificate=certificate,
         converged=state.converged,
-        restarts=restarts,
+        restarts=state.restarts,
     )

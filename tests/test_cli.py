@@ -78,6 +78,14 @@ def test_value_perfect_game_caps_quantum_value(capsys, tmp_path):
     (["finite-time", "--reps", "100000000000000000000"], EXIT_BUDGET),
     (["sweep", "--step", "1e-20"], EXIT_BUDGET),
     (["sweep", "--step", "1e-9"], EXIT_BUDGET),
+    (["value", "--game", "chained:257"], EXIT_BUDGET),
+    (["simulate", "--game", "chained:10000000000", "--behaviour", "pr"],
+     EXIT_BUDGET),
+    (["value", "--game", "chsh", "--out", "/nonexistent/dir/v.json"],
+     EXIT_PARSE),
+    (["sweep", "--out", "/nonexistent/dir/s.csv"], EXIT_PARSE),
+    (["simulate", "--game", "chsh", "--behaviour", "pr", "--rounds", "100",
+      "--records", "/nonexistent/dir/r.csv"], EXIT_PARSE),
     (["cycle", "--p", "0.8", "--kt", "nan"], EXIT_PARSE),
     (["cycle", "--p", "0.8", "--kt", "0"], EXIT_PARSE),
     (["cycle", "--p", "0.8", "--kt=-2"], EXIT_PARSE),
@@ -87,7 +95,9 @@ def test_value_perfect_game_caps_quantum_value(capsys, tmp_path):
         "finite-time-tau-nan", "finite-time-tau-inf", "finite-time-tau-abc",
         "simulate-rounds",
         "simulate-records", "finite-time-tau-1e12", "finite-time-tau-1e300",
-        "finite-time-reps", "sweep-step-1e-20", "sweep-step-1e-9", "kt-nan",
+        "finite-time-reps", "sweep-step-1e-20", "sweep-step-1e-9",
+        "chained-257", "chained-1e10", "value-out-unwritable",
+        "sweep-out-unwritable", "simulate-records-unwritable", "kt-nan",
         "kt-zero", "kt-negative", "kt-inf"])
 def test_bad_input_exit_codes(capsys, tmp_path, monkeypatch, argv, code):
     monkeypatch.chdir(tmp_path)

@@ -9,9 +9,8 @@ from xorszilard import (Behaviour, BudgetError, ValidationError, XorGame,
                         class_report, deterministic_behaviour, game_value,
                         is_nonsignalling, local_value, make_chained, make_chsh,
                         ns_value, pr_box, quantum_value)
-from xorszilard.optimize import (DEFAULT_MAX_ITER, DEFAULT_TOL, SEESAW_BLOCK,
-                                 SeesawState, _omega, _seesaw_batch,
-                                 _seesaw_restarts, _seesaw_starts, _weights)
+from xorszilard.optimize import (CHECK_EVERY, DEFAULT_TOL, SeesawState,
+                                 _dual_upper, _seesaw, _seesaw_start, _weights)
 
 
 def brute_force_local(game):
@@ -169,39 +168,86 @@ def test_quantum_value_trivial_game():
 
 
 def test_seesaw_monotone_and_sound():
+    # a run continued from its returned vectors is the same run, so running
+    # CHECK_EVERY steps at a time visits every certificate check
     for g in [make_chsh(), make_chained(4), random_game(3, 3, 9)]:
-        avecs, bvecs = _seesaw_starts(g, 5, range(4))
-        bias, iters, _, history = _seesaw_batch(_weights(g), avecs, bvecs,
-                                                tol=1e-12, max_iter=5000)
-        for k, trace in enumerate(history):
-            assert len(trace) == iters[k] + 1
-            assert np.diff(np.array(trace)).min() > -1e-12
-            assert bias[k] == max(trace[-2:])
+        weights = _weights(g)
+        for k in range(4):
+            a, b = _seesaw_start(g, 5, k)
+            last, checks = -math.inf, 0
+            while True:
+                a, b, bias, upper, it = _seesaw(weights, a, b, DEFAULT_TOL,
+                                                CHECK_EVERY)
+                assert bias >= last - 1e-15  # a rounding error at a maximum
+                assert upper >= bias
+                last, checks = bias, checks + 1
+                if upper - bias < DEFAULT_TOL:
+                    break
+                assert it == CHECK_EVERY and checks < 1000
         w_local = local_value(g)[0]
         w_quantum, _ = quantum_value(g, restarts=10, seed=6)
         assert w_quantum >= w_local - 1e-9
 
 
-@pytest.mark.parametrize("max_iter", [DEFAULT_MAX_ITER, 3])
-def test_seesaw_blocks_match_single_runs(max_iter):
-    g = random_game(3, 4, 12)
-    restarts = SEESAW_BLOCK + 5
-    state, omegas = _seesaw_restarts(g, restarts, DEFAULT_TOL, max_iter,
-                                     seed=3)
-    assert len(omegas) == restarts
-    avecs, bvecs = _seesaw_starts(g, 3, range(restarts))
-    bias, iters, conv, _ = _seesaw_batch(_weights(g), avecs, bvecs,
-                                         DEFAULT_TOL, max_iter)
-    for k in range(restarts):
-        a, b = _seesaw_starts(g, 3, range(k, k + 1))
-        one, one_iters, one_conv, _ = _seesaw_batch(_weights(g), a, b,
-                                                    DEFAULT_TOL, max_iter)
-        assert abs(_omega(one[0]) - omegas[k]) < 1e-12
-        assert (iters[k], conv[k]) == (one_iters[0], one_conv[0])
-        assert np.abs(avecs[k] - a[0]).max() < 1e-9
-    assert _omega(state.bias) == max(omegas)
-    if max_iter == 3:
-        assert not conv.all() and (iters[~conv] == 3).all()
+@pytest.mark.parametrize("n", range(2, 21))
+def test_quantum_value_chained_certified(n):
+    closed = math.cos(math.pi / (4 * n)) ** 2
+    w, state = quantum_value(make_chained(n))
+    assert abs(w - closed) <= 1e-12
+    assert (1.0 + state.upper) / 2.0 >= closed - 1e-15
+    assert state.converged and state.restarts == 1
+    assert state.upper - state.bias < DEFAULT_TOL
+
+
+def test_dual_upper_bounds_any_unit_vectors():
+    rng = np.random.default_rng(17)
+    for s in range(12):
+        g = random_game(int(rng.integers(1, 7)), int(rng.integers(1, 7)), s)
+        weights = _weights(g)
+        _, best = quantum_value(g, restarts=1, seed=s)
+        for _ in range(5):
+            # unit rows of a random, non-stationary strategy
+            a = rng.normal(size=(g.nu, best.dim))
+            b = rng.normal(size=(g.nv, best.dim))
+            a /= np.linalg.norm(a, axis=1, keepdims=True)
+            b /= np.linalg.norm(b, axis=1, keepdims=True)
+            upper = _dual_upper(weights, a, b)
+            assert upper >= np.einsum("uv,ud,vd->", weights, a, b)
+            assert upper >= best.bias
+
+
+@pytest.mark.parametrize("game", [
+    sparse_game(4, 4, [(2, 3), (0, 3)], seed=3),  # zero-weight questions
+    XorGame(name="one", nu=1, nv=1, mu=[[1.0]], f=[[1]]),
+    XorGame(name="perfect-2x4", nu=2, nv=4, mu=[[0.125] * 4] * 2,
+            f=[[0] * 4] * 2),
+])
+def test_certificate_on_degenerate_games(game):
+    w, state = quantum_value(game)
+    assert state.converged and state.restarts == 1
+    assert state.bias <= state.upper < state.bias + DEFAULT_TOL
+    assert w == pytest.approx(1.0, abs=1e-12)  # each game is winnable
+
+
+def test_restarts_cap_stops_at_first_certified_restart():
+    g = make_chained(12)
+    t0 = time.perf_counter()
+    w, state = quantum_value(g, restarts=10**9)
+    assert time.perf_counter() - t0 < 1.0
+    w1, state1 = quantum_value(g, restarts=1)
+    assert w == w1 and state.restarts == state1.restarts == 1
+    assert (state.bias, state.upper, state.iterations) \
+        == (state1.bias, state1.upper, state1.iterations)
+    assert np.array_equal(state.avecs, state1.avecs)
+    assert np.array_equal(state.bvecs, state1.bvecs)
+
+
+def test_uncertified_runs_use_every_restart():
+    closed = math.cos(math.pi / 48) ** 2
+    w, state = quantum_value(make_chained(12), restarts=5, max_iter=3)
+    assert state.restarts == 5 and state.iterations == 3
+    assert not state.converged
+    assert w < closed <= (1.0 + state.upper) / 2.0
 
 
 def test_quantum_value_reproducible():
@@ -220,8 +266,8 @@ def test_quantum_rejects_zero_restarts():
 def test_seesaw_state_validates_unit_norms():
     with pytest.raises(ValidationError):
         SeesawState(dim=2, avecs=np.array([[2.0, 0.0]]),
-                    bvecs=np.array([[1.0, 0.0]]), bias=0.5, iterations=1,
-                    converged=True)
+                    bvecs=np.array([[1.0, 0.0]]), bias=0.5, upper=0.5,
+                    iterations=1, restarts=1, converged=True)
 
 
 @pytest.mark.parametrize("game", [make_chsh(), make_chained(5),
@@ -259,8 +305,12 @@ def test_class_report_chsh():
     assert abs(rep.omega_quantum - 0.853553) < 1e-6
     assert rep.omega_ns == 1.0
     data = rep.to_json_dict()
-    assert set(data) >= {"game", "omega_local", "omega_quantum", "omega_ns",
-                         "strategy", "converged", "restarts"}
+    assert set(data) >= {"game", "omega_local", "omega_quantum",
+                         "omega_quantum_upper", "omega_ns", "strategy",
+                         "converged", "restarts"}
+    assert (data["omega_local"] <= data["omega_quantum"]
+            <= data["omega_quantum_upper"] <= 1.0)
+    assert data["omega_quantum_upper"] - data["omega_quantum"] < 1e-12
 
 
 def test_class_report_chained4():
@@ -281,5 +331,5 @@ def test_class_ordering_holds_on_random_games():
     for s in range(4):
         g = random_game(2, 2, 70 + s)
         rep = class_report(g, seed=s)
-        assert 0.5 <= rep.omega_local <= rep.omega_quantum + 1e-6
-        assert rep.omega_quantum <= rep.omega_ns + 1e-6
+        assert (0.5 <= rep.omega_local <= rep.omega_quantum
+                <= rep.omega_quantum_upper <= rep.omega_ns)

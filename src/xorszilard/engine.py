@@ -214,7 +214,7 @@ class SimulationStats:
     hits: int
     p_model: float
     analytic_work_kt: float
-    seed: int
+    seed: int | tuple[int, ...]  # a merged batch's seeds, in merge order
 
     @property
     def empirical_p(self) -> float:
@@ -239,7 +239,8 @@ class SimulationStats:
             "mean_work_kt": self.mean_work_kt,
             "stderr_kt": self.stderr_kt,
             "analytic_work_kt": self.analytic_work_kt,
-            "seed": self.seed,
+            "seed": list(self.seed) if isinstance(self.seed, tuple)
+                    else self.seed,
         }
 
 
@@ -266,12 +267,17 @@ def merge_stats(a: SimulationStats, b: SimulationStats) -> SimulationStats:
     """Pool two batches of one controller model by adding their counts.
 
     The merge is exact and associative, and equals the stats of the pooled
-    batch; it keeps ``a``'s seed.
+    batch; its seed is the tuple of every pooled batch's seed, in order.
     """
     if a.p_model != b.p_model or a.analytic_work_kt != b.analytic_work_kt:
         raise ValidationError("cannot merge stats with different controller "
                               "models or analytic targets")
-    return replace(a, rounds=a.rounds + b.rounds, hits=a.hits + b.hits)
+    return replace(a, rounds=a.rounds + b.rounds, hits=a.hits + b.hits,
+                   seed=_seeds(a) + _seeds(b))
+
+
+def _seeds(stats: SimulationStats) -> tuple[int, ...]:
+    return stats.seed if isinstance(stats.seed, tuple) else (stats.seed,)
 
 
 def simulate_rounds(game: XorGame, behaviour: Behaviour, n: int, seed: int,

@@ -44,6 +44,12 @@ def test_value_chained3(capsys):
     assert data["omega_ns"] == 1.0
 
 
+def test_value_reports_seesaw_iterations(capsys):
+    data = run_json(capsys, "value", "--game", "chained:6")
+    assert type(data["iterations"]) is int and data["iterations"] > 0
+    assert data["converged"] is True and data["restarts"] == 1
+
+
 def test_value_perfect_game_caps_quantum_value(capsys, tmp_path):
     # the seesaw bias of a perfectly winnable game can round above 1
     path = tmp_path / "perfect.json"

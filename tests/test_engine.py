@@ -353,7 +353,7 @@ def test_merge_stats_equals_pooled_counts():
         "stderr_kt": (w_hit - w_miss) * math.sqrt(hits * (n - hits) / (n - 1))
                      / n,
         "analytic_work_kt": parts[0].analytic_work_kt,
-        "seed": 20,
+        "seed": [20, 21, 22],
     }
 
 

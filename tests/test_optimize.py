@@ -8,7 +8,7 @@ import pytest
 from xorszilard import (Behaviour, BudgetError, ValidationError, XorGame,
                         class_report, deterministic_behaviour, game_value,
                         is_nonsignalling, local_value, make_chained, make_chsh,
-                        ns_value, pr_box, quantum_value)
+                        ns_value, optimize, pr_box, quantum_value)
 from xorszilard.optimize import (CHECK_EVERY, DEFAULT_TOL, SeesawState,
                                  _dual_upper, _seesaw, _seesaw_start, _weights)
 
@@ -197,6 +197,63 @@ def test_quantum_value_chained_certified(n):
     assert (1.0 + state.upper) / 2.0 >= closed - 1e-15
     assert state.converged and state.restarts == 1
     assert state.upper - state.bias < DEFAULT_TOL
+
+
+@pytest.mark.parametrize("n", [30, 60])
+def test_large_chained_certified(n):
+    # past the CLI's enumeration budget, where plain seesaw steps left
+    # chained:60 uncertified after 4000 steps
+    w, state = quantum_value(make_chained(n), restarts=1, max_iter=4000)
+    assert state.converged
+    assert abs(w - math.cos(math.pi / (4 * n)) ** 2) <= 1e-12
+
+
+def test_seesaw_step_count_chained():
+    # deterministic at the default seed; plain seesaw steps take 6232
+    steps = sum(quantum_value(make_chained(n))[1].iterations
+                for n in range(2, 21))
+    assert steps <= 3000
+
+
+def test_overshooting_step_returns_run_to_plain_steps(monkeypatch):
+    # a stand-in over-relaxed step that flips each exact maximizer, so the
+    # bias turns negative by the next check; the rest of the run takes plain
+    # steps
+    omegas = []
+    toward = optimize._toward
+
+    def overshoot(target, vecs, omega):
+        omegas.append(omega)
+        step = toward(target, vecs, 1.0)
+        return -step if omega != 1.0 else step
+
+    monkeypatch.setattr(optimize, "_toward", overshoot)
+    w, state = quantum_value(make_chained(8), restarts=1)
+    relaxed = [i for i, o in enumerate(omegas) if o != 1.0]
+    assert len(relaxed) == 2 * CHECK_EVERY
+    assert relaxed == list(range(relaxed[0], relaxed[0] + 2 * CHECK_EVERY))
+    assert 1.0 < omegas[relaxed[0]] <= optimize.OMEGA_MAX
+    assert len(omegas) > relaxed[-1] + 1  # plain steps follow
+    assert state.converged
+    assert abs(w - math.cos(math.pi / 32) ** 2) <= 1e-12
+
+
+def test_in_loop_dual_bound_matches_reference():
+    # a run stopped at its first check returns the bound of its start vectors
+    rng = np.random.default_rng(23)
+    for s in range(12):
+        g = random_game(int(rng.integers(1, 9)), int(rng.integers(1, 9)), s)
+        weights = _weights(g)
+        dim = g.nu + g.nv
+        for _ in range(3):
+            a = rng.normal(size=(g.nu, dim))
+            b = rng.normal(size=(g.nv, dim))
+            a /= np.linalg.norm(a, axis=1, keepdims=True)
+            b /= np.linalg.norm(b, axis=1, keepdims=True)
+            _, _, bias, upper, it = _seesaw(weights, a, b, DEFAULT_TOL, 0)
+            assert it == 0
+            assert abs(upper - _dual_upper(weights, a, b)) <= 1e-15
+            assert abs(bias - np.einsum("uv,ud,vd->", weights, a, b)) <= 1e-15
 
 
 def test_dual_upper_bounds_any_unit_vectors():

@@ -115,7 +115,7 @@ ROUND_DTYPE = np.dtype([("x", np.int8), ("u", np.int64), ("v", np.int64),
                         ("a", np.int8), ("b", np.int8), ("r", np.int8),
                         ("g", np.int8), ("e", np.int8), ("won", np.bool_)])
 CSV_HEADER = list(ROUND_DTYPE.names)
-_CSV_ROWS = 2**16  # transcript rows per joined string
+_CSV_ROWS = 2**12  # transcript rows per joined string: ~100 KB chunks
 
 
 def enumerate_rounds(game: XorGame, b: Behaviour):
@@ -146,9 +146,12 @@ def rounds_to_csv(rounds, cells, path: str):
     """Write a transcript as CSV with header x,u,v,a,b,r,g,e,won.
 
     ``cells`` are indices into the round table ``rounds``, one per round in
-    transcript order.  Each table cell is encoded once as a CRLF-ended line
-    of integer fields, ``won`` as 0 or 1, and the file is those lines over
-    ``cells``, joined and written _CSV_ROWS rows at a time.
+    transcript order: any integer sequence, such as the compact unsigned
+    array ``simulate_rounds`` returns.  Each table cell is encoded once as
+    a CRLF-ended line of integer fields, ``won`` as 0 or 1, and the file is
+    those lines over ``cells``, joined and written _CSV_ROWS rows at a
+    time, so a chunk's index slice, gathered lines, string and encoded
+    bytes each stay near 100 KB however long the transcript.
     """
     columns = [rounds[name].astype(np.int64).tolist() for name in CSV_HEADER]
     lines = np.array([",".join(map(str, row)) + "\r\n"

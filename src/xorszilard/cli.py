@@ -21,6 +21,7 @@ relative output paths.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -40,6 +41,7 @@ EXIT_BUDGET = 4
 EXIT_REGIME = 5
 
 MAX_SWEEP_ROWS = 10**6  # rows of one sweep, about 4/step
+_SWEEP_CHUNK = 2**12  # sweep rows per written chunk
 
 
 def _seed(text: str) -> int:
@@ -94,18 +96,26 @@ def _emit_json(data: dict, out: str | None):
     print(text)
 
 
-def _write_csv(rows, header: list[str], path: str | None):
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(x) if isinstance(x, float) else str(x)
-                              for x in row))
-    text = "\n".join(lines) + "\n"
+def _write_csv(chunks, header: list[str], path: str | None):
+    """Write CSV to ``path`` or stdout: the header, then each list of rows
+    in ``chunks`` as one string, so only one chunk's text is held at a time.
+
+    A ValidationError raised while the chunks are produced removes the
+    output file, so a failed command leaves no partial file.
+    """
     resolved = _out_path(path)
-    if resolved:
-        with open(resolved, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    try:
+        with (open(resolved, "w", encoding="utf-8") if resolved
+              else contextlib.nullcontext(sys.stdout)) as fh:
+            fh.write(",".join(header) + "\n")
+            for rows in chunks:
+                fh.write("".join(
+                    ",".join(_fmt(x) if isinstance(x, float) else str(x)
+                             for x in row) + "\n" for row in rows))
+    except ValidationError:
+        if resolved:
+            os.remove(resolved)
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -250,19 +260,29 @@ def cmd_sweep(args) -> int:
         raise BudgetError(
             f"sweep row budget exceeded: 4/step = {4.0 / args.step:.3g} > "
             f"{MAX_SWEEP_ROWS}")
-    s_values = []
-    s = 0.0
-    while s < 4.0 + 1e-12:
-        s_values.append(min(s, 4.0))
-        s += args.step
-    for marker in (2.0, 2.0 * math.sqrt(2.0), 4.0):
-        if marker not in s_values:
-            s_values.append(marker)
-    s_values = sorted(set(s_values))
-    rows = [(s, bits, kt * args.kt)
-            for s, bits, kt in engine.sweep_s_curve(s_values)]
-    _write_csv(rows, ["param", "value_bits", "value_kt"], args.out)
+    s_values = _sweep_grid(args.step)
+    chunks = ([(s, bits, kt * args.kt) for s, bits, kt
+               in engine.sweep_s_curve(s_values[start:start + _SWEEP_CHUNK])]
+              for start in range(0, len(s_values), _SWEEP_CHUNK))
+    _write_csv(chunks, ["param", "value_bits", "value_kt"], args.out)
     return 0
+
+
+def _sweep_grid(step: float) -> np.ndarray:
+    """S = 0, step, 2 step, ... while below 4 + 1e-12, each capped at 4,
+    with the markers 2, 2 sqrt(2) and 4, sorted and distinct.
+
+    Each S is the previous one plus step, rounded, as a running float sum
+    makes it: np.add.accumulate adds in sequence.  4/step <= MAX_SWEEP_ROWS
+    keeps the rounding far below one step, so int(4/step) + 2 sums pass
+    4 + 1e-12.
+    """
+    s = np.full(int(4.0 / step) + 3, step)
+    s[0] = 0.0
+    np.add.accumulate(s, out=s)
+    s = np.minimum(s[:np.searchsorted(s, 4.0 + 1e-12)], 4.0)
+    s = np.sort(np.append(s, [2.0, 2.0 * math.sqrt(2.0), 4.0]))
+    return s[np.append(True, s[1:] > s[:-1])]
 
 
 def cmd_cycle(args) -> int:
@@ -287,7 +307,7 @@ def cmd_finite_time(args) -> int:
                                rate=args.rate)
     rows = [(est.tau, est.mean_sigma, est.stderr, est.reps, est.seed)
             for est in fit.estimates]
-    _write_csv(rows, ["tau", "sigma_mean", "sigma_stderr", "reps", "seed"],
+    _write_csv([rows], ["tau", "sigma_mean", "sigma_stderr", "reps", "seed"],
                args.out)
     band = 1.96 * fit.slope_stderr
     _emit_json({"slope": fit.slope, "slope_stderr": fit.slope_stderr,

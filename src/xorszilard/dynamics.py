@@ -38,6 +38,7 @@ _TILE_EVENTS = 2**13  # expected resample events per tile
 _TILE_REPS = 65536  # trajectories per tile, at most
 MAX_STEPS = 10**7  # steps of one schedule: the gap grid holds steps + 1 floats
 MAX_UPDATES = 10**10  # reps * steps of one estimate or one scaling fit
+Z_RESOLVED = 5.0  # |Sigma| / stderr at which an estimate's sign is resolved
 
 
 @dataclass(frozen=True)
@@ -335,9 +336,9 @@ def scaling_fit(p: float, tau_grid, reps: int, seed: int,
 
     ``sched_template`` maps tau to a schedule (default: the linear ramp at
     the given rate).  All grid points share the master seed, so repeated
-    runs are reproducible.  A non-positive Sigma estimate means the grid
-    left the slow-driving regime and raises a RegimeError with the
-    offending points.
+    runs are reproducible.  A non-positive Sigma estimate cannot be fitted
+    and raises a RegimeError that names each such point with its
+    z = Sigma / stderr (_regime_message).
     """
     taus = [float(t) for t in tau_grid]
     if len(taus) < 2:
@@ -349,11 +350,36 @@ def scaling_fit(p: float, tau_grid, reps: int, seed: int,
     estimates = [estimate_sigma(p, sched, reps, seed) for sched in scheds]
     bad = [est for est in estimates if est.mean_sigma <= 0.0]
     if bad:
-        detail = ", ".join(
-            f"tau={est.tau:g}: sigma={est.mean_sigma:.3g}+-{est.stderr:.3g}"
-            for est in bad)
-        raise RegimeError(
-            f"non-positive dissipation estimate ({detail}); increase tau "
-            "resolution, reps, or shrink the grid to the slow regime")
+        raise RegimeError(_regime_message(bad))
     slope, se = fit_loglog_slope(taus, [est.mean_sigma for est in estimates])
     return ScalingFit(slope=slope, slope_stderr=se, estimates=estimates)
+
+
+def _regime_message(bad: list[SigmaEstimate]) -> str:
+    """Why the non-positive estimates ``bad`` stop a fit, point by point.
+
+    A point within Z_RESOLVED standard errors of zero is unresolved: Monte
+    Carlo noise can give it either sign, and more reps resolve it.  A point
+    further below zero, or an exact one (stderr 0), is a real non-positive
+    Sigma, which more reps would not change.
+    """
+    points, noisy = [], 0
+    for est in bad:
+        text = f"tau={est.tau:g}: sigma={est.mean_sigma:.3g}+-{est.stderr:.3g}"
+        if est.stderr > 0.0:
+            z = est.mean_sigma / est.stderr
+            text += f", z={z:.2g}"
+            if z > -Z_RESOLVED:
+                text += ", unresolved"
+                noisy += 1
+        points.append(text)
+    advice = []
+    if noisy:
+        advice.append(f"|z| < {Z_RESOLVED:g} is Monte Carlo noise at these "
+                      "reps: raise reps (--reps)")
+    if noisy < len(bad):
+        advice.append(f"a point with z <= -{Z_RESOLVED:g}, or exact at "
+                      "stderr 0, is not noise: increase the tau resolution "
+                      "or shrink the grid to the slow regime")
+    return (f"non-positive dissipation estimate ({'; '.join(points)}); "
+            + "; ".join(advice))

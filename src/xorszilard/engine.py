@@ -302,8 +302,11 @@ def simulate_rounds(game: XorGame, behaviour: Behaviour, n: int, seed: int,
     Returns SimulationStats, or (SimulationStats, cells) when
     ``keep_records`` is set.  ``cells`` index the rows of
     ``enumerate_rounds(game, behaviour)[1]`` in a random order: the
-    noiseless transcript.  A batch is capped at MAX_ROUNDS rounds, and at
-    MAX_RECORDS when its transcript is kept (BudgetError).
+    noiseless transcript.  They are held in the smallest unsigned dtype
+    that indexes the table (uint8 for CHSH's 32 cells, uint16 up to 65 536
+    cells), which shuffles with the same draws as int64.  A batch is capped
+    at MAX_ROUNDS rounds, and at MAX_RECORDS when its transcript is kept
+    (BudgetError).
     """
     if n < 1:
         raise ValidationError(f"need n >= 1 rounds, got {n}")
@@ -338,7 +341,8 @@ def simulate_rounds(game: XorGame, behaviour: Behaviour, n: int, seed: int,
     stats = SimulationStats(rounds=n, hits=hits, p_model=q,
                             analytic_work_kt=analytic, seed=seed)
     if keep_records:
-        order = np.repeat(cells, counts)
+        order = np.repeat(cells.astype(np.min_scalar_type(len(rounds) - 1)),
+                          counts)
         rng.shuffle(order)  # in place: the draws of rng.permutation
         return stats, order
     return stats

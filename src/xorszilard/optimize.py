@@ -6,7 +6,7 @@ rows against the bias form W = mu * (-1)^f, the other side answering each
 of its questions best, so the nu + nv budget bounds the work.  The quantum
 value is lower-bounded by an alternating (seesaw) maximization of the
 bilinear bias over unit vectors, over-relaxed by Young's rule from the
-plain seesaw's measured rate, and upper-bounded by a feasible point of the
+seesaw's measured rate, and upper-bounded by a feasible point of the
 XOR-game SDP dual built from the same vectors; the seesaw stops once the
 two are within a tolerance.  The nonsignalling value of an XOR game is
 always 1, witnessed by the predicate box.
@@ -300,13 +300,16 @@ def _seesaw(weights: np.ndarray, a: np.ndarray, b: np.ndarray, tol: float,
     A step updates a, then b, each toward the exact maximizer given the
     other side (_toward).  Its two half-steps form a 2-cyclic block
     Gauss-Seidel iteration, so Young's theory gives the best over-relaxation
-    from the plain step's rate: the run starts with plain steps (omega = 1),
-    and once the per-step contraction of the dual gap, measured over
-    successive check blocks, changes by at most RATE_SETTLE it sets Young's
-    omega = 2 / (1 + sqrt(1 - rate)), capped at OMEGA_MAX, for the rest of
-    the run.  Over-relaxed steps can lower the bias: a check whose bias is
-    more than _SLACK below the best so far returns the run to plain steps,
-    under which the bias never falls.
+    from the plain step's rate rho: omega = 2 / (1 + sqrt(1 - rho)), capped
+    at OMEGA_MAX.  The run starts with plain steps (omega = 1) and measures
+    the per-step contraction of the dual gap over successive check blocks.
+    Each time that rate changes by at most RATE_SETTLE between two blocks,
+    it gives rho through Young's relation (rate + omega - 1)^2 =
+    rate omega^2 rho, and a rho above the last one raises omega.  The plain
+    rate of a nonlinear run can keep rising after it first settles, so
+    omega follows it up.  Over-relaxed steps can lower the bias: a check
+    whose bias is more than _SLACK below the best so far returns the run to
+    plain steps, under which the bias never falls.
 
     Every CHECK_EVERY steps the run bounds every quantum bias from above by
     the dual point of its current vectors (_dual_bound).  It keeps the
@@ -317,7 +320,7 @@ def _seesaw(weights: np.ndarray, a: np.ndarray, b: np.ndarray, tol: float,
     """
     m = _dual_matrix(weights)
     w_sq = float(np.vdot(weights, weights))
-    omega, measuring, gap, rate = 1.0, True, None, None
+    omega, rho, measuring, gap, rate = 1.0, 0.0, True, None, None
     kept, best, upper = None, -math.inf, math.inf
     wb = weights @ b
     it = 0
@@ -338,9 +341,14 @@ def _seesaw(weights: np.ndarray, a: np.ndarray, b: np.ndarray, tol: float,
                 rate = (gap / last_gap) ** (1.0 / CHECK_EVERY)
                 if (last_rate is not None
                         and abs(rate - last_rate) <= RATE_SETTLE * rate):
-                    omega = min(2.0 / (1.0 + math.sqrt(1.0 - rate)),
-                                OMEGA_MAX)
-                    measuring = False
+                    # Young: (rate + omega - 1)^2 = rate omega^2 rho; a rate
+                    # below (omega - 1)^2 gives rho > 1, beyond the model
+                    seen = (rate + omega - 1.0) ** 2 / (rate * omega * omega)
+                    if rho < seen < 1.0:
+                        rho = seen
+                        omega = min(2.0 / (1.0 + math.sqrt(1.0 - rho)),
+                                    OMEGA_MAX)
+                        rate = None  # the next rate is measured at this omega
         for _ in range(min(CHECK_EVERY, max_iter - it)):
             a = _toward(wb, a, omega)
             b = _toward(weights.T @ a, b, omega)

@@ -1,5 +1,6 @@
 import csv
 import itertools
+import tracemalloc
 
 import pytest
 
@@ -8,7 +9,7 @@ from xorszilard import (BinaryChannel, ValidationError, apply_noise,
                         induced_channel, make_chained, make_chsh,
                         mix_with_uniform, mutual_information, orient, pr_box,
                         quantum_optimal_chsh, referee_encode, rounds_to_csv,
-                        uniform_behaviour)
+                        simulate_rounds, uniform_behaviour)
 
 
 def test_referee_encode_xor_table():
@@ -178,6 +179,23 @@ def test_rounds_to_csv(tmp_path):
     # integer fields and the csv module's CRLF line ends
     assert path.read_bytes().startswith(
         b"x,u,v,a,b,r,g,e,won\r\n0,0,0,0,0,0,0,0,1\r\n")
+
+
+def test_rounds_to_csv_memory_bounded(tmp_path):
+    # 2e5 rounds in chunks of a few thousand rows: each chunk's gathered
+    # lines, joined string and encoded bytes stay near 100 KB (chunks of
+    # 2^16 rows peaked at 2.4 MB)
+    g = make_chained(6)
+    b = mix_with_uniform(pr_box(g), 0.75)
+    _, cells = simulate_rounds(g, b, 200_000, seed=7, keep_records=True)
+    rounds = enumerate_rounds(g, b)[1]
+    tracemalloc.start()
+    try:
+        rounds_to_csv(rounds, cells, str(tmp_path / "rounds.csv"))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
 
 
 def test_channel_rejects_bad_probability():

@@ -4,11 +4,13 @@ import json
 import math
 import os
 import shlex
+import tracemalloc
 
 import pytest
 
-from xorszilard import (XorGame, apply_noise, cli, enumerate_rounds, games,
-                        make_chained, save_game, simulate_rounds)
+from xorszilard import (ValidationError, XorGame, apply_noise, cli, engine,
+                        enumerate_rounds, games, make_chained, save_game,
+                        simulate_rounds)
 from xorszilard.cli import (EXIT_BUDGET, EXIT_PARSE, EXIT_REGIME,
                             EXIT_VALIDATION, main)
 
@@ -255,6 +257,65 @@ def test_sweep_markers(capsys):
     assert abs(float(rows["2"][1]) - 0.188722) < 1e-6
     assert abs(float(rows["2.82842712"][1]) - 0.3991) < 5e-5
     assert float(rows["4"][1]) == 1.0
+
+
+def _sweep_reference(step, kt):
+    """The CSV of the sweep built in memory, from a running float sum."""
+    s_values, s = [], 0.0
+    while s < 4.0 + 1e-12:
+        s_values.append(min(s, 4.0))
+        s += step
+    s_values += [2.0, 2.0 * math.sqrt(2.0), 4.0]
+    lines = ["param,value_bits,value_kt"]
+    for s, bits, w in engine.sweep_s_curve(sorted(set(s_values))):
+        lines.append(f"{s:.9g},{bits:.9g},{w * kt:.9g}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("step,kt", [("0.25", "1"), ("0.3", "2.5"),
+                                     ("1e-3", "1"), ("7e-5", "0.5")])
+def test_sweep_matches_running_sum(capsys, tmp_path, step, kt):
+    # 7e-5 writes 57 144 rows, so several chunks
+    expected = _sweep_reference(float(step), float(kt))
+    code, out, _ = run(capsys, "sweep", "--step", step, "--kt", kt)
+    assert code == 0 and out == expected
+    path = tmp_path / "sweep.csv"
+    code, _, _ = run(capsys, "sweep", "--step", step, "--kt", kt,
+                     "--out", str(path))
+    assert code == 0 and path.read_text() == expected
+
+
+def test_sweep_memory_bounded(tmp_path):
+    # 10^5 rows: one float array of S values and one chunk of rows at a
+    # time (holding every row and line took 29.5 MB)
+    tracemalloc.start()
+    try:
+        code = main(["sweep", "--step", "4e-5",
+                     "--out", str(tmp_path / "sweep.csv")])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 6 * 2**20, peak
+
+
+def test_sweep_validation_error_leaves_no_file(capsys, tmp_path,
+                                               monkeypatch):
+    # a chunk after the first fails: the rows written so far are removed
+    calls = []
+    curve = engine.sweep_s_curve
+
+    def failing(s_values):
+        calls.append(len(s_values))
+        if len(calls) == 2:
+            raise ValidationError("injected")
+        return curve(s_values)
+
+    monkeypatch.setattr(engine, "sweep_s_curve", failing)
+    path = tmp_path / "sweep.csv"
+    code, out, err = run(capsys, "sweep", "--step", "4e-4", "--out", str(path))
+    assert code == EXIT_VALIDATION and "injected" in err
+    assert len(calls) == 2 and not path.exists()
 
 
 def test_cycle(capsys):

@@ -265,3 +265,39 @@ def test_sampler_memory_bounded_by_tiles():
     # the events of one estimate would take 100 * 163840 * 8 B = 131 MB per
     # array; the gap and Gibbs grids take 2.6 MB each
     assert peak < 16 * 2**20, peak
+
+
+def test_jarzynski_equality():
+    # sigma is the dissipated work of the ramp from the Gibbs state of the
+    # assigned gap, and every update keeps detailed balance at its gap, so
+    # <exp(-sigma)> = 1 exactly for any gap_path, rate and tau
+    eps = math.log(0.9 / 0.1)
+    cases = [(0.85, ProtocolSchedule.linear(2.5)),
+             (0.85, ProtocolSchedule.linear(40.0)),
+             (0.99, ProtocolSchedule.linear(10.0)),
+             (0.9, ProtocolSchedule(tau=5.0, steps=100,
+                                    gap_path=lambda s: eps * (1 - s) ** 2))]
+    for p, sched in cases:
+        w_right, w_wrong = math.log(2 * p), math.log(2 * (1 - p))
+        x = np.concatenate([
+            np.exp(works - np.where(other, w_wrong, w_right))
+            for works, _, other in dynamics._run_batch(p, sched, 200_000, 31)])
+        stderr = x.std(ddof=1) / math.sqrt(x.size)
+        assert abs(x.mean() - 1.0) < 4 * stderr, (p, sched.tau, x.mean(), stderr)
+
+
+def test_regime_error_gives_each_point_its_z():
+    # tau=80 reads -0.00018 +- 0.00202 at seed 11, while the exact Sigma(80)
+    # is +0.0042: Monte Carlo noise, which more reps resolve
+    with pytest.raises(RegimeError) as err:
+        scaling_fit(0.78, [10, 20, 40, 80], reps=2000, seed=11)
+    text = str(err.value)
+    assert "tau=80: sigma=-0.00018+-0.00202, z=-0.089, unresolved" in text
+    assert "raise reps (--reps)" in text
+    assert "tau=40:" not in text and "not noise" not in text
+    # p = 1/2 has no dissipation: every estimate is exactly 0 with stderr 0
+    with pytest.raises(RegimeError) as err:
+        scaling_fit(0.5, [10, 20], reps=200, seed=11)
+    text = str(err.value)
+    assert "tau=10: sigma=0+-0;" in text and "not noise" in text
+    assert "unresolved" not in text and "--reps" not in text

@@ -3,6 +3,7 @@ import functools
 import math
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from xorszilard import (BinaryChannel, SimulationError, ValidationError,
@@ -299,6 +300,22 @@ def test_simulate_records_match_stats():
     assert len(records) == 2000
     assert stats.empirical_p == pytest.approx(
         sum(r.won for r in records) / 2000, abs=1e-15)
+
+
+def test_simulate_records_compact_cells():
+    # the smallest unsigned dtype that indexes the table: CHSH has 32 cells,
+    # chained:6 has 288; the shuffle draws as it does on int64
+    for g, dtype in ((make_chsh(), np.uint8), (make_chained(6), np.uint16)):
+        b = mix_with_uniform(pr_box(g), 0.75)
+        _, cells = simulate_rounds(g, b, 5000, seed=3, keep_records=True)
+        assert cells.dtype == dtype
+        rng = np.random.default_rng([3, 0])
+        probs = enumerate_rounds(g, b)[0]
+        support = np.flatnonzero(probs > 0.0)
+        counts = rng.multinomial(5000, probs[support] / math.fsum(probs[support]))
+        reference = np.repeat(support, counts)
+        rng.shuffle(reference)
+        assert np.array_equal(cells, reference)
 
 
 def test_simulate_streams_deterministic_and_mergeable():

@@ -390,3 +390,12 @@ def test_class_ordering_holds_on_random_games():
         rep = class_report(g, seed=s)
         assert (0.5 <= rep.omega_local <= rep.omega_quantum
                 <= rep.omega_quantum_upper <= rep.omega_ns)
+
+
+def test_seesaw_follows_rising_rate():
+    # the plain rate keeps rising after it first settles on these games; a
+    # fixed omega from that first rate took 384 and 720 steps
+    _, state = quantum_value(make_chained(30), restarts=1, max_iter=4000)
+    assert state.converged and state.iterations <= 256
+    _, state = quantum_value(random_game(7, 4, 135))
+    assert state.converged and state.iterations <= 400

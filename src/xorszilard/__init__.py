@@ -3,9 +3,9 @@
 from .channel import (BinaryChannel, apply_noise, binary_entropy, compress,
                       enumerate_rounds, induced_channel, mutual_information,
                       orient, referee_encode, rounds_to_csv)
-from .dynamics import (ProtocolSchedule, ScalingFit, SigmaEstimate,
-                       estimate_sigma, fit_loglog_slope, scaling_fit,
-                       trajectory_energy_audit)
+from .dynamics import (ExactSigma, ProtocolSchedule, ScalingFit,
+                       SigmaEstimate, estimate_sigma, fit_loglog_slope,
+                       scaling_fit, sigma_moments, trajectory_energy_audit)
 from .engine import (CycleLedger, PosteriorBranch, SimulationStats,
                      branch_decomposition, branch_work, class_ceilings,
                      cycle_ledger, exact_memory_ledger, memory_ledger,

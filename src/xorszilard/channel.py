@@ -147,15 +147,20 @@ def rounds_to_csv(rounds, cells, path: str):
 
     ``cells`` are indices into the round table ``rounds``, one per round in
     transcript order: any integer sequence, such as the compact unsigned
-    array ``simulate_rounds`` returns.  Each table cell is encoded once as
-    a CRLF-ended line of integer fields, ``won`` as 0 or 1, and the file is
-    those lines over ``cells``, joined and written _CSV_ROWS rows at a
-    time, so a chunk's index slice, gathered lines, string and encoded
-    bytes each stay near 100 KB however long the transcript.
+    array ``simulate_rounds`` returns.  Each table cell the transcript
+    uses is encoded once as a CRLF-ended line of integer fields, ``won`` as
+    0 or 1: a transcript shorter than the table finds its cells with
+    np.unique, a longer one encodes the whole table.  The file is those
+    lines over ``cells``, joined and written _CSV_ROWS rows at a time, so a
+    chunk's index slice, gathered lines, string and encoded bytes each stay
+    near 100 KB however long the transcript.
     """
-    columns = [rounds[name].astype(np.int64).tolist() for name in CSV_HEADER]
-    lines = np.array([",".join(map(str, row)) + "\r\n"
-                      for row in zip(*columns)], dtype=object)
+    used = (np.unique(cells) if len(cells) < len(rounds)
+            else np.arange(len(rounds)))
+    columns = [rounds[name][used].astype(np.int64).tolist()
+               for name in CSV_HEADER]
+    lines = np.empty(len(rounds), dtype=object)
+    lines[used] = [",".join(map(str, row)) + "\r\n" for row in zip(*columns)]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(CSV_HEADER) + "\r\n")
         for start in range(0, len(cells), _CSV_ROWS):

@@ -78,6 +78,11 @@ def _fmt(x: float) -> str:
     return f"{x:.9g}"
 
 
+def _z(deviation: float, stderr: float) -> float:
+    """deviation / stderr, and 0 when an exact stderr of 0 leaves no scale."""
+    return deviation / stderr if stderr > 0.0 else 0.0
+
+
 def _out_path(path: str | None) -> str | None:
     if path is None:
         return None
@@ -234,14 +239,11 @@ def cmd_simulate(args) -> int:
                                     p_model=args.p_model, noise_delta=delta,
                                     keep_records=args.records is not None)
     if args.records is not None:
-        stats, cells = result
-        _, rounds = chan.enumerate_rounds(game, behaviour)
+        stats, rounds, cells = result
         chan.rounds_to_csv(rounds, cells, _out_path(args.records))
     else:
         stats = result
-    z = 0.0
-    if stats.stderr_kt > 0.0:
-        z = (stats.mean_work_kt - stats.analytic_work_kt) / stats.stderr_kt
+    z = _z(stats.mean_work_kt - stats.analytic_work_kt, stats.stderr_kt)
     data = stats.to_json_dict()
     data["game"] = game.name
     data["behaviour"] = label
@@ -297,22 +299,27 @@ def cmd_cycle(args) -> int:
 
 
 def cmd_finite_time(args) -> int:
-    if args.self_test:
-        # fit machinery check on synthetic exact c/tau data
-        taus = [10.0, 20.0, 40.0, 80.0, 160.0]
-        slope, se = dynamics.fit_loglog_slope(taus, [0.7 / t for t in taus])
-        _emit_json({"self_test": True, "slope": slope, "slope_stderr": se}, args.out)
-        return 0
     fit = dynamics.scaling_fit(args.p, args.tau_grid, args.reps, args.seed,
-                               rate=args.rate)
-    rows = [(est.tau, est.mean_sigma, est.stderr, est.reps, est.seed)
-            for est in fit.estimates]
+                               rate=args.rate, monte_carlo=args.monte_carlo)
+    rows = [(pt.tau, pt.mean_sigma, pt.stderr, pt.reps, args.seed)
+            for pt in fit.points]
     _write_csv([rows], ["tau", "sigma_mean", "sigma_stderr", "reps", "seed"],
                args.out)
     band = 1.96 * fit.slope_stderr
-    _emit_json({"slope": fit.slope, "slope_stderr": fit.slope_stderr,
-                "slope_band": [fit.slope - band, fit.slope + band],
-                "seed": args.seed}, None)
+    data = {"slope": fit.slope, "slope_stderr": fit.slope_stderr,
+            "slope_band": [fit.slope - band, fit.slope + band],
+            "seed": args.seed}
+    if args.monte_carlo:
+        data["monte_carlo"] = [{
+            "tau": est.tau, "seed": list(est.seed), "reps": est.reps,
+            "sigma_mean": est.mean_sigma, "sigma_stderr": est.stderr,
+            "z": _z(est.mean_sigma - pt.mean_sigma, pt.stderr),
+            "exp_neg_sigma": est.exp_neg_sigma,
+            "exp_neg_sigma_stderr": est.exp_neg_sigma_stderr,
+            "z_jarzynski": _z(est.exp_neg_sigma - 1.0,
+                              est.exp_neg_sigma_stderr),
+        } for pt, est in zip(fit.points, fit.monte_carlo)]
+    _emit_json(data, None)
     return 0
 
 
@@ -367,15 +374,17 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(func=cmd_cycle)
 
-    p = sub.add_parser("finite-time", help="dissipation scaling over a tau grid")
+    p = sub.add_parser("finite-time",
+                       help="exact dissipation scaling over a tau grid")
     p.add_argument("--p", type=float, default=0.85)
     p.add_argument("--tau-grid", dest="tau_grid", type=_tau_grid,
                    default="10,20,40,80,160")
     p.add_argument("--reps", type=int, default=2000)
     p.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
     p.add_argument("--rate", type=float, default=1.0)
-    p.add_argument("--self-test", dest="self_test", action="store_true",
-                   help="run the slope fit on synthetic 1/tau data")
+    p.add_argument("--monte-carlo", dest="monte_carlo", action="store_true",
+                   help="also estimate each Sigma from --reps trajectories "
+                        "and z-score it against the exact value")
     common(p)
     p.set_defaults(func=cmd_finite_time)
 

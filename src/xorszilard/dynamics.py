@@ -7,14 +7,23 @@ Glauber updates toward the instantaneous Gibbs state.  The shortfall from
 the quasistatic work defines the dimensionless dissipation Sigma, which for
 slow smooth driving scales as 1/tau.
 
-Sampling: a Glauber step flips to the other level with probability
-rate*dt times that level's Gibbs weight, which is the law of a heat-bath
-step that, with probability rate*dt, redraws the state from the
-instantaneous Gibbs law and otherwise keeps it.  The redraw events do not
-depend on the state, so each trajectory's events are drawn directly as
-geometric gaps along its steps (uniformization), and a trajectory costs
-O(rate*tau) events instead of O(steps) updates.  reps*steps still bounds
-the work, since there are never more events than updates.
+Exact statistics: the branch is a two-state chain, and the other level's
+occupation relaxes as q_k = (1 - c) q_{k-1} + c pi_k with c = rate*dt, so
+the mean and the variance of a trajectory's sigma follow from one forward
+recursion over the gap grid (sigma_moments), in O(steps) time and bounded
+memory.  scaling_fit and the CLI compute Sigma this way.  With the
+posterior-matched start, sigma is the dissipated work of the ramp, so
+<exp(-sigma)> = 1 exactly (Jarzynski 1997; Crooks 1998).
+
+Sampling (estimate_sigma, the Monte Carlo cross-check): a Glauber step
+flips to the other level with probability rate*dt times that level's Gibbs
+weight, which is the law of a heat-bath step that, with probability
+rate*dt, redraws the state from the instantaneous Gibbs law and otherwise
+keeps it.  The redraw events do not depend on the state, so each
+trajectory's events are drawn directly as geometric gaps along its steps
+(uniformization), and a trajectory costs O(rate*tau) events instead of
+O(steps) updates.  reps*steps still bounds the work, since there are never
+more events than updates.
 
 Conventions: the predicted level is pinned at energy zero and the gap is
 the single control parameter (the net branch work is independent of that
@@ -38,7 +47,7 @@ _TILE_EVENTS = 2**13  # expected resample events per tile
 _TILE_REPS = 65536  # trajectories per tile, at most
 MAX_STEPS = 10**7  # steps of one schedule: the gap grid holds steps + 1 floats
 MAX_UPDATES = 10**10  # reps * steps of one estimate or one scaling fit
-Z_RESOLVED = 5.0  # |Sigma| / stderr at which an estimate's sign is resolved
+_CHUNK = 2**13  # steps per chunk of the exact recursion
 
 
 @dataclass(frozen=True)
@@ -100,6 +109,11 @@ def _check_updates(reps: int, steps: int):
             f"{MAX_UPDATES}")
 
 
+def _check_reps(reps: int):
+    if reps < 100:
+        raise ValidationError(f"need reps >= 100, got {reps}")
+
+
 def _check_branch_p(p: float):
     if not 0.5 <= p < 1.0:
         raise ValidationError(
@@ -107,12 +121,101 @@ def _check_branch_p(p: float):
             "(finite gap)")
 
 
-def _gap_grid(p: float, sched: ProtocolSchedule) -> np.ndarray:
-    _check_branch_p(p)
-    s = np.arange(sched.steps + 1) / sched.steps
+def _gaps(p: float, sched: ProtocolSchedule, k0: int, k1: int) -> np.ndarray:
+    """The gaps g_k0 .. g_k1 (k1 included) of the schedule's grid."""
+    s = np.arange(k0, k1 + 1) / sched.steps
     if sched.gap_path is None:
         return posterior(0, BinaryChannel(p)).gap_kt * (1.0 - s)
     return np.array([float(sched.gap_path(si)) for si in s])
+
+
+def _gap_grid(p: float, sched: ProtocolSchedule) -> np.ndarray:
+    _check_branch_p(p)
+    return _gaps(p, sched, 0, sched.steps)
+
+
+def _pi_other(gaps: np.ndarray) -> np.ndarray:
+    """Gibbs weight 1/(1 + e^gap) of the other level, built in place."""
+    pi = np.exp(gaps)
+    pi += 1.0
+    np.reciprocal(pi, out=pi)
+    return pi
+
+
+def _decay_scan(x: np.ndarray, decay: float) -> np.ndarray:
+    """Turn x in place into x_k <- decay * x_{k-1} + x_k, and return it.
+
+    Hillis-Steele doubling: after the pass at shift s each entry sums its
+    last 2s terms, each scaled by decay to its distance, so log2(len(x))
+    numpy passes replace a Python loop over the entries.  decay <= 1 keeps
+    every partial sum bounded, and a decay power that reaches zero ends
+    the passes (decay = 0 is the identity).
+    """
+    s = 1
+    while s < x.size:
+        scale = decay ** s
+        if scale == 0.0:
+            break
+        x[s:] += scale * x[:-s]
+        s *= 2
+    return x
+
+
+def sigma_moments(p: float, sched: ProtocolSchedule) -> tuple[float, float]:
+    """Exact mean and standard deviation of a trajectory's sigma.
+
+    State s_k is 1 when the other level is occupied after update k (s_0 is
+    the posterior draw), and a trajectory's dissipation is
+    sigma = B(s_0) - sum_i D_i s_i, with D_i = g_i - g_{i+1} the gap drop
+    before update i+1 and B(s) = ln(2 q(s)) + g_0 s its paired quasistatic
+    work plus the assignment quench (B(0) = B(1) = ln 2p when g_0 is the
+    posterior-matched gap, so sigma = ln 2p - W_ramp).  Fold B's jump into
+    D_0, so sigma = B(0) - sum_i D'_i s_i.
+
+    A Glauber update flips 0 -> 1 with probability c pi_k and 1 -> 0 with
+    c (1 - pi_k), so q_k = P(s_k = 1) = (1 - c) q_{k-1} + c pi_k, and
+    E[s_j | s_i] is s_i (1 - c)^(j-i) plus a constant.  Hence
+    Cov(s_i, s_j) = (1 - c)^(j-i) V_i with V_i = q_i (1 - q_i), and
+
+        E[sigma] = B(0) - sum_i D'_i q_i,
+        Var[sigma] = sum_j D'_j (D'_j V_j + 2 F_j),
+        F_j = sum_{i<j} (1 - c)^(j-i) D'_i V_i
+            = (1 - c) (F_{j-1} + D'_{j-1} V_{j-1}).
+
+    Both q and F are one forward recursion of constant decay 1 - c.  It is
+    walked over the gap grid _CHUNK steps at a time, each chunk's gaps
+    computed inline and scanned in numpy (_decay_scan), so memory stays
+    bounded at any step count and no random numbers are drawn.  The
+    variance is a sum of these terms, never a difference of raw moments.
+    """
+    _check_branch_p(p)
+    branch = posterior(0, BinaryChannel(p))
+    w_right, w_wrong = trajectory_work(0, branch), trajectory_work(1, branch)
+    steps = sched.steps
+    c = sched.rate * sched.tau / steps
+    decay = 1.0 - c
+    q, f = 1.0 - p, 0.0  # q_k0 and F_k0 at each chunk's start
+    mean = var = 0.0
+    for k0 in range(0, steps, _CHUNK):
+        k1 = min(steps, k0 + _CHUNK)
+        g = _gaps(p, sched, k0, k1)
+        d = g[:-1] - g[1:]  # D'_k0 .. D'_(k1-1)
+        if k0 == 0:
+            d[0] -= w_wrong + g[0] - w_right
+        qs = _pi_other(g)  # q_k0 .. q_k1
+        qs *= c
+        qs[0] = q
+        _decay_scan(qs, decay)
+        dv = qs[:-1] * (1.0 - qs[:-1])  # D'_i V_i
+        dv *= d
+        fs = np.empty(dv.size + 1)  # F_k0 .. F_k1
+        fs[0] = f
+        np.multiply(dv, decay, out=fs[1:])
+        _decay_scan(fs, decay)
+        mean += float(np.sum(d * qs[:-1]))
+        var += float(np.sum(d * (dv + 2.0 * fs[:-1])))
+        q, f = float(qs[-1]), float(fs[-1])
+    return w_right - mean, math.sqrt(max(var, 0.0))
 
 
 def _resample_cells(rng: np.random.Generator, cells: int,
@@ -149,7 +252,8 @@ def _resample_cells(rng: np.random.Generator, cells: int,
     return pos[:np.searchsorted(pos, cells)]
 
 
-def _run_batch(p: float, sched: ProtocolSchedule, reps: int, seed: int):
+def _run_batch(p: float, sched: ProtocolSchedule, reps: int,
+               seed: int | tuple[int, ...]):
     """Yield (works, heats, sampled_other) for successive blocks of reps.
 
     State is 0 for the predicted level (posterior probability p) and 1 for
@@ -161,15 +265,14 @@ def _run_batch(p: float, sched: ProtocolSchedule, reps: int, seed: int):
     other level with probability 1/(1 + e^gap).
 
     The grid is cut into tiles, a block of reps by a window of steps, of
-    about _TILE_EVENTS expected events each, seeded (seed, tile); a
+    about _TILE_EVENTS expected events each, seeded (*seed, tile); a
     trajectory carries its state from one window into the next.  Work is
     the gap drop at fixed state, summed over the constant-state segments
     between events; heat is the gap at each event times the state change.
     """
     gaps = _gap_grid(p, sched)
-    pi_other = np.exp(gaps)  # 1/(1 + e^gap), built in place
-    pi_other += 1.0
-    np.reciprocal(pi_other, out=pi_other)
+    pi_other = _pi_other(gaps)
+    key = (seed,) if isinstance(seed, int) else tuple(seed)
     steps = sched.steps
     c = sched.rate * sched.tau / steps
     # steps per window, then reps per block; the tests on the expected
@@ -180,14 +283,14 @@ def _run_batch(p: float, sched: ProtocolSchedule, reps: int, seed: int):
     tile = 0
     for r0 in range(0, reps, block):
         m = min(block, reps - r0)
-        rng = np.random.default_rng([seed, tile])
+        rng = np.random.default_rng([*key, tile])
         other = rng.random(m) >= p
         state = other.astype(np.float64)
         works = -gaps[0] * state  # assignment quench from the degenerate level
         heats = np.zeros(m)
         for w0 in range(0, steps, window):
             if w0:
-                rng = np.random.default_rng([seed, tile])
+                rng = np.random.default_rng([*key, tile])
             w1 = min(steps, w0 + window)
             k = _resample_cells(rng, m * (w1 - w0), c)
             rep = k // (w1 - w0)
@@ -253,43 +356,55 @@ def _merge_moments(a: tuple[int, float, float],
 
 @dataclass(frozen=True)
 class SigmaEstimate:
-    """Monte Carlo estimate of the finite-time dissipation at one tau."""
+    """Monte Carlo estimate of the finite-time dissipation at one tau.
+
+    ``exp_neg_sigma`` is the sample mean of exp(-sigma), which Jarzynski's
+    equality holds at 1, with its standard error.
+    """
 
     tau: float
     mean_sigma: float
     stderr: float
     reps: int
     w_qs_kt: float
-    seed: int
+    seed: int | tuple[int, ...]
+    exp_neg_sigma: float
+    exp_neg_sigma_stderr: float
 
 
 def estimate_sigma(p: float, sched: ProtocolSchedule, reps: int,
-                   seed: int) -> SigmaEstimate:
+                   seed: int | tuple[int, ...]) -> SigmaEstimate:
     """Estimate Sigma = (quasistatic work - extracted work) / kT.
 
     Each trajectory is paired with the quasistatic work of its own sampled
     microstate, ln(2 q(x)); that reference averages exactly to
     w_qs = ln2*(1 - h2(p)), so the pairing leaves the estimate unbiased
-    while cancelling the branch-outcome variance.
+    while cancelling the branch-outcome variance.  ``seed`` is an integer
+    or a tuple of them (a sub-seed); tile t draws from (*seed, t).
     """
-    if reps < 100:
-        raise ValidationError(f"need reps >= 100, got {reps}")
+    _check_reps(reps)
     _check_branch_p(p)
     _check_updates(reps, sched.steps)
     branch = posterior(0, BinaryChannel(p))
     w_qs = branch.branch_work_bits * LN2
     w_right, w_wrong = trajectory_work(0, branch), trajectory_work(1, branch)
-    moments = None
+    moments = tilted = None
     for works, _, other in _run_batch(p, sched, reps, seed):
         sigma = np.where(other, w_wrong, w_right) - works
-        mean = float(sigma.mean())
-        block = (sigma.size, mean, float(np.sum((sigma - mean) ** 2)))
-        moments = block if moments is None else _merge_moments(moments, block)
-    n, mean, m2 = moments
-    var = m2 / (n - 1)
+        moments = _merge_block(moments, sigma)
+        tilted = _merge_block(tilted, np.exp(-sigma))
+    (n, mean, m2), (_, x_mean, x_m2) = moments, tilted
     return SigmaEstimate(tau=sched.tau, mean_sigma=mean,
-                         stderr=math.sqrt(var / n), reps=reps,
-                         w_qs_kt=w_qs, seed=seed)
+                         stderr=math.sqrt(m2 / (n - 1) / n), reps=reps,
+                         w_qs_kt=w_qs, seed=seed, exp_neg_sigma=x_mean,
+                         exp_neg_sigma_stderr=math.sqrt(x_m2 / (n - 1) / n))
+
+
+def _merge_block(moments, x: np.ndarray):
+    """Merge a block of samples into (count, mean, summed sq. deviations)."""
+    mean = float(x.mean())
+    block = (x.size, mean, float(np.sum((x - mean) ** 2)))
+    return block if moments is None else _merge_moments(moments, block)
 
 
 # ---------------------------------------------------------------------------
@@ -320,25 +435,52 @@ def fit_loglog_slope(taus, sigmas) -> tuple[float, float]:
 
 
 @dataclass(frozen=True)
+class ExactSigma:
+    """Exact finite-time dissipation at one tau, from sigma_moments.
+
+    ``stderr`` is sd/sqrt(reps): the standard error that a Monte Carlo
+    estimate of ``reps`` trajectories would have.
+    """
+
+    tau: float
+    mean_sigma: float
+    sd: float
+    reps: int
+
+    @property
+    def stderr(self) -> float:
+        return self.sd / math.sqrt(self.reps)
+
+
+@dataclass(frozen=True)
 class ScalingFit:
-    """Fitted dissipation scaling over a tau grid."""
+    """Fitted dissipation scaling over a tau grid.
+
+    ``points`` hold the exact Sigma the fit uses; ``monte_carlo`` holds one
+    estimate per tau when the fit was asked to cross-check them, else none.
+    """
 
     slope: float
     slope_stderr: float
-    estimates: list[SigmaEstimate] = field(default_factory=list)
+    points: list[ExactSigma] = field(default_factory=list)
+    monte_carlo: list[SigmaEstimate] = field(default_factory=list)
 
 
 def scaling_fit(p: float, tau_grid, reps: int, seed: int,
                 rate: float = 1.0,
                 sched_template: Callable[[float], ProtocolSchedule] | None = None,
-                ) -> ScalingFit:
-    """Estimate Sigma over a tau grid and fit the log-log slope.
+                monte_carlo: bool = False) -> ScalingFit:
+    """Exact Sigma over a tau grid and the log-log slope fitted to it.
 
     ``sched_template`` maps tau to a schedule (default: the linear ramp at
-    the given rate).  All grid points share the master seed, so repeated
-    runs are reproducible.  A non-positive Sigma estimate cannot be fitted
-    and raises a RegimeError that names each such point with its
-    z = Sigma / stderr (_regime_message).
+    the given rate).  Each Sigma comes from sigma_moments, so the fit draws
+    no random numbers; ``reps`` sets only the standard error reported next
+    to it.  With ``monte_carlo``, grid point i is also estimated from
+    ``reps`` trajectories under the sub-seed (seed, i), as an independent
+    cross-check that the fit does not use.  The update budget counts reps
+    times the grid's steps either way, so any accepted fit can be
+    cross-checked.  An exact Sigma that is not positive cannot be fitted
+    and raises a RegimeError naming each such point.
     """
     taus = [float(t) for t in tau_grid]
     if len(taus) < 2:
@@ -346,40 +488,21 @@ def scaling_fit(p: float, tau_grid, reps: int, seed: int,
     if sched_template is None:
         sched_template = lambda tau: ProtocolSchedule.linear(tau, rate=rate)
     scheds = [sched_template(tau) for tau in taus]
+    _check_reps(reps)
     _check_updates(reps, sum(sched.steps for sched in scheds))
-    estimates = [estimate_sigma(p, sched, reps, seed) for sched in scheds]
-    bad = [est for est in estimates if est.mean_sigma <= 0.0]
+    points = [ExactSigma(sched.tau, *sigma_moments(p, sched), reps)
+              for sched in scheds]
+    bad = [pt for pt in points if pt.mean_sigma <= 0.0]
     if bad:
-        raise RegimeError(_regime_message(bad))
-    slope, se = fit_loglog_slope(taus, [est.mean_sigma for est in estimates])
-    return ScalingFit(slope=slope, slope_stderr=se, estimates=estimates)
-
-
-def _regime_message(bad: list[SigmaEstimate]) -> str:
-    """Why the non-positive estimates ``bad`` stop a fit, point by point.
-
-    A point within Z_RESOLVED standard errors of zero is unresolved: Monte
-    Carlo noise can give it either sign, and more reps resolve it.  A point
-    further below zero, or an exact one (stderr 0), is a real non-positive
-    Sigma, which more reps would not change.
-    """
-    points, noisy = [], 0
-    for est in bad:
-        text = f"tau={est.tau:g}: sigma={est.mean_sigma:.3g}+-{est.stderr:.3g}"
-        if est.stderr > 0.0:
-            z = est.mean_sigma / est.stderr
-            text += f", z={z:.2g}"
-            if z > -Z_RESOLVED:
-                text += ", unresolved"
-                noisy += 1
-        points.append(text)
-    advice = []
-    if noisy:
-        advice.append(f"|z| < {Z_RESOLVED:g} is Monte Carlo noise at these "
-                      "reps: raise reps (--reps)")
-    if noisy < len(bad):
-        advice.append(f"a point with z <= -{Z_RESOLVED:g}, or exact at "
-                      "stderr 0, is not noise: increase the tau resolution "
-                      "or shrink the grid to the slow regime")
-    return (f"non-positive dissipation estimate ({'; '.join(points)}); "
-            + "; ".join(advice))
+        raise RegimeError(
+            "non-positive dissipation ("
+            + "; ".join(f"tau={pt.tau:g}: sigma={pt.mean_sigma:.3g}"
+                        f"+-{pt.stderr:.3g}" for pt in bad)
+            + "); Sigma is exact, so no reps or seed changes it: a channel "
+            "at p = 1/2 dissipates nothing, and a log-log fit needs "
+            "Sigma > 0 at every tau")
+    slope, se = fit_loglog_slope(taus, [pt.mean_sigma for pt in points])
+    estimates = ([estimate_sigma(p, sched, reps, (seed, i))
+                  for i, sched in enumerate(scheds)] if monte_carlo else [])
+    return ScalingFit(slope=slope, slope_stderr=se, points=points,
+                      monte_carlo=estimates)

@@ -299,14 +299,14 @@ def simulate_rounds(game: XorGame, behaviour: Behaviour, n: int, seed: int,
     unless records are kept.  Batches of one model combine exactly with
     ``merge_stats``.
 
-    Returns SimulationStats, or (SimulationStats, cells) when
-    ``keep_records`` is set.  ``cells`` index the rows of
-    ``enumerate_rounds(game, behaviour)[1]`` in a random order: the
-    noiseless transcript.  They are held in the smallest unsigned dtype
-    that indexes the table (uint8 for CHSH's 32 cells, uint16 up to 65 536
-    cells), which shuffles with the same draws as int64.  A batch is capped
-    at MAX_ROUNDS rounds, and at MAX_RECORDS when its transcript is kept
-    (BudgetError).
+    Returns SimulationStats, or (SimulationStats, rounds, cells) when
+    ``keep_records`` is set: ``rounds`` is the round table
+    ``enumerate_rounds(game, behaviour)[1]`` the batch was drawn from, and
+    ``cells`` index its rows in a random order, the noiseless transcript.
+    They are held in the smallest unsigned dtype that indexes the table
+    (uint8 for CHSH's 32 cells, uint16 up to 65 536 cells), which shuffles
+    with the same draws as int64.  A batch is capped at MAX_ROUNDS
+    rounds, and at MAX_RECORDS when its transcript is kept (BudgetError).
     """
     if n < 1:
         raise ValidationError(f"need n >= 1 rounds, got {n}")
@@ -344,7 +344,7 @@ def simulate_rounds(game: XorGame, behaviour: Behaviour, n: int, seed: int,
         order = np.repeat(cells.astype(np.min_scalar_type(len(rounds) - 1)),
                           counts)
         rng.shuffle(order)  # in place: the draws of rng.permutation
-        return stats, order
+        return stats, rounds, order
     return stats
 
 

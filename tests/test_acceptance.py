@@ -171,7 +171,7 @@ def test_criterion_10_finite_time_scaling():
     t0 = time.perf_counter()
     fit = scaling_fit(0.85, [10.0, 20.0, 40.0, 80.0, 160.0], reps=20_000,
                       seed=7)
-    for est in fit.estimates:
+    for est in fit.points:
         assert est.mean_sigma > 3.0 * est.stderr, est
     assert -1.3 <= fit.slope <= -0.7
     qs = estimate_sigma(0.85, ProtocolSchedule.linear(3200.0), reps=2000,
@@ -193,8 +193,9 @@ def test_criterion_11_memory_scope():
     for seed, b in [(21, pr_box(g)), (22, quantum_optimal_chsh()),
                     (23, uniform_behaviour(g)),
                     (24, mix_with_uniform(pr_box(g), 0.7))]:
-        _, cells = simulate_rounds(g, b, 3000, seed=seed, keep_records=True)
-        s_h_g, s_h_m, s_ok = memory_ledger(enumerate_rounds(g, b)[1], cells)
+        _, rounds, cells = simulate_rounds(g, b, 3000, seed=seed,
+                                           keep_records=True)
+        s_h_g, s_h_m, s_ok = memory_ledger(rounds, cells)
         assert s_ok
         assert s_h_m >= s_h_g - 1e-9
     _pass(11, f"exact PR transcript: H(G) = {h_g:.1f}, H(M) = {h_m:.1f} bits; "

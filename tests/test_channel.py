@@ -187,8 +187,8 @@ def test_rounds_to_csv_memory_bounded(tmp_path):
     # 2^16 rows peaked at 2.4 MB)
     g = make_chained(6)
     b = mix_with_uniform(pr_box(g), 0.75)
-    _, cells = simulate_rounds(g, b, 200_000, seed=7, keep_records=True)
-    rounds = enumerate_rounds(g, b)[1]
+    _, rounds, cells = simulate_rounds(g, b, 200_000, seed=7,
+                                       keep_records=True)
     tracemalloc.start()
     try:
         rounds_to_csv(rounds, cells, str(tmp_path / "rounds.csv"))

@@ -4,12 +4,14 @@ import json
 import math
 import os
 import shlex
+import subprocess
+import sys
 import tracemalloc
 
 import pytest
 
-from xorszilard import (ValidationError, XorGame, apply_noise, cli, engine,
-                        enumerate_rounds, games, make_chained, save_game,
+from xorszilard import (ValidationError, XorGame, apply_noise, cli, dynamics,
+                        engine, games, make_chained, save_game,
                         simulate_rounds)
 from xorszilard.cli import (EXIT_BUDGET, EXIT_PARSE, EXIT_REGIME,
                             EXIT_VALIDATION, main)
@@ -229,22 +231,23 @@ def test_simulate_records_csv(capsys, tmp_path):
 
 
 def test_simulate_records_bytes_match_csv_writer(capsys, tmp_path):
-    # the transcript file is the csv module's rendering of the drawn rows
-    path = tmp_path / "rounds.csv"
-    data = run_json(capsys, "simulate", "--game", "chained:3", "--behaviour",
-                    "mix:pr:0.75", "--rounds", "3000", "--seed", "7",
-                    "--records", str(path))
+    # the transcript file is the csv module's rendering of the drawn rows,
+    # whether it is longer than chained:3's 72-cell table or shorter
     g = make_chained(3)
     b = games.mix_with_uniform(games.pr_box(g), 0.75)
-    stats, cells = simulate_rounds(g, b, 3000, 7, keep_records=True)
-    assert stats.to_json_dict().items() <= data.items()
-    rows = enumerate_rounds(g, b)[1][cells]
-    ref = io.StringIO(newline="")
     header = ["x", "u", "v", "a", "b", "r", "g", "e", "won"]
-    writer = csv.writer(ref)
-    writer.writerow(header)
-    writer.writerows([int(r[k]) for k in header] for r in rows)
-    assert path.read_bytes() == ref.getvalue().encode("utf-8")
+    for n in (3000, 20):
+        path = tmp_path / f"rounds{n}.csv"
+        data = run_json(capsys, "simulate", "--game", "chained:3",
+                        "--behaviour", "mix:pr:0.75", "--rounds", str(n),
+                        "--seed", "7", "--records", str(path))
+        stats, rounds, cells = simulate_rounds(g, b, n, 7, keep_records=True)
+        assert stats.to_json_dict().items() <= data.items()
+        ref = io.StringIO(newline="")
+        writer = csv.writer(ref)
+        writer.writerow(header)
+        writer.writerows([int(r[k]) for k in header] for r in rounds[cells])
+        assert path.read_bytes() == ref.getvalue().encode("utf-8")
 
 
 def test_sweep_markers(capsys):
@@ -325,13 +328,6 @@ def test_cycle(capsys):
     assert run_json(capsys, "cycle", "--p", "0.5")["w_net_bits"] == -1.0
 
 
-def test_finite_time_self_test(capsys):
-    code, out, _ = run(capsys, "finite-time", "--self-test")
-    assert code == 0
-    data = json.loads(out)
-    assert data["slope"] == pytest.approx(-1.0, abs=1e-9)
-
-
 def test_finite_time_single_point_errors(capsys):
     code, _, err = run(capsys, "finite-time", "--tau-grid", "1e6",
                        "--reps", "100")
@@ -349,6 +345,62 @@ def test_finite_time_small_run(capsys):
     tail = "\n".join(lines[4:])
     data = json.loads(tail)
     assert data["slope"] < 0
+
+
+def _finite_time(capsys, *argv):
+    """(CSV rows, JSON summary) of a successful finite-time run."""
+    code, out, err = run(capsys, "finite-time", *argv)
+    assert code == 0, err
+    head, _, tail = out.partition("\n{")
+    rows = [line.split(",") for line in head.strip().splitlines()]
+    assert rows[0] == ["tau", "sigma_mean", "sigma_stderr", "reps", "seed"]
+    return rows[1:], json.loads("{" + tail)
+
+
+def test_finite_time_exact_sigma(capsys):
+    # exit 5 by Monte Carlo noise at the parent; the exact Sigma(80) is
+    # positive, and sigma_stderr is the exact sd / sqrt(reps)
+    rows, data = _finite_time(capsys, "--p", "0.78", "--tau-grid",
+                              "10,20,40,80", "--seed", "11")
+    assert rows[-1][:2] == ["80", "0.00415201349"]
+    _, sd = dynamics.sigma_moments(0.78, dynamics.ProtocolSchedule.linear(80))
+    assert rows[-1][2:] == [f"{sd / math.sqrt(2000):.9g}", "2000", "11"]
+    assert "monte_carlo" not in data
+    # the exact Sigma of p = 1/2 is 0: still exit 5, with stderr 0
+    code, _, err = run(capsys, "finite-time", "--p", "0.5", "--tau-grid",
+                       "10,20", "--reps", "200")
+    assert code == EXIT_REGIME
+    assert "tau=10: sigma=0+-0;" in err and "exact" in err
+
+
+def test_finite_time_monte_carlo(capsys):
+    argv = ("--p", "0.9", "--tau-grid", "5,10,20", "--reps", "4000",
+            "--seed", "3")
+    exact_rows, exact = _finite_time(capsys, *argv)
+    rows, data = _finite_time(capsys, *argv, "--monte-carlo")
+    # the fit and the CSV are the exact ones either way
+    checks = data.pop("monte_carlo")
+    assert rows == exact_rows and data == exact and len(checks) == 3
+    for i, (row, mc) in enumerate(zip(rows, checks)):
+        assert mc["tau"] == float(row[0]) and mc["reps"] == 4000
+        assert mc["seed"] == [3, i]
+        assert mc["z"] == pytest.approx(
+            (mc["sigma_mean"] - float(row[1])) / float(row[2]), rel=1e-6)
+        assert abs(mc["z"]) < 5 and abs(mc["z_jarzynski"]) < 5
+        assert mc["z_jarzynski"] == pytest.approx(
+            (mc["exp_neg_sigma"] - 1) / mc["exp_neg_sigma_stderr"])
+
+
+def test_finite_time_draws_no_random_numbers(tmp_path):
+    # the default run is the exact recursion: numpy.random stays unimported
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    code = ("import sys; from xorszilard.cli import main; "
+            "rc = main(['finite-time', '--tau-grid', '5,10']); "
+            "sys.exit(rc or 'numpy.random' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          cwd=tmp_path, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_out_dir_env(capsys, tmp_path, monkeypatch):

@@ -7,7 +7,7 @@ import pytest
 
 from xorszilard import (ProtocolSchedule, RegimeError, ValidationError,
                         estimate_sigma, fit_loglog_slope, scaling_fit,
-                        trajectory_energy_audit)
+                        sigma_moments, trajectory_energy_audit)
 from xorszilard import dynamics
 from xorszilard.engine import LN2
 
@@ -114,28 +114,28 @@ def test_fit_loglog_slope_synthetic():
 def test_scaling_fit_slope():
     fit = scaling_fit(0.85, [10, 20, 40, 80], reps=3000, seed=7)
     assert -1.3 <= fit.slope <= -0.7
-    assert len(fit.estimates) == 4
-    assert all(e.mean_sigma > 0 for e in fit.estimates)
+    assert len(fit.points) == 4 and fit.monte_carlo == []
+    assert all(pt.mean_sigma > 0 for pt in fit.points)
+    for pt in fit.points:
+        mean, sd = sigma_moments(0.85, ProtocolSchedule.linear(pt.tau))
+        assert (pt.mean_sigma, pt.sd, pt.reps) == (mean, sd, 3000)
+        assert pt.stderr == sd / math.sqrt(3000)
 
 
 def test_scaling_fit_regime_error():
-    # deep in the quasistatic regime with few reps an estimate can go
-    # negative; the error names exactly the points whose estimate is <= 0
+    # deep in the quasistatic regime, where 100-rep Monte Carlo estimates
+    # went negative at some seeds, the exact Sigma is positive and the same
+    # at every seed; only a Sigma that is exactly <= 0 stops the fit
     template = lambda tau: ProtocolSchedule.linear(tau, steps=int(2 * tau))
     taus = [1600.0, 3200.0]
-    named_3200 = 0
-    for seed in range(10):
-        bad = [tau for tau in taus
-               if estimate_sigma(0.85, template(tau), 100, seed).mean_sigma <= 0]
-        if not bad:
-            scaling_fit(0.85, taus, reps=100, seed=seed, sched_template=template)
-            continue
-        with pytest.raises(RegimeError) as err:
-            scaling_fit(0.85, taus, reps=100, seed=seed, sched_template=template)
-        for tau in taus:
-            assert (f"tau={tau:g}:" in str(err.value)) == (tau in bad), seed
-        named_3200 += 3200.0 in bad
-    assert named_3200 >= 1
+    fits = [scaling_fit(0.85, taus, reps=100, seed=seed,
+                        sched_template=template) for seed in range(10)]
+    assert all(fit == fits[0] for fit in fits)
+    assert all(pt.mean_sigma > 0 for pt in fits[0].points)
+    with pytest.raises(RegimeError) as err:
+        scaling_fit(0.5, taus, reps=100, seed=0, sched_template=template)
+    for tau in taus:
+        assert f"tau={tau:g}: sigma=0+-0" in str(err.value)
 
 
 def test_scaling_fit_needs_two_points():
@@ -278,26 +278,150 @@ def test_jarzynski_equality():
              (0.9, ProtocolSchedule(tau=5.0, steps=100,
                                     gap_path=lambda s: eps * (1 - s) ** 2))]
     for p, sched in cases:
-        w_right, w_wrong = math.log(2 * p), math.log(2 * (1 - p))
-        x = np.concatenate([
-            np.exp(works - np.where(other, w_wrong, w_right))
-            for works, _, other in dynamics._run_batch(p, sched, 200_000, 31)])
-        stderr = x.std(ddof=1) / math.sqrt(x.size)
-        assert abs(x.mean() - 1.0) < 4 * stderr, (p, sched.tau, x.mean(), stderr)
+        est = estimate_sigma(p, sched, 200_000, 31)
+        assert abs(est.exp_neg_sigma - 1.0) < 4 * est.exp_neg_sigma_stderr, \
+            (p, sched.tau, est.exp_neg_sigma, est.exp_neg_sigma_stderr)
 
 
-def test_regime_error_gives_each_point_its_z():
-    # tau=80 reads -0.00018 +- 0.00202 at seed 11, while the exact Sigma(80)
-    # is +0.0042: Monte Carlo noise, which more reps resolve
-    with pytest.raises(RegimeError) as err:
-        scaling_fit(0.78, [10, 20, 40, 80], reps=2000, seed=11)
-    text = str(err.value)
-    assert "tau=80: sigma=-0.00018+-0.00202, z=-0.089, unresolved" in text
-    assert "raise reps (--reps)" in text
-    assert "tau=40:" not in text and "not noise" not in text
-    # p = 1/2 has no dissipation: every estimate is exactly 0 with stderr 0
+def test_regime_error_names_exact_points():
+    # p=0.78, tau=80 at seed 11 read -0.00018 +- 0.00202 by Monte Carlo and
+    # stopped the fit; the exact Sigma(80) is +0.0042, and the fit runs
+    fit = scaling_fit(0.78, [10, 20, 40, 80], reps=2000, seed=11)
+    assert f"{fit.points[-1].mean_sigma:.9g}" == "0.00415201349"
+    # p = 1/2 has no dissipation: every Sigma is exactly 0 with stderr 0,
+    # and the message asks for no more reps
     with pytest.raises(RegimeError) as err:
         scaling_fit(0.5, [10, 20], reps=200, seed=11)
     text = str(err.value)
-    assert "tau=10: sigma=0+-0;" in text and "not noise" in text
-    assert "unresolved" not in text and "--reps" not in text
+    assert "tau=10: sigma=0+-0;" in text and "tau=20: sigma=0+-0)" in text
+    assert "exact" in text and "--reps" not in text and "z=" not in text
+
+
+# ---------------------------------------------------------------------------
+# the exact recursion
+
+
+def _path_moments(p, sched):
+    """(mean, sd) of sigma summed over all 2^(steps+1) state paths."""
+    g = _gaps(p, sched)
+    c = sched.rate * sched.tau / sched.steps
+    w = (math.log(2 * p), math.log(2 * (1 - p)))
+    m1, m2 = [], []
+    for path in itertools.product((0, 1), repeat=sched.steps + 1):
+        prob = 1 - p if path[0] else p
+        sigma = w[path[0]] + g[0] * path[0]
+        for k in range(1, sched.steps + 1):
+            pi_other = 1 / (1 + math.exp(g[k]))
+            flip = c * (pi_other if path[k - 1] == 0 else 1 - pi_other)
+            prob *= flip if path[k] != path[k - 1] else 1 - flip
+            sigma -= (g[k - 1] - g[k]) * path[k - 1]
+        m1.append(prob * sigma)
+        m2.append(prob * sigma * sigma)
+    mean = math.fsum(m1)
+    return mean, math.sqrt(math.fsum(m2) - mean * mean)
+
+
+def test_sigma_moments_match_path_enumeration():
+    # linear ramp, a custom gap_path that does not start at the posterior
+    # gap, rate*dt = 1, a rate != 1, and rate*dt underflowed to 0
+    scheds = [(0.8, ProtocolSchedule(tau=2.0, steps=4)),
+              (0.8, ProtocolSchedule(tau=3.0, steps=4,
+                                     gap_path=lambda s: 2.5 * (1 - s) ** 2)),
+              (0.8, ProtocolSchedule(tau=4.0, steps=4)),
+              (0.7, ProtocolSchedule(tau=1.0, steps=10, rate=2.0,
+                                     gap_path=lambda s: math.sin(7 * s)
+                                     * (1 - s))),
+              (0.9, ProtocolSchedule(tau=5e-324, steps=4))]
+    for p, sched in scheds:
+        mean, sd = sigma_moments(p, sched)
+        ref_mean, ref_sd = _path_moments(p, sched)
+        assert abs(mean - ref_mean) < 1e-12, (p, sched)
+        assert abs(sd - ref_sd) < 1e-12, (p, sched)
+    # frozen state: sigma is the paired quasistatic work ln 2q(s0)
+    assert sigma_moments(0.9, scheds[-1][1]) == pytest.approx(
+        (LN2 * (1 - h2(0.9)), math.log(9) * math.sqrt(0.09)), abs=1e-15)
+
+
+def test_sigma_moments_carry_across_chunks(monkeypatch):
+    sched = ProtocolSchedule(tau=30.0, steps=400,
+                             gap_path=lambda s: 2.0 * (1 - s) ** 1.5)
+    one = sigma_moments(0.85, sched)
+    monkeypatch.setattr(dynamics, "_CHUNK", 7)
+    assert sigma_moments(0.85, sched) == pytest.approx(one, rel=1e-13)
+
+
+def _state_moments(p, sched):
+    """(mean, sd) of sigma from (P_s, E[sigma; s], E[sigma^2; s]) per state,
+    stepped through the schedule one update at a time."""
+    g = _gaps(p, sched)
+    c = sched.rate * sched.tau / sched.steps
+    b1 = math.log(2 * (1 - p)) + g[0]
+    prob = [p, 1 - p]
+    m1 = [p * math.log(2 * p), (1 - p) * b1]
+    m2 = [p * math.log(2 * p) ** 2, (1 - p) * b1 * b1]
+    for k in range(1, sched.steps + 1):
+        d = g[k - 1] - g[k]  # the gap drop lowers sigma in state 1
+        m2[1] += d * d * prob[1] - 2 * d * m1[1]
+        m1[1] -= d * prob[1]
+        up = c / (1 + math.exp(g[k]))
+        down = c - up
+        for x in (prob, m1, m2):
+            x[0], x[1] = ((1 - up) * x[0] + down * x[1],
+                          up * x[0] + (1 - down) * x[1])
+    mean = sum(m1)
+    return mean, math.sqrt(sum(m2) - mean * mean)
+
+
+def test_exact_moments_match_step_recursions():
+    # the (p, tau) points of the benchmark's dissipation workload
+    plan = [(0.95, (5, 10, 20)), (0.8, (2.5, 5, 10)), (0.85, (5, 10, 20)),
+            (0.9, (5, 10, 20, 40)), (0.85, (10, 20, 40)),
+            (0.95, (10, 20, 40, 80)), (0.9, (10, 20, 40, 80))]
+    for p, taus in plan:
+        for tau in taus:
+            sched = ProtocolSchedule.linear(tau)
+            mean, sd = sigma_moments(p, sched)
+            ref_mean, ref_sd = _state_moments(p, sched)
+            assert abs(mean - ref_mean) < 1e-12, (p, tau)
+            assert abs(sd - ref_sd) < 1e-12, (p, tau)
+
+
+def test_monte_carlo_matches_exact_moments():
+    quadratic = ProtocolSchedule(tau=5.0, steps=100,
+                                 gap_path=lambda s: 2.0 * (1 - s) ** 2)
+    for p, sched in [(0.85, ProtocolSchedule.linear(10.0)),
+                     (0.95, ProtocolSchedule.linear(40.0)), (0.8, quadratic)]:
+        mean, sd = sigma_moments(p, sched)
+        est = estimate_sigma(p, sched, 200_000, 41)
+        assert abs(est.mean_sigma - mean) < 4 * sd / math.sqrt(est.reps), \
+            (p, sched.tau, est.mean_sigma, mean)
+        sample_sd = est.stderr * math.sqrt(est.reps)
+        assert abs(sample_sd / sd - 1) < 0.01, (p, sched.tau, sample_sd, sd)
+
+
+def test_monte_carlo_sub_seeds():
+    sched = ProtocolSchedule.linear(10.0)
+    a = estimate_sigma(0.85, sched, 1000, (7, 1))
+    assert a == estimate_sigma(0.85, sched, 1000, (7, 1))
+    assert a.seed == (7, 1)
+    assert a != estimate_sigma(0.85, sched, 1000, (7, 2))
+    # an integer seed draws from (seed, tile), as before sub-seeds existed
+    first = [next(dynamics._run_batch(0.85, sched, 1000, key))[0]
+             for key in (7, (7,))]
+    assert np.array_equal(*first)
+    fit = scaling_fit(0.85, [10, 20], reps=1000, seed=7, monte_carlo=True)
+    assert [est.seed for est in fit.monte_carlo] == [(7, 0), (7, 1)]
+    assert fit.monte_carlo[0] == estimate_sigma(0.85, sched, 1000, (7, 0))
+
+
+def test_sigma_moments_memory_bounded():
+    # 10^6 steps in chunks: the gap grid alone would take 8 MB
+    sched = ProtocolSchedule(tau=1e5, steps=10**6)
+    tracemalloc.start()
+    try:
+        mean, sd = sigma_moments(0.85, sched)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert 0 < mean < 1e-4 and sd > 0
+    assert peak < 2**20, peak

@@ -175,8 +175,9 @@ def test_memory_ledger_sampled_batches():
     g = make_chsh()
     for seed, b in [(1, quantum_optimal_chsh()), (2, uniform_behaviour(g)),
                     (3, pr_box(g))]:
-        _, cells = simulate_rounds(g, b, 4000, seed=seed, keep_records=True)
-        h_g, h_m, ok = memory_ledger(enumerate_rounds(g, b)[1], cells)
+        _, rounds, cells = simulate_rounds(g, b, 4000, seed=seed,
+                                           keep_records=True)
+        h_g, h_m, ok = memory_ledger(rounds, cells)
         assert ok
         assert h_m >= h_g - 1e-9
         assert 0.0 <= h_g <= 1.0
@@ -188,8 +189,7 @@ def test_memory_ledger_matches_transcript_counts():
     # the plug-in entropy of the (g, u, v, r, a, b) tuples themselves
     g = make_chained(3)
     b = mix_with_uniform(pr_box(g), 0.6)
-    rounds = enumerate_rounds(g, b)[1]
-    _, cells = simulate_rounds(g, b, 5000, seed=8, keep_records=True)
+    _, rounds, cells = simulate_rounds(g, b, 5000, seed=8, keep_records=True)
     counts = Counter(tuple(int(rounds[k][i]) for k in "guvrab")
                      for i in cells)
     h_m = -math.fsum(c / 5000 * math.log2(c / 5000) for c in counts.values())
@@ -295,8 +295,10 @@ def test_simulate_memory_constant_in_n():
 def test_simulate_records_match_stats():
     g = make_chsh()
     b = quantum_optimal_chsh()
-    stats, cells = simulate_rounds(g, b, 2000, seed=11, keep_records=True)
-    records = enumerate_rounds(g, b)[1][cells]
+    stats, rounds, cells = simulate_rounds(g, b, 2000, seed=11,
+                                           keep_records=True)
+    assert np.array_equal(rounds, enumerate_rounds(g, b)[1])
+    records = rounds[cells]
     assert len(records) == 2000
     assert stats.empirical_p == pytest.approx(
         sum(r.won for r in records) / 2000, abs=1e-15)
@@ -307,7 +309,7 @@ def test_simulate_records_compact_cells():
     # chained:6 has 288; the shuffle draws as it does on int64
     for g, dtype in ((make_chsh(), np.uint8), (make_chained(6), np.uint16)):
         b = mix_with_uniform(pr_box(g), 0.75)
-        _, cells = simulate_rounds(g, b, 5000, seed=3, keep_records=True)
+        _, _, cells = simulate_rounds(g, b, 5000, seed=3, keep_records=True)
         assert cells.dtype == dtype
         rng = np.random.default_rng([3, 0])
         probs = enumerate_rounds(g, b)[0]

@@ -32,6 +32,17 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _check_entries(arr: np.ndarray, field: str):
+    """Reject the first negative or non-finite entry of a probability array;
+    NaN passes both ``< 0`` and any sum test, so it is named here."""
+    bad = ~np.isfinite(arr) | (arr < 0)
+    if bad.any():
+        index = np.argwhere(bad)[0]
+        where = "".join(f"[{i}]" for i in index)
+        kind = "negative" if arr[tuple(index)] < 0 else "non-finite"
+        raise ValidationError(f"{field}: {kind} entry at {where}")
+
+
 @dataclass(frozen=True, eq=False)
 class XorGame:
     """An XOR game: question counts, question distribution and predicate.
@@ -57,15 +68,14 @@ class XorGame:
         if f.shape != (self.nu, self.nv):
             raise ValidationError(
                 f"game field 'f': shape {f.shape} != ({self.nu}, {self.nv})")
-        if (mu < 0).any():
-            u, v = np.argwhere(mu < 0)[0]
-            raise ValidationError(f"game field 'mu': negative entry at [{u}][{v}]")
+        _check_entries(mu, "game field 'mu'")
         total = float(mu.sum())
         if abs(total - 1.0) > PROB_ATOL:
             raise ValidationError(
                 f"game field 'mu': entries sum to {total!r}, expected 1")
-        if not np.isin(f, (0, 1)).all():
-            u, v = np.argwhere(~np.isin(f, (0, 1)))[0]
+        bits = (f == 0) | (f == 1)
+        if not bits.all():
+            u, v = np.argwhere(~bits)[0]
             raise ValidationError(f"game field 'f': entry at [{u}][{v}] not a bit")
         object.__setattr__(self, "mu", _read_only(mu))
         object.__setattr__(self, "f", _read_only(f.astype(np.int64)))
@@ -85,10 +95,7 @@ class Behaviour:
             raise ValidationError(
                 f"behaviour field 'table': shape {t.shape} != "
                 f"({self.nu}, {self.nv}, 2, 2)")
-        if (t < 0).any():
-            u, v, a, b = np.argwhere(t < 0)[0]
-            raise ValidationError(
-                f"behaviour field 'table': negative entry at [{u}][{v}][{a}][{b}]")
+        _check_entries(t, "behaviour field 'table'")
         sums = t.sum(axis=(2, 3))
         bad = np.abs(sums - 1.0) > PROB_ATOL
         if bad.any():
@@ -114,8 +121,9 @@ class CorrelatorMatrix:
 
     def __post_init__(self):
         e = np.array(self.e, dtype=float)
-        if (np.abs(e) > 1.0 + PROB_ATOL).any():
-            u, v = np.argwhere(np.abs(e) > 1.0 + PROB_ATOL)[0]
+        outside = ~(np.abs(e) <= 1.0 + PROB_ATOL)  # NaN is outside too
+        if outside.any():
+            u, v = np.argwhere(outside)[0]
             raise ValidationError(
                 f"correlator entry [{u}][{v}] = {e[u, v]!r} outside [-1, 1]")
         object.__setattr__(self, "e", _read_only(e))
@@ -169,20 +177,18 @@ def deterministic_behaviour(game: XorGame, amap, bmap) -> Behaviour:
     ``amap`` and ``bmap`` list the output bit for each question of Alice and
     Bob respectively.
     """
-    amap = list(amap)
-    bmap = list(bmap)
-    if len(amap) != game.nu:
+    a, b = np.asarray(list(amap)), np.asarray(list(bmap))
+    if a.shape != (game.nu,):
         raise ValidationError(
-            f"amap has length {len(amap)}, game has {game.nu} Alice questions")
-    if len(bmap) != game.nv:
+            f"amap has shape {a.shape}, game has {game.nu} Alice questions")
+    if b.shape != (game.nv,):
         raise ValidationError(
-            f"bmap has length {len(bmap)}, game has {game.nv} Bob questions")
-    if any(x not in (0, 1) for x in amap) or any(x not in (0, 1) for x in bmap):
+            f"bmap has shape {b.shape}, game has {game.nv} Bob questions")
+    if not (((a == 0) | (a == 1)).all() and ((b == 0) | (b == 1)).all()):
         raise ValidationError("strategy maps must contain bits only")
     t = np.zeros((game.nu, game.nv, 2, 2))
-    for u in range(game.nu):
-        for v in range(game.nv):
-            t[u, v, amap[u], bmap[v]] = 1.0
+    t[np.arange(game.nu)[:, None], np.arange(game.nv),
+      a.astype(np.int64)[:, None], b.astype(np.int64)] = 1.0
     return Behaviour(game.nu, game.nv, t)
 
 
@@ -193,13 +199,7 @@ def pr_box(game: XorGame) -> Behaviour:
     every question pair, so the box is nonsignalling, and it wins the game
     with probability 1.
     """
-    t = np.zeros((game.nu, game.nv, 2, 2))
-    for u in range(game.nu):
-        for v in range(game.nv):
-            fb = int(game.f[u, v])
-            t[u, v, 0, fb] = 0.5
-            t[u, v, 1, 1 - fb] = 0.5
-    return Behaviour(game.nu, game.nv, t)
+    return correlator_behaviour(1.0 - 2.0 * game.f)  # correlator (-1)^f
 
 
 def correlator_behaviour(e) -> Behaviour:

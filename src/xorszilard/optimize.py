@@ -5,11 +5,13 @@ smaller side's output maps are enumerated as bounded chunks of +-1 sign
 rows against the bias form W = mu * (-1)^f, the other side answering each
 of its questions best, so the nu + nv budget bounds the work.  The quantum
 value is lower-bounded by an alternating (seesaw) maximization of the
-bilinear bias over unit vectors, over-relaxed by Young's rule from the
-seesaw's measured rate, and upper-bounded by a feasible point of the
-XOR-game SDP dual built from the same vectors; the seesaw stops once the
-two are within a tolerance.  The nonsignalling value of an XOR game is
-always 1, witnessed by the predicate box.
+bilinear bias over unit vectors, and upper-bounded by a feasible point of
+the XOR-game SDP dual built from the same vectors; the seesaw stops once
+the two are within a tolerance.  Its rate is measured at every step from
+the bias increments; Young's rule turns it into an over-relaxation, applied
+with one row-norm pass per half-step, and into the step of the next dual
+check.  The nonsignalling value of an XOR game is always 1, witnessed by
+the predicate box.
 """
 
 from __future__ import annotations
@@ -25,8 +27,11 @@ from .games import Behaviour, XorGame, game_value, pr_box
 LOCAL_BUDGET = 40  # enumeration budget: nu + nv question count
 _CHUNK_BITS = 10  # local enumeration chunks hold 2**10 maps
 _SLACK = 1e-12  # bias margin, far above rounding error since |W| sums to 1
-CHECK_EVERY = 8  # seesaw steps between dual-bound checks
-RATE_SETTLE = 0.005  # relative change at which a measured seesaw rate is used
+CHECK_EVERY = 8  # seesaw steps to a check when no rate predicts one
+CHECK_MAX = 64  # most seesaw steps between two checks
+RATE_SETTLE = 0.05  # relative change at which a plain-step rate is used
+RELAXED_SETTLE = 0.005  # the same for an over-relaxed step's rate
+RISE_MIN = 1e-13  # least bias increment whose ratio measures a rate
 OMEGA_MAX = 1.95  # over-relaxation cap; omega = 2 would not contract
 
 DEFAULT_RESTARTS = 20
@@ -224,29 +229,21 @@ def _row_norms(vecs: np.ndarray) -> np.ndarray:
     return np.sqrt(np.add.reduce(vecs * vecs, axis=-1, keepdims=True))
 
 
-def _unit_rows(vecs: np.ndarray, fallback: np.ndarray) -> np.ndarray:
-    """Scale each row of ``vecs`` to unit length, in place; rows with zero
-    weighted sum keep their previous direction from ``fallback``."""
-    norms = _row_norms(vecs)
-    if norms.min() < 1e-300:
-        zero = norms < 1e-300
-        np.copyto(vecs, fallback, where=zero)
-        norms[zero] = 1.0
-    vecs /= norms
-    return vecs
+def _toward(target: np.ndarray, rows: np.ndarray, omega: float) -> np.ndarray:
+    """Rows of an over-relaxed half-step, before scaling to unit length.
 
-
-def _toward(target: np.ndarray, vecs: np.ndarray, omega: float) -> np.ndarray:
-    """Over-relaxed half-step: rows unit(v + omega (unit(t) - v)) from the
-    unit rows v of ``vecs`` past the exact maximizer unit(t) of ``target``.
-
-    Computed in place in ``target`` as unit(t + (1/omega - 1) |t| v), which
-    has the same direction; omega = 1 is the plain step unit(t), and a zero
-    row of ``target`` keeps its row of ``vecs``.
+    ``target`` holds the other side's weighted sums t, whose unit rows are
+    the exact maximizer; ``rows`` holds this side's rows s of the previous
+    half-step, whose unit rows v = s / |s| are this side's vectors.  The
+    result t + (1 - omega) s is t + kappa |s| v with kappa = c / (1 + c) and
+    c = 1/omega - 1.  At a fixed point |s| = (1 + c) |t|, so it has the
+    fixed points and the linearisation of unit(v + omega (unit(t) - v)) =
+    unit(t + c |t| v): the lag in |s| moves s along v only.  omega = 1 is the
+    plain step t.
     """
-    if omega != 1.0:
-        target += vecs * ((1.0 / omega - 1.0) * _row_norms(target))
-    return _unit_rows(target, vecs)
+    if omega == 1.0:
+        return target
+    return target + (1.0 - omega) * rows
 
 
 def _dual_upper(weights: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
@@ -292,6 +289,37 @@ def _dual_bound(m: np.ndarray, w_sq: float, wb: np.ndarray,
     return float(diag.sum() + n * max(0.0, slack))
 
 
+def _young_omega(rho: float) -> float:
+    """Young's optimal over-relaxation for a plain-step rate rho, capped."""
+    return min(2.0 / (1.0 + math.sqrt(1.0 - rho)), OMEGA_MAX)
+
+
+def _young_rho(rate: float, omega: float) -> float:
+    """The plain-step rate rho that Young's relation
+    (rate + omega - 1)^2 = rate omega^2 rho gives for a rate seen at omega;
+    a rate below (omega - 1)^2 gives rho > 1, beyond the model."""
+    return (rate + omega - 1.0) ** 2 / (rate * omega * omega)
+
+
+def _young_rate(rho: float, omega: float) -> float:
+    """The rate at omega of an iteration whose plain-step rate is rho: the
+    largest |lambda| with (lambda + omega - 1)^2 = lambda omega^2 rho."""
+    q = omega - 1.0
+    half = 0.5 * omega * omega * rho - q
+    disc = half * half - q * q
+    return half + math.sqrt(disc) if disc > 0.0 else q
+
+
+def _steps_to(gap: float, rate: float, tol: float) -> int:
+    """Steps for a gap that contracts by ``rate`` per step to fall below tol,
+    at most CHECK_MAX."""
+    if gap <= tol or rate <= 0.0:
+        return 1
+    steps = math.log(tol / gap) / math.log(rate) if rate < 1.0 else CHECK_MAX
+    return max(1, math.ceil(min(steps, CHECK_MAX)))
+
+
+@np.errstate(invalid="ignore")  # a row of zero weighted sum ends the run
 def _seesaw(weights: np.ndarray, a: np.ndarray, b: np.ndarray, tol: float,
             max_iter: int):
     """One over-relaxed seesaw run from unit rows a (nu, dim) and b (nv, dim),
@@ -301,59 +329,102 @@ def _seesaw(weights: np.ndarray, a: np.ndarray, b: np.ndarray, tol: float,
     other side (_toward).  Its two half-steps form a 2-cyclic block
     Gauss-Seidel iteration, so Young's theory gives the best over-relaxation
     from the plain step's rate rho: omega = 2 / (1 + sqrt(1 - rho)), capped
-    at OMEGA_MAX.  The run starts with plain steps (omega = 1) and measures
-    the per-step contraction of the dual gap over successive check blocks.
-    Each time that rate changes by at most RATE_SETTLE between two blocks,
-    it gives rho through Young's relation (rate + omega - 1)^2 =
-    rate omega^2 rho, and a rho above the last one raises omega.  The plain
-    rate of a nonlinear run can keep rising after it first settles, so
-    omega follows it up.  Over-relaxed steps can lower the bias: a check
-    whose bias is more than _SLACK below the best so far returns the run to
-    plain steps, under which the bias never falls.
+    at OMEGA_MAX.  The rate is measured at every step from the bias, which
+    costs one dot product: the error of the vectors contracts by the rate
+    per step, so the bias increments contract by its square.  When two
+    successive increment ratios r agree within RATE_SETTLE (RELAXED_SETTLE
+    once over-relaxed), sqrt(r) is the step's rate and Young's relation
+    (rate + omega - 1)^2 = rate omega^2 rho gives rho.  A rho above the last
+    one raises omega: the plain rate of a nonlinear run keeps rising after
+    it first settles, so omega follows it up.  Over-relaxed steps can lower
+    the bias: a check whose bias is more than _SLACK below the best so far
+    returns the run to plain steps, under which the bias never falls.
 
-    Every CHECK_EVERY steps the run bounds every quantum bias from above by
-    the dual point of its current vectors (_dual_bound).  It keeps the
-    vectors of the last check whose bias is within _SLACK of the best seen
-    at a check (near an optimum the bias settles to rounding error while the
-    dual gap still shrinks), and the least bound seen; both hold for any
-    unit vectors, and the run stops once they are within ``tol``.
+    The run bounds every quantum bias from above by the dual point of its
+    current vectors (_dual_bound) at step 0 and then at the step where the
+    dual gap is predicted to pass ``tol``: by the rate the gap showed since
+    the last check at this omega, else by Young's rate at omega, else
+    CHECK_EVERY steps on.  A check that shows a rate above Young's raises
+    omega too.  The first check after a change of omega comes within
+    CHECK_EVERY steps, so an overshoot is caught as early as with a check
+    every CHECK_EVERY steps; plain steps whose bias stalls are checked at
+    once.  The run keeps the vectors of the last check whose bias is within
+    _SLACK of the best seen at a check (near an optimum the bias settles to
+    rounding error while the dual gap still shrinks), and the least bound
+    seen; both hold for any unit vectors, and the run stops once they are
+    within ``tol``.  A row whose weighted sum is exactly zero has no
+    direction: the run then ends with the vectors it kept.
     """
+    wt = weights.T
     m = _dual_matrix(weights)
     w_sq = float(np.vdot(weights, weights))
-    omega, rho, measuring, gap, rate = 1.0, 0.0, True, None, None
+    omega, rho, relax = 1.0, 0.0, True
     kept, best, upper = None, -math.inf, math.inf
-    wb = weights @ b
-    it = 0
+    rows_a, rows_b = a, b
+    wb, wta = weights @ b, wt @ a
+    bias = float(np.vdot(a, wb))
+    it = check = 0
+    last = mark = None   # (step, gap) of the last check, and of the last
+    rate = None          # check at this omega; the gap's rate at omega
+    rise = ratio = None  # the last bias increment and increment ratio
+    fresh = False        # omega changed since the last check
     while True:
-        bias = float(np.vdot(a, wb))
-        bound = _dual_bound(m, w_sq, wb, weights.T @ a)
-        upper = min(upper, bound)
-        if bias >= best - _SLACK:
-            kept, best = (a, b, bias), max(best, bias)
-        else:
-            omega, measuring = 1.0, False
-        if upper - kept[2] < tol or it == max_iter:
+        if it == check:
+            bound = _dual_bound(m, w_sq, wb, wta)
+            upper = min(upper, bound)
+            if bias >= best - _SLACK:
+                kept, best = (a, b, bias), max(best, bias)
+            elif relax:  # an overshoot: plain steps from here on
+                omega, relax, rate, mark = 1.0, False, rho or None, None
+            if upper - kept[2] < tol or it == max_iter:
+                return (*kept, upper, it)
+            gap, fresh = bound - bias, False
+            if mark is not None and 0.0 < gap < mark[1]:
+                rate = (gap / mark[1]) ** (1.0 / (it - mark[0]))
+                seen = _young_rho(rate, omega)
+                if omega > 1.0 and rho < seen < 1.0 \
+                        and _young_omega(seen) > omega:
+                    rho, omega, fresh = seen, _young_omega(seen), True
+                    rate, rise = _young_rate(rho, omega), None
+            spacing = CHECK_EVERY if rate is None else _steps_to(gap, rate, tol)
+            if fresh:
+                spacing = min(spacing, CHECK_EVERY)
+            check = min(it + spacing, max_iter)
+            last = (it, gap)
+            mark = None if fresh else last
+        rows_a = _toward(wb, rows_a, omega)
+        a = rows_a / _row_norms(rows_a)
+        wta = wt @ a
+        rows_b = _toward(wta, rows_b, omega)
+        b = rows_b / _row_norms(rows_b)
+        wb = weights @ b
+        it += 1
+        step_rise, bias = -bias, float(np.vdot(a, wb))
+        if bias != bias:  # NaN: a row of zero weighted sum
             return (*kept, upper, it)
-        if measuring:
-            last_gap, gap = gap, bound - bias
-            last_rate, rate = rate, None
-            if last_gap is not None and 0.0 < gap < last_gap:
-                rate = (gap / last_gap) ** (1.0 / CHECK_EVERY)
-                if (last_rate is not None
-                        and abs(rate - last_rate) <= RATE_SETTLE * rate):
-                    # Young: (rate + omega - 1)^2 = rate omega^2 rho; a rate
-                    # below (omega - 1)^2 gives rho > 1, beyond the model
-                    seen = (rate + omega - 1.0) ** 2 / (rate * omega * omega)
-                    if rho < seen < 1.0:
-                        rho = seen
-                        omega = min(2.0 / (1.0 + math.sqrt(1.0 - rho)),
-                                    OMEGA_MAX)
-                        rate = None  # the next rate is measured at this omega
-        for _ in range(min(CHECK_EVERY, max_iter - it)):
-            a = _toward(wb, a, omega)
-            b = _toward(weights.T @ a, b, omega)
-            wb = weights @ b
-        it = min(it + CHECK_EVERY, max_iter)
+        if not relax:
+            continue
+        step_rise += bias
+        if rise is not None and rise > RISE_MIN:
+            r = step_rise / rise
+            if omega == 1.0 and step_rise <= RISE_MIN:
+                check = it  # the plain steps have stalled: check now
+            elif 0.0 < r < 1.0 and ratio is not None and abs(r - ratio) <= (
+                    RATE_SETTLE if omega == 1.0 else RELAXED_SETTLE) * r:
+                lam = math.sqrt(r)
+                seen = _young_rho(lam, omega)
+                if rho < seen < 1.0 and _young_omega(seen) > omega:
+                    rho, omega = seen, _young_omega(seen)
+                    rate, mark = _young_rate(rho, omega), None
+                    due = it + _steps_to(last[1] * lam ** (it - last[0]),
+                                         rate, tol)
+                    check = min(check if fresh else it + CHECK_EVERY, due,
+                                max_iter)
+                    fresh, step_rise = True, None
+            ratio = r
+        else:
+            ratio = None
+        rise = step_rise
 
 
 def quantum_value(game: XorGame, restarts: int = DEFAULT_RESTARTS,
@@ -365,19 +436,25 @@ def quantum_value(game: XorGame, restarts: int = DEFAULT_RESTARTS,
     run while the best bias is ``tol`` or more below the least dual bound,
     so ``restarts`` is a cap; the first restart is nearly always certified.
     Otherwise the state has ``converged=False``, and its bound still holds.
+    Questions of zero weight never move the bias or the bound, so the
+    seesaw runs without them and they keep their start vectors.
     """
     if restarts < 1:
         raise ValidationError(f"need restarts >= 1, got {restarts}")
     weights = _weights(game)
+    live_a, live_b = weights.any(axis=1), weights.any(axis=0)
+    weights = weights[live_a][:, live_b]
     best, upper = None, math.inf
     for k in range(restarts):
-        run = _seesaw(weights, *_seesaw_start(game, seed, k), tol, max_iter)
-        upper = min(upper, run[3])
-        if best is None or run[2] > best[2]:
-            best = run
+        a, b = _seesaw_start(game, seed, k)
+        a[live_a], b[live_b], bias, bound, steps = _seesaw(
+            weights, a[live_a], b[live_b], tol, max_iter)
+        upper = min(upper, bound)
+        if best is None or bias > best[2]:
+            best = (a, b, bias, steps)
         if upper - best[2] < tol:
             break
-    a, b, bias, _, iterations = best
+    a, b, bias, iterations = best
     state = SeesawState(dim=game.nu + game.nv, avecs=a, bvecs=b, bias=bias,
                         upper=upper, iterations=iterations, restarts=k + 1,
                         converged=upper - bias < tol)

@@ -148,6 +148,34 @@ def test_value_bad_game_file_names_mu(capsys, tmp_path):
     assert "mu" in err
 
 
+@pytest.mark.parametrize("where", ["game", "behaviour"])
+def test_nan_input_files_exit_validation(capsys, tmp_path, where):
+    # json reads NaN, and NaN passes both a sum test and a sign test
+    game = {"name": "chsh", "nu": 2, "nv": 2,
+            "mu": [[0.25, 0.25], [0.25, 0.25]], "f": [[0, 0], [0, 1]]}
+    table = [[[[0.25, 0.25], [0.25, 0.25]]] * 2] * 2
+    if where == "game":
+        game["mu"][1][0] = float("nan")
+    else:
+        table = [[[[float("nan"), 0.25], [0.25, 0.25]]] * 2] * 2
+    game_path, behaviour_path = tmp_path / "game.json", tmp_path / "b.json"
+    game_path.write_text(json.dumps(game))
+    behaviour_path.write_text(json.dumps({"nu": 2, "nv": 2, "table": table}))
+    assert "NaN" in (game_path if where == "game" else behaviour_path).read_text()
+    commands = [["channel", "--game", str(game_path), "--behaviour",
+                 str(behaviour_path)],
+                ["simulate", "--game", str(game_path), "--behaviour",
+                 str(behaviour_path), "--rounds", "100"]]
+    if where == "game":
+        commands += [["value", "--game", str(game_path)],
+                     ["channel", "--game", str(game_path), "--behaviour", "pr"]]
+    for argv in commands:
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_VALIDATION, (argv, out, err)
+        assert out == "" and "non-finite" in err
+        assert ("mu" if where == "game" else "table") in err
+
+
 def test_unknown_specs_exit_parse(capsys):
     code, _, err = run(capsys, "value", "--game", "tictactoe")
     assert code == EXIT_PARSE

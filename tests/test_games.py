@@ -121,6 +121,26 @@ def test_deterministic_behaviour():
         deterministic_behaviour(g, [0, 2], [0, 0])
 
 
+def test_constructors_match_loop_form():
+    # the per-cell loops these constructors replaced, as references
+    rng = np.random.default_rng(31)
+    for _ in range(20):
+        nu, nv = (int(x) for x in rng.integers(1, 9, size=2))
+        mu = rng.random((nu, nv))
+        g = XorGame(name="r", nu=nu, nv=nv, mu=mu / mu.sum(),
+                    f=rng.integers(0, 2, size=(nu, nv)))
+        amap = rng.integers(0, 2, size=nu).tolist()
+        bmap = rng.integers(0, 2, size=nv).tolist()
+        box, det = np.zeros((nu, nv, 2, 2)), np.zeros((nu, nv, 2, 2))
+        for u in range(nu):
+            for v in range(nv):
+                fb = int(g.f[u, v])
+                box[u, v, 0, fb] = box[u, v, 1, 1 - fb] = 0.5
+                det[u, v, amap[u], bmap[v]] = 1.0
+        assert np.array_equal(pr_box(g).table, box)
+        assert np.array_equal(deterministic_behaviour(g, amap, bmap).table, det)
+
+
 def test_mix_with_uniform():
     g = make_chsh()
     box = pr_box(g)
@@ -152,6 +172,14 @@ def test_game_invariant_validation():
     with pytest.raises(ValidationError):
         XorGame(name="bad", nu=2, nv=2, mu=np.full((2, 2), 0.25),
                 f=np.array([[0, 0], [0, 2]]))
+    for x in (math.nan, math.inf):
+        mu = np.full((2, 2), 0.25)
+        mu[1, 0] = x
+        with pytest.raises(ValidationError, match=r"non-finite entry at \[1\]\[0\]"):
+            XorGame(name="bad", nu=2, nv=2, mu=mu, f=np.zeros((2, 2)))
+    with pytest.raises(ValidationError, match="'f'"):
+        XorGame(name="bad", nu=2, nv=2, mu=np.full((2, 2), 0.25),
+                f=np.array([[0, 0], [0, math.nan]]))
 
 
 def test_behaviour_invariant_validation():
@@ -163,11 +191,18 @@ def test_behaviour_invariant_validation():
     t[1, 1] = [[0.5, 0.5], [0.5, -0.5]]
     with pytest.raises(ValidationError):
         Behaviour(2, 2, t)
+    t = np.full((2, 2, 2, 2), 0.25)
+    t[1, 0, 1, 0] = math.nan
+    with pytest.raises(ValidationError, match=r"non-finite entry at \[1\]\[0\]\[1\]\[0\]"):
+        Behaviour(2, 2, t)
 
 
 def test_correlator_matrix_range():
     with pytest.raises(ValidationError):
         CorrelatorMatrix(e=np.array([[1.5]]))
+    for x in (math.nan, -math.inf):
+        with pytest.raises(ValidationError):
+            CorrelatorMatrix(e=np.array([[0.5, x]]))
 
 
 def test_behaviour_from_table_infers_shape():

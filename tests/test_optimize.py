@@ -9,8 +9,9 @@ from xorszilard import (Behaviour, BudgetError, ValidationError, XorGame,
                         class_report, deterministic_behaviour, game_value,
                         is_nonsignalling, local_value, make_chained, make_chsh,
                         ns_value, optimize, pr_box, quantum_value)
-from xorszilard.optimize import (CHECK_EVERY, DEFAULT_TOL, SeesawState,
-                                 _dual_upper, _seesaw, _seesaw_start, _weights)
+from xorszilard.optimize import (CHECK_EVERY, DEFAULT_SEED, DEFAULT_TOL,
+                                 SeesawState, _dual_upper, _seesaw,
+                                 _seesaw_start, _weights)
 
 
 def brute_force_local(game):
@@ -168,8 +169,7 @@ def test_quantum_value_trivial_game():
 
 
 def test_seesaw_monotone_and_sound():
-    # a run continued from its returned vectors is the same run, so running
-    # CHECK_EVERY steps at a time visits every certificate check
+    # runs of CHECK_EVERY steps, each from the vectors the last one returned
     for g in [make_chsh(), make_chained(4), random_game(3, 3, 9)]:
         weights = _weights(g)
         for k in range(4):
@@ -209,10 +209,64 @@ def test_large_chained_certified(n):
 
 
 def test_seesaw_step_count_chained():
-    # deterministic at the default seed; plain seesaw steps take 6232
+    # deterministic at the default seed; plain seesaw steps take 6232, and
+    # an omega set from dual-gap rates over 8-step check blocks took 1696
     steps = sum(quantum_value(make_chained(n))[1].iterations
                 for n in range(2, 21))
-    assert steps <= 3000
+    assert steps <= 1696
+
+
+def trace_run(monkeypatch, game, **kwargs):
+    """quantum_value with each half-step's omega and each dual check's step
+    recorded."""
+    omegas, checks = [], []
+    toward, dual_bound = optimize._toward, optimize._dual_bound
+
+    def traced_toward(target, rows, omega):
+        omegas.append(omega)
+        return toward(target, rows, omega)
+
+    def traced_dual_bound(*args):
+        checks.append(len(omegas) // 2)
+        return dual_bound(*args)
+
+    monkeypatch.setattr(optimize, "_toward", traced_toward)
+    monkeypatch.setattr(optimize, "_dual_bound", traced_dual_bound)
+    w, state = quantum_value(game, **kwargs)
+    return w, state, omegas[::2], checks
+
+
+def values_games():
+    """CHSH, chained games and random games of the values benchmark's
+    shapes."""
+    shapes = ((15, 3), (12, 3), (3, 14), (3, 12), (6, 6), (8, 8), (10, 10))
+    return ([make_chsh()] + [make_chained(n) for n in (3, 4, 5, 6, 7, 8, 10, 12)]
+            + [random_game(nu, nv, 40 + i) for i, (nu, nv) in enumerate(shapes)])
+
+
+def test_dual_checks_per_certified_run(monkeypatch):
+    # checks spaced by the measured rate; a check every 8 steps took 13 on
+    # chained:12 and 121 over these games (65 now)
+    _, state, _, checks = trace_run(monkeypatch, make_chained(12))
+    assert state.converged and len(checks) <= 6
+    total = 0
+    for g in values_games():
+        _, state, _, checks = trace_run(monkeypatch, g, seed=3)
+        assert state.converged and state.restarts == 1
+        assert len(checks) <= 6, g.name
+        total += len(checks)
+    assert total <= 72
+
+
+@pytest.mark.parametrize("game", [make_chained(12), make_chained(30),
+                                  random_game(7, 4, 135)], ids=lambda g: g.name)
+def test_first_check_after_omega_change_within_check_every(monkeypatch, game):
+    _, state, omegas, checks = trace_run(monkeypatch, game, restarts=1)
+    assert state.converged and checks[0] == 0
+    changes = [k for k in range(1, len(omegas)) if omegas[k] != omegas[k - 1]]
+    assert changes and omegas[0] == 1.0
+    for k in changes:  # omega changed before step k + 1
+        assert any(k < c <= k + CHECK_EVERY for c in checks), (k, checks)
 
 
 def test_overshooting_step_returns_run_to_plain_steps(monkeypatch):
@@ -254,6 +308,21 @@ def test_in_loop_dual_bound_matches_reference():
             assert it == 0
             assert abs(upper - _dual_upper(weights, a, b)) <= 1e-15
             assert abs(bias - np.einsum("uv,ud,vd->", weights, a, b)) <= 1e-15
+
+
+def test_zero_weighted_sum_gives_run_up_with_sound_bound():
+    # a zero row of W sums to zero at every step; quantum_value drops such
+    # questions, and _seesaw ends at the first step with the checked vectors
+    g = sparse_game(3, 3, [(0, 0), (0, 2), (2, 1)], seed=5)
+    weights = _weights(g)
+    a, b = _seesaw_start(g, 1, 0)
+    a1, b1, bias, upper, it = _seesaw(weights, a, b, DEFAULT_TOL, 100)
+    assert it == 1 and a1 is a and b1 is b
+    assert abs(upper - _dual_upper(weights, a, b)) <= 1e-15
+    assert math.isfinite(bias)
+    w, state = quantum_value(g, restarts=1)
+    assert state.converged and state.avecs.shape == (3, 6)
+    assert np.array_equal(state.avecs[1], _seesaw_start(g, DEFAULT_SEED, 0)[0][1])
 
 
 def test_dual_upper_bounds_any_unit_vectors():

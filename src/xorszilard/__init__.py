@@ -11,8 +11,7 @@ from .engine import (CycleLedger, PosteriorBranch, SimulationStats,
                      cycle_ledger, exact_memory_ledger, memory_ledger,
                      merge_stats, noise_threshold, posterior, simulate_rounds,
                      small_bias_work, sweep_s_curve, trajectory_work)
-from .errors import (BudgetError, ParseError, RegimeError, SimulationError,
-                     ValidationError)
+from .errors import BudgetError, ParseError, RegimeError, ValidationError
 from .games import (Behaviour, CorrelatorMatrix, XorGame, bias, chsh_S,
                     correlator_behaviour, correlators, deterministic_behaviour,
                     game_value, load_behaviour, load_game, make_chained,

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
-from .games import Behaviour, XorGame, _check_dims, game_value
+from .errors import BudgetError, ValidationError
+from .games import MAX_CHAIN, Behaviour, XorGame, _check_dims, game_value
 
 
 def _check_prob(p: float, name: str) -> float:
@@ -115,6 +115,7 @@ ROUND_DTYPE = np.dtype([("x", np.int8), ("u", np.int64), ("v", np.int64),
                         ("a", np.int8), ("b", np.int8), ("r", np.int8),
                         ("g", np.int8), ("e", np.int8), ("won", np.bool_)])
 CSV_HEADER = list(ROUND_DTYPE.names)
+MAX_CELLS = 8 * MAX_CHAIN**2  # round-table cells, those of chained:MAX_CHAIN
 _CSV_ROWS = 2**12  # transcript rows per joined string: ~100 KB chunks
 
 
@@ -129,8 +130,14 @@ def enumerate_rounds(game: XorGame, b: Behaviour):
     cells are kept, so callers can separate support questions from
     impossible outputs.  This is the only place that maps a cell to its
     derived bits; a sampled transcript is an array of indices into it.
+    A table holds at most MAX_CELLS cells (BudgetError), checked before
+    anything is allocated: each cell costs about 100 bytes.
     """
     _check_dims(game, b)
+    if 8 * game.nu * game.nv > MAX_CELLS:
+        raise BudgetError(
+            f"round table budget exceeded: 8 nu nv = {8 * game.nu * game.nv}"
+            f" > {MAX_CELLS} cells")
     x, u, v, a, bb = (c.ravel() for c in
                       np.indices((2, game.nu, game.nv, 2, 2)))
     probs = 0.5 * game.mu[u, v] * b.table[u, v, a, bb]

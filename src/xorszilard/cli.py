@@ -12,8 +12,8 @@ physical energy.  CSV floats carry 9 significant digits with '.' decimals.
 Exit codes: 0 ok, 2 parse (also a --kt that is not finite and > 0, a
 --tau-grid entry that is not a number, and an output file that cannot be
 written), 3 validation, 4 budget (chained:N length, local enumeration,
-rounds per simulate batch and kept transcript rows, finite-time steps and
-reps*steps, sweep rows), 5 regime.
+round-table cells, rounds per simulate batch and kept transcript rows,
+finite-time steps and reps*steps, sweep rows), 5 regime.
 The environment variable XORSZILARD_OUT_DIR sets the default directory for
 relative output paths.
 """
@@ -31,8 +31,7 @@ import numpy as np
 
 from . import channel as chan
 from . import dynamics, engine, games, optimize
-from .errors import (BudgetError, ParseError, RegimeError, SimulationError,
-                     ValidationError)
+from .errors import BudgetError, ParseError, RegimeError, ValidationError
 from .optimize import DEFAULT_SEED
 
 EXIT_PARSE = 2
@@ -196,7 +195,7 @@ def parse_behaviour_spec(spec: str, game: games.XorGame):
 
 def cmd_value(args) -> int:
     game = parse_game_spec(args.game)
-    report = optimize.class_report(game, seed=args.seed, restarts=args.restarts)
+    report = optimize.class_report(game, seed=args.seed)
     w_l, w_q, w_ns = engine.class_ceilings(report)
     scale = engine.LN2 * args.kt
     data = report.to_json_dict()
@@ -341,8 +340,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("value", help="local/quantum/nonsignalling values and ceilings")
     p.add_argument("--game", required=True)
     p.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
-    p.add_argument("--restarts", type=int, default=optimize.DEFAULT_RESTARTS,
-                   help="cap on seesaw restarts, run until one is certified")
     common(p)
     p.set_defaults(func=cmd_value)
 
@@ -408,9 +405,6 @@ def main(argv=None) -> int:
     except RegimeError as exc:
         print(f"error (regime): {exc}", file=sys.stderr)
         return EXIT_REGIME
-    except SimulationError as exc:
-        print(f"error (simulation): {exc}", file=sys.stderr)
-        return 1
     except OSError as exc:  # writes only: games maps failed reads to ParseError
         print(f"error (output): {exc}", file=sys.stderr)
         return EXIT_PARSE

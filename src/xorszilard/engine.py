@@ -22,7 +22,7 @@ import numpy as np
 
 from .channel import BinaryChannel, _check_bit, apply_noise, \
     binary_entropy, enumerate_rounds, mutual_information
-from .errors import BudgetError, SimulationError, ValidationError
+from .errors import BudgetError, ValidationError
 from .games import PROB_ATOL, Behaviour, XorGame, game_value
 from .optimize import ClassValueReport
 
@@ -307,6 +307,9 @@ def simulate_rounds(game: XorGame, behaviour: Behaviour, n: int, seed: int,
     (uint8 for CHSH's 32 cells, uint16 up to 65 536 cells), which shuffles
     with the same draws as int64.  A batch is capped at MAX_ROUNDS
     rounds, and at MAX_RECORDS when its transcript is kept (BudgetError).
+    A controller model of 1 is rejected unless the channel never errs:
+    its branch would cost infinite work on a wrong guess (ValidationError,
+    before any draw).
     """
     if n < 1:
         raise ValidationError(f"need n >= 1 rounds, got {n}")
@@ -321,6 +324,10 @@ def simulate_rounds(game: XorGame, behaviour: Behaviour, n: int, seed: int,
         raise ValidationError(
             f"controller model p = {q!r} outside [1/2, 1]; orient the "
             "channel before feedback")
+    if q == 1.0 and p_true < 1.0:
+        raise ValidationError(
+            f"controller model p = 1 on a channel that errs (p = {p_true!r}): "
+            "a wrong guess would cost infinite work")
     analytic = _mean_work(p_true, *_hit_miss_works(q))
 
     probs, rounds = enumerate_rounds(game, behaviour)
@@ -334,10 +341,6 @@ def simulate_rounds(game: XorGame, behaviour: Behaviour, n: int, seed: int,
         # a hit and a won round into a miss
         hits += (int(rng.binomial(n - hits, noise_delta))
                  - int(rng.binomial(hits, noise_delta)))
-    if q == 1.0 and hits < n:
-        raise SimulationError(
-            "controller model p=1 saw a wrong guess; the behaviour does not "
-            "win with certainty")
     stats = SimulationStats(rounds=n, hits=hits, p_model=q,
                             analytic_work_kt=analytic, seed=seed)
     if keep_records:

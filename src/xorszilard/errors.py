@@ -19,7 +19,3 @@ class BudgetError(RuntimeError):
 
 class RegimeError(RuntimeError):
     """A stochastic estimate fell outside its usable regime."""
-
-
-class SimulationError(RuntimeError):
-    """A probability-zero event occurred in simulation (structural bug)."""

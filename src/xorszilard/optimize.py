@@ -4,14 +4,14 @@ The local value is an exact maximum over deterministic strategies: the
 smaller side's output maps are enumerated as bounded chunks of +-1 sign
 rows against the bias form W = mu * (-1)^f, the other side answering each
 of its questions best, so the nu + nv budget bounds the work.  The quantum
-value is lower-bounded by an alternating (seesaw) maximization of the
-bilinear bias over unit vectors, and upper-bounded by a feasible point of
-the XOR-game SDP dual built from the same vectors; the seesaw stops once
+value is lower-bounded by one seeded alternating (seesaw) maximization of
+the bilinear bias over unit vectors, and upper-bounded by a feasible point
+of the XOR-game SDP dual built from the same vectors; the seesaw stops once
 the two are within a tolerance.  Its rate is measured at every step from
-the bias increments; Young's rule turns it into an over-relaxation, applied
-with one row-norm pass per half-step, and into the step of the next dual
-check.  The nonsignalling value of an XOR game is always 1, witnessed by
-the predicate box.
+the bias increments; Young's rule turns it into the over-relaxation,
+applied with one row-norm pass per half-step.  The dual gap's own rate
+spaces the checks.  The nonsignalling value of an XOR game is always 1,
+witnessed by the predicate box.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ RELAXED_SETTLE = 0.005  # the same for an over-relaxed step's rate
 RISE_MIN = 1e-13  # least bias increment whose ratio measures a rate
 OMEGA_MAX = 1.95  # over-relaxation cap; omega = 2 would not contract
 
-DEFAULT_RESTARTS = 20
 DEFAULT_TOL = 1e-12  # certified gap of the quantum bias
 DEFAULT_MAX_ITER = 10_000
 DEFAULT_SEED = 1234  # fixed constant, never time-based
@@ -190,7 +189,6 @@ class SeesawState:
     bias: float
     upper: float
     iterations: int
-    restarts: int
     converged: bool
 
     def __post_init__(self):
@@ -213,8 +211,8 @@ def _omega(bias: float) -> float:
 
 
 def _seesaw_start(game: XorGame, seed: int, k: int):
-    """Random unit-vector start of restart k, (nu, dim) and (nv, dim) rows
-    drawn from sub-seed (seed, k)."""
+    """Random unit-vector start, (nu, dim) and (nv, dim) rows drawn from
+    sub-seed (seed, k)."""
     dim = game.nu + game.nv
     rng = np.random.default_rng([seed, k])
     avecs = rng.normal(size=(game.nu, dim))
@@ -336,24 +334,24 @@ def _seesaw(weights: np.ndarray, a: np.ndarray, b: np.ndarray, tol: float,
     once over-relaxed), sqrt(r) is the step's rate and Young's relation
     (rate + omega - 1)^2 = rate omega^2 rho gives rho.  A rho above the last
     one raises omega: the plain rate of a nonlinear run keeps rising after
-    it first settles, so omega follows it up.  Over-relaxed steps can lower
-    the bias: a check whose bias is more than _SLACK below the best so far
-    returns the run to plain steps, under which the bias never falls.
+    it first settles, so omega follows it up.  Nothing else raises omega.
+    Over-relaxed steps can lower the bias: a check whose bias is more than
+    _SLACK below the best so far returns the run to plain steps, under
+    which the bias never falls.
 
     The run bounds every quantum bias from above by the dual point of its
     current vectors (_dual_bound) at step 0 and then at the step where the
     dual gap is predicted to pass ``tol``: by the rate the gap showed since
     the last check at this omega, else by Young's rate at omega, else
-    CHECK_EVERY steps on.  A check that shows a rate above Young's raises
-    omega too.  The first check after a change of omega comes within
-    CHECK_EVERY steps, so an overshoot is caught as early as with a check
-    every CHECK_EVERY steps; plain steps whose bias stalls are checked at
-    once.  The run keeps the vectors of the last check whose bias is within
-    _SLACK of the best seen at a check (near an optimum the bias settles to
-    rounding error while the dual gap still shrinks), and the least bound
-    seen; both hold for any unit vectors, and the run stops once they are
-    within ``tol``.  A row whose weighted sum is exactly zero has no
-    direction: the run then ends with the vectors it kept.
+    CHECK_EVERY steps on.  The first check after a change of omega comes
+    within CHECK_EVERY steps, so an overshoot is caught as early as with a
+    check every CHECK_EVERY steps; plain steps whose bias stalls are checked
+    at once.  The run keeps the vectors of the last check whose bias is
+    within _SLACK of the best seen at a check (near an optimum the bias
+    settles to rounding error while the dual gap still shrinks), and the
+    least bound seen; both hold for any unit vectors, and the run stops once
+    they are within ``tol``.  A row whose weighted sum is exactly zero has
+    no direction: the run then ends with the vectors it kept.
     """
     wt = weights.T
     m = _dual_matrix(weights)
@@ -364,10 +362,10 @@ def _seesaw(weights: np.ndarray, a: np.ndarray, b: np.ndarray, tol: float,
     wb, wta = weights @ b, wt @ a
     bias = float(np.vdot(a, wb))
     it = check = 0
-    last = mark = None   # (step, gap) of the last check, and of the last
-    rate = None          # check at this omega; the gap's rate at omega
+    last = None          # (step, gap) of the last check
+    rate = None          # the gap's rate at omega
     rise = ratio = None  # the last bias increment and increment ratio
-    fresh = False        # omega changed since the last check
+    fresh = True         # omega changed since the last check, or none ran
     while True:
         if it == check:
             bound = _dual_bound(m, w_sq, wb, wta)
@@ -375,23 +373,15 @@ def _seesaw(weights: np.ndarray, a: np.ndarray, b: np.ndarray, tol: float,
             if bias >= best - _SLACK:
                 kept, best = (a, b, bias), max(best, bias)
             elif relax:  # an overshoot: plain steps from here on
-                omega, relax, rate, mark = 1.0, False, rho or None, None
+                omega, relax, rate, fresh = 1.0, False, rho or None, True
             if upper - kept[2] < tol or it == max_iter:
                 return (*kept, upper, it)
-            gap, fresh = bound - bias, False
-            if mark is not None and 0.0 < gap < mark[1]:
-                rate = (gap / mark[1]) ** (1.0 / (it - mark[0]))
-                seen = _young_rho(rate, omega)
-                if omega > 1.0 and rho < seen < 1.0 \
-                        and _young_omega(seen) > omega:
-                    rho, omega, fresh = seen, _young_omega(seen), True
-                    rate, rise = _young_rate(rho, omega), None
+            gap = bound - bias
+            if not fresh and 0.0 < gap < last[1]:
+                rate = (gap / last[1]) ** (1.0 / (it - last[0]))
             spacing = CHECK_EVERY if rate is None else _steps_to(gap, rate, tol)
-            if fresh:
-                spacing = min(spacing, CHECK_EVERY)
             check = min(it + spacing, max_iter)
-            last = (it, gap)
-            mark = None if fresh else last
+            last, fresh = (it, gap), False
         rows_a = _toward(wb, rows_a, omega)
         a = rows_a / _row_norms(rows_a)
         wta = wt @ a
@@ -415,7 +405,7 @@ def _seesaw(weights: np.ndarray, a: np.ndarray, b: np.ndarray, tol: float,
                 seen = _young_rho(lam, omega)
                 if rho < seen < 1.0 and _young_omega(seen) > omega:
                     rho, omega = seen, _young_omega(seen)
-                    rate, mark = _young_rate(rho, omega), None
+                    rate = _young_rate(rho, omega)
                     due = it + _steps_to(last[1] * lam ** (it - last[0]),
                                          rate, tol)
                     check = min(check if fresh else it + CHECK_EVERY, due,
@@ -427,36 +417,27 @@ def _seesaw(weights: np.ndarray, a: np.ndarray, b: np.ndarray, tol: float,
         rise = step_rise
 
 
-def quantum_value(game: XorGame, restarts: int = DEFAULT_RESTARTS,
-                  tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER,
+def quantum_value(game: XorGame, tol: float = DEFAULT_TOL,
+                  max_iter: int = DEFAULT_MAX_ITER,
                   seed: int = DEFAULT_SEED) -> tuple[float, SeesawState]:
     """Seesaw lower bound on the quantum value, certified by a dual bound.
 
-    Restart k starts from the deterministic sub-seed (seed, k).  Restarts
-    run while the best bias is ``tol`` or more below the least dual bound,
-    so ``restarts`` is a cap; the first restart is nearly always certified.
-    Otherwise the state has ``converged=False``, and its bound still holds.
-    Questions of zero weight never move the bias or the bound, so the
-    seesaw runs without them and they keep their start vectors.
+    One seesaw run from the deterministic sub-seed (seed, 0).  At dimension
+    nu + nv it factors the XOR-game SDP at full rank, where a second-order
+    critical point is generically a global optimum, so the run is certified
+    on every game tried.  If it is not within ``tol`` of its dual bound
+    after ``max_iter`` steps, the state has ``converged=False``, and its
+    bound still holds.  Questions of zero weight never move the bias or the
+    bound, so the seesaw runs without them and they keep their start
+    vectors.
     """
-    if restarts < 1:
-        raise ValidationError(f"need restarts >= 1, got {restarts}")
     weights = _weights(game)
     live_a, live_b = weights.any(axis=1), weights.any(axis=0)
-    weights = weights[live_a][:, live_b]
-    best, upper = None, math.inf
-    for k in range(restarts):
-        a, b = _seesaw_start(game, seed, k)
-        a[live_a], b[live_b], bias, bound, steps = _seesaw(
-            weights, a[live_a], b[live_b], tol, max_iter)
-        upper = min(upper, bound)
-        if best is None or bias > best[2]:
-            best = (a, b, bias, steps)
-        if upper - best[2] < tol:
-            break
-    a, b, bias, iterations = best
+    a, b = _seesaw_start(game, seed, 0)
+    a[live_a], b[live_b], bias, upper, iterations = _seesaw(
+        weights[live_a][:, live_b], a[live_a], b[live_b], tol, max_iter)
     state = SeesawState(dim=game.nu + game.nv, avecs=a, bvecs=b, bias=bias,
-                        upper=upper, iterations=iterations, restarts=k + 1,
+                        upper=upper, iterations=iterations,
                         converged=upper - bias < tol)
     return _omega(bias), state
 
@@ -517,10 +498,8 @@ class ClassValueReport:
     omega_quantum_upper: float
     omega_ns: float
     local_strategy: tuple[tuple[int, ...], tuple[int, ...]]
-    ns_certificate: Behaviour
     converged: bool
-    restarts: int
-    iterations: int  # seesaw steps of the kept restart
+    iterations: int  # seesaw steps of the run
 
     def __post_init__(self):
         if not 0.5 <= self.omega_local:
@@ -544,17 +523,15 @@ class ClassValueReport:
             "omega_ns": self.omega_ns,
             "strategy": {"amap": list(amap), "bmap": list(bmap)},
             "converged": self.converged,
-            "restarts": self.restarts,
             "iterations": self.iterations,
         }
 
 
-def class_report(game: XorGame, seed: int = DEFAULT_SEED,
-                 restarts: int = DEFAULT_RESTARTS) -> ClassValueReport:
+def class_report(game: XorGame, seed: int = DEFAULT_SEED) -> ClassValueReport:
     """Bundle local, quantum (seesaw), and nonsignalling values for a game;
     a local strategy is also a quantum one, so it bounds omega_quantum too."""
     w_local, amap, bmap = local_value(game)
-    w_quantum, state = quantum_value(game, restarts=restarts, seed=seed)
+    w_quantum, state = quantum_value(game, seed=seed)
     w_ns, certificate = ns_value(game)
     check = is_nonsignalling(certificate)
     if not check or game_value(game, certificate) != 1.0:
@@ -566,8 +543,6 @@ def class_report(game: XorGame, seed: int = DEFAULT_SEED,
         omega_quantum_upper=_omega(state.upper),
         omega_ns=w_ns,
         local_strategy=(amap, bmap),
-        ns_certificate=certificate,
         converged=state.converged,
-        restarts=state.restarts,
         iterations=state.iterations,
     )

@@ -36,7 +36,7 @@ def test_criterion_01_chsh_class_values():
     t0 = time.perf_counter()
     g = make_chsh()
     w_local, _, _ = local_value(g)
-    w_quantum, state = quantum_value(g, restarts=20, tol=1e-12, seed=1234)
+    w_quantum, state = quantum_value(g, tol=1e-12, seed=1234)
     w_ns, cert = (1.0, pr_box(g))
     cert_ok = is_nonsignalling(cert, tol=0.0).ok and game_value(g, cert) == 1.0
     elapsed = time.perf_counter() - t0
@@ -66,7 +66,7 @@ def test_criterion_03_chained_family():
         g = make_chained(n)
         w_local, _, _ = local_value(g)
         assert w_local == 1.0 - 1.0 / (2 * n)
-        w_quantum, _ = quantum_value(g, restarts=20, tol=1e-12, seed=1234)
+        w_quantum, _ = quantum_value(g, tol=1e-12, seed=1234)
         assert abs(w_quantum - math.cos(math.pi / (4 * n)) ** 2) < 1e-6
     elapsed = time.perf_counter() - t0
     assert elapsed < 10.0

@@ -4,12 +4,14 @@ import tracemalloc
 
 import pytest
 
-from xorszilard import (BinaryChannel, ValidationError, apply_noise,
-                        binary_entropy, compress, enumerate_rounds, game_value,
-                        induced_channel, make_chained, make_chsh,
-                        mix_with_uniform, mutual_information, orient, pr_box,
+from xorszilard import (BinaryChannel, BudgetError, ValidationError, XorGame,
+                        apply_noise, binary_entropy, compress,
+                        enumerate_rounds, game_value, induced_channel,
+                        make_chained, make_chsh, mix_with_uniform,
+                        mutual_information, orient, pr_box,
                         quantum_optimal_chsh, referee_encode, rounds_to_csv,
                         simulate_rounds, uniform_behaviour)
+from xorszilard.channel import MAX_CELLS
 
 
 def test_referee_encode_xor_table():
@@ -160,6 +162,16 @@ def test_induced_channel_is_binary_symmetric():
         assert abs(p_g0 - 0.5) < 1e-12
         assert abs(c0 - c1) < 1e-12
         assert abs(c0 - w) < 1e-12
+
+
+def test_round_table_cell_budget():
+    # 8 nu nv cells: chained:256's table is the largest accepted
+    assert MAX_CELLS == 8 * 256 * 256
+    nu, nv = 257, 256
+    g = XorGame(name="wide", nu=nu, nv=nv, mu=[[1.0 / (nu * nv)] * nv] * nu,
+                f=[[0] * nv] * nu)
+    with pytest.raises(BudgetError, match="cells"):
+        enumerate_rounds(g, uniform_behaviour(g))
 
 
 def test_rounds_to_csv(tmp_path):

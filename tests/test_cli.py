@@ -51,7 +51,7 @@ def test_value_chained3(capsys):
 def test_value_reports_seesaw_iterations(capsys):
     data = run_json(capsys, "value", "--game", "chained:6")
     assert type(data["iterations"]) is int and data["iterations"] > 0
-    assert data["converged"] is True and data["restarts"] == 1
+    assert data["converged"] is True and "restarts" not in data
 
 
 def test_value_perfect_game_caps_quantum_value(capsys, tmp_path):
@@ -100,6 +100,11 @@ def test_value_perfect_game_caps_quantum_value(capsys, tmp_path):
     (["cycle", "--p", "0.8", "--kt", "0"], EXIT_PARSE),
     (["cycle", "--p", "0.8", "--kt=-2"], EXIT_PARSE),
     (["cycle", "--p", "0.8", "--kt", "inf"], EXIT_PARSE),
+    (["value", "--game", "chsh", "--restarts", "1"], EXIT_PARSE),
+    (["simulate", "--game", "chsh", "--behaviour", "quantum-opt",
+      "--p-model", "1", "--seed", "1", "--rounds", "3"], EXIT_VALIDATION),
+    (["simulate", "--game", "chsh", "--behaviour", "quantum-opt",
+      "--p-model", "1", "--seed", "1", "--rounds", "1000"], EXIT_VALIDATION),
 ], ids=["value-seed", "simulate-seed", "finite-time-seed", "finite-time-p1",
         "sweep-nan", "sweep-inf", "finite-time-rate-nan", "finite-time-rate-inf",
         "finite-time-tau-nan", "finite-time-tau-inf", "finite-time-tau-abc",
@@ -108,7 +113,8 @@ def test_value_perfect_game_caps_quantum_value(capsys, tmp_path):
         "finite-time-reps", "sweep-step-1e-20", "sweep-step-1e-9",
         "chained-257", "chained-1e10", "value-out-unwritable",
         "sweep-out-unwritable", "simulate-records-unwritable", "kt-nan",
-        "kt-zero", "kt-negative", "kt-inf"])
+        "kt-zero", "kt-negative", "kt-inf", "value-restarts",
+        "p-model-one-lucky", "p-model-one-loses"])
 def test_bad_input_exit_codes(capsys, tmp_path, monkeypatch, argv, code):
     monkeypatch.chdir(tmp_path)
     try:
@@ -189,6 +195,22 @@ def test_budget_exit_code(capsys, tmp_path):
     save_game(make_chained(21), str(path))  # nu + nv = 42
     code, _, err = run(capsys, "value", "--game", str(path))
     assert code == EXIT_BUDGET
+
+
+def test_round_table_budget_exit_code(capsys, tmp_path):
+    # a file game one row past chained:256's round table is refused before
+    # the table is built; chained:256 itself still simulates
+    nu, nv = 257, 256
+    path = tmp_path / "wide.json"
+    save_game(XorGame(name="wide", nu=nu, nv=nv,
+                      mu=[[1.0 / (nu * nv)] * nv] * nu, f=[[0] * nv] * nu),
+              str(path))
+    code, out, err = run(capsys, "simulate", "--game", str(path),
+                         "--behaviour", "uniform", "--rounds", "1000")
+    assert code == EXIT_BUDGET and out == "" and "cells" in err
+    data = run_json(capsys, "simulate", "--game", "chained:256",
+                    "--behaviour", "pr", "--rounds", "1000")
+    assert data["empirical_p"] == 1.0
 
 
 def test_game_file_roundtrip_bit_identical(capsys, tmp_path):

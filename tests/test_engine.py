@@ -6,7 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from xorszilard import (BinaryChannel, SimulationError, ValidationError,
+from xorszilard import (BinaryChannel, ValidationError,
                         branch_decomposition, branch_work, class_ceilings,
                         class_report, cycle_ledger, enumerate_rounds,
                         exact_memory_ledger, make_chained, make_chsh,
@@ -270,9 +270,17 @@ def test_simulate_noise_targets_effective_p():
 
 
 def test_simulate_model_one_with_losses_errors():
+    # rejected before any draw, so a lucky batch cannot pass: at seed 1 the
+    # quantum CHSH behaviour wins all of 3 rounds, and its analytic work
+    # under p_model = 1 would be -inf
     g = make_chsh()
-    with pytest.raises(SimulationError):
-        simulate_rounds(g, uniform_behaviour(g), 1000, seed=10, p_model=1.0)
+    assert simulate_rounds(g, quantum_optimal_chsh(), 3, seed=1).hits == 3
+    for b, n, seed in ((uniform_behaviour(g), 1000, 10),
+                       (quantum_optimal_chsh(), 3, 1)):
+        with pytest.raises(ValidationError, match="p = 1"):
+            simulate_rounds(g, b, n, seed=seed, p_model=1.0)
+    stats = simulate_rounds(g, pr_box(g), 100, seed=1, p_model=1.0)
+    assert stats.analytic_work_kt == LN2 and stats.hits == 100
 
 
 def test_simulate_rejects_bad_model():

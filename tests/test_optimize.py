@@ -150,21 +150,21 @@ def test_local_budget_error():
 
 
 def test_quantum_value_chsh():
-    w, state = quantum_value(make_chsh(), restarts=20, tol=1e-12, seed=1)
+    w, state = quantum_value(make_chsh(), tol=1e-12, seed=1)
     assert abs(w - math.cos(math.pi / 8) ** 2) < 1e-6
     assert state.converged
     assert state.dim == 4
 
 
 def test_quantum_value_chained3():
-    w, _ = quantum_value(make_chained(3), restarts=20, seed=2)
+    w, _ = quantum_value(make_chained(3), seed=2)
     assert abs(w - math.cos(math.pi / 12) ** 2) < 1e-6
 
 
 def test_quantum_value_trivial_game():
     mu = np.full((2, 2), 0.25)
     g = XorGame(name="all-zero", nu=2, nv=2, mu=mu, f=np.zeros((2, 2)))
-    w, _ = quantum_value(g, restarts=4, seed=3)
+    w, _ = quantum_value(g, seed=3)
     assert abs(w - 1.0) < 1e-9
 
 
@@ -185,7 +185,7 @@ def test_seesaw_monotone_and_sound():
                     break
                 assert it == CHECK_EVERY and checks < 1000
         w_local = local_value(g)[0]
-        w_quantum, _ = quantum_value(g, restarts=10, seed=6)
+        w_quantum, _ = quantum_value(g, seed=6)
         assert w_quantum >= w_local - 1e-9
 
 
@@ -195,7 +195,7 @@ def test_quantum_value_chained_certified(n):
     w, state = quantum_value(make_chained(n))
     assert abs(w - closed) <= 1e-12
     assert (1.0 + state.upper) / 2.0 >= closed - 1e-15
-    assert state.converged and state.restarts == 1
+    assert state.converged
     assert state.upper - state.bias < DEFAULT_TOL
 
 
@@ -203,7 +203,7 @@ def test_quantum_value_chained_certified(n):
 def test_large_chained_certified(n):
     # past the CLI's enumeration budget, where plain seesaw steps left
     # chained:60 uncertified after 4000 steps
-    w, state = quantum_value(make_chained(n), restarts=1, max_iter=4000)
+    w, state = quantum_value(make_chained(n), max_iter=4000)
     assert state.converged
     assert abs(w - math.cos(math.pi / (4 * n)) ** 2) <= 1e-12
 
@@ -252,7 +252,7 @@ def test_dual_checks_per_certified_run(monkeypatch):
     total = 0
     for g in values_games():
         _, state, _, checks = trace_run(monkeypatch, g, seed=3)
-        assert state.converged and state.restarts == 1
+        assert state.converged
         assert len(checks) <= 6, g.name
         total += len(checks)
     assert total <= 72
@@ -261,7 +261,7 @@ def test_dual_checks_per_certified_run(monkeypatch):
 @pytest.mark.parametrize("game", [make_chained(12), make_chained(30),
                                   random_game(7, 4, 135)], ids=lambda g: g.name)
 def test_first_check_after_omega_change_within_check_every(monkeypatch, game):
-    _, state, omegas, checks = trace_run(monkeypatch, game, restarts=1)
+    _, state, omegas, checks = trace_run(monkeypatch, game)
     assert state.converged and checks[0] == 0
     changes = [k for k in range(1, len(omegas)) if omegas[k] != omegas[k - 1]]
     assert changes and omegas[0] == 1.0
@@ -282,7 +282,7 @@ def test_overshooting_step_returns_run_to_plain_steps(monkeypatch):
         return -step if omega != 1.0 else step
 
     monkeypatch.setattr(optimize, "_toward", overshoot)
-    w, state = quantum_value(make_chained(8), restarts=1)
+    w, state = quantum_value(make_chained(8))
     relaxed = [i for i, o in enumerate(omegas) if o != 1.0]
     assert len(relaxed) == 2 * CHECK_EVERY
     assert relaxed == list(range(relaxed[0], relaxed[0] + 2 * CHECK_EVERY))
@@ -320,7 +320,7 @@ def test_zero_weighted_sum_gives_run_up_with_sound_bound():
     assert it == 1 and a1 is a and b1 is b
     assert abs(upper - _dual_upper(weights, a, b)) <= 1e-15
     assert math.isfinite(bias)
-    w, state = quantum_value(g, restarts=1)
+    w, state = quantum_value(g)
     assert state.converged and state.avecs.shape == (3, 6)
     assert np.array_equal(state.avecs[1], _seesaw_start(g, DEFAULT_SEED, 0)[0][1])
 
@@ -330,7 +330,7 @@ def test_dual_upper_bounds_any_unit_vectors():
     for s in range(12):
         g = random_game(int(rng.integers(1, 7)), int(rng.integers(1, 7)), s)
         weights = _weights(g)
-        _, best = quantum_value(g, restarts=1, seed=s)
+        _, best = quantum_value(g, seed=s)
         for _ in range(5):
             # unit rows of a random, non-stationary strategy
             a = rng.normal(size=(g.nu, best.dim))
@@ -350,50 +350,45 @@ def test_dual_upper_bounds_any_unit_vectors():
 ])
 def test_certificate_on_degenerate_games(game):
     w, state = quantum_value(game)
-    assert state.converged and state.restarts == 1
+    assert state.converged
     assert state.bias <= state.upper < state.bias + DEFAULT_TOL
     assert w == pytest.approx(1.0, abs=1e-12)  # each game is winnable
 
 
-def test_restarts_cap_stops_at_first_certified_restart():
-    g = make_chained(12)
-    t0 = time.perf_counter()
-    w, state = quantum_value(g, restarts=10**9)
-    assert time.perf_counter() - t0 < 1.0
-    w1, state1 = quantum_value(g, restarts=1)
-    assert w == w1 and state.restarts == state1.restarts == 1
-    assert (state.bias, state.upper, state.iterations) \
-        == (state1.bias, state1.upper, state1.iterations)
-    assert np.array_equal(state.avecs, state1.avecs)
-    assert np.array_equal(state.bvecs, state1.bvecs)
-
-
-def test_uncertified_runs_use_every_restart():
+def test_uncertified_run_stops_at_max_iter():
     closed = math.cos(math.pi / 48) ** 2
-    w, state = quantum_value(make_chained(12), restarts=5, max_iter=3)
-    assert state.restarts == 5 and state.iterations == 3
+    w, state = quantum_value(make_chained(12), max_iter=3)
+    assert state.iterations == 3
     assert not state.converged
     assert w < closed <= (1.0 + state.upper) / 2.0
 
 
+def test_random_games_certified_from_one_start():
+    # the seesaw factors the XOR-game SDP at full rank, nu + nv, where a
+    # second-order critical point is generically optimal
+    rng = np.random.default_rng(31)
+    for s in range(60):
+        g = random_game(int(rng.integers(1, 13)), int(rng.integers(1, 13)),
+                        500 + s)
+        w, state = quantum_value(g)
+        assert state.converged, g.name
+        assert state.upper - state.bias < DEFAULT_TOL
+        assert w >= local_value(g)[0] - 1e-12
+
+
 def test_quantum_value_reproducible():
     g = make_chained(5)
-    w1, s1 = quantum_value(g, restarts=5, seed=11)
-    w2, s2 = quantum_value(g, restarts=5, seed=11)
+    w1, s1 = quantum_value(g, seed=11)
+    w2, s2 = quantum_value(g, seed=11)
     assert w1 == w2
     assert np.array_equal(s1.avecs, s2.avecs)
-
-
-def test_quantum_rejects_zero_restarts():
-    with pytest.raises(ValidationError):
-        quantum_value(make_chsh(), restarts=0)
 
 
 def test_seesaw_state_validates_unit_norms():
     with pytest.raises(ValidationError):
         SeesawState(dim=2, avecs=np.array([[2.0, 0.0]]),
                     bvecs=np.array([[1.0, 0.0]]), bias=0.5, upper=0.5,
-                    iterations=1, restarts=1, converged=True)
+                    iterations=1, converged=True)
 
 
 @pytest.mark.parametrize("game", [make_chsh(), make_chained(5),
@@ -433,7 +428,8 @@ def test_class_report_chsh():
     data = rep.to_json_dict()
     assert set(data) >= {"game", "omega_local", "omega_quantum",
                          "omega_quantum_upper", "omega_ns", "strategy",
-                         "converged", "restarts"}
+                         "converged", "iterations"}
+    assert "restarts" not in data
     assert (data["omega_local"] <= data["omega_quantum"]
             <= data["omega_quantum_upper"] <= 1.0)
     assert data["omega_quantum_upper"] - data["omega_quantum"] < 1e-12
@@ -464,7 +460,7 @@ def test_class_ordering_holds_on_random_games():
 def test_seesaw_follows_rising_rate():
     # the plain rate keeps rising after it first settles on these games; a
     # fixed omega from that first rate took 384 and 720 steps
-    _, state = quantum_value(make_chained(30), restarts=1, max_iter=4000)
+    _, state = quantum_value(make_chained(30), max_iter=4000)
     assert state.converged and state.iterations <= 256
     _, state = quantum_value(random_game(7, 4, 135))
     assert state.converged and state.iterations <= 400

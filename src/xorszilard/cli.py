@@ -8,12 +8,16 @@ or ``mix:<spec>:<v>`` (visibility mixing with the uniform behaviour; a
 distinct operation from channel noise).
 
 Outputs are dimensionless by default (bits, kT); ``--kt`` rescales kT to a
-physical energy.  CSV floats carry 9 significant digits with '.' decimals.
-Exit codes: 0 ok, 2 parse (also a --kt that is not finite and > 0, a
---tau-grid entry that is not a number, and an output file that cannot be
-written), 3 validation, 4 budget (chained:N length, local enumeration,
-round-table cells, rounds per simulate batch and kept transcript rows,
-finite-time steps and reps*steps, sweep rows), 5 regime.
+physical energy in every subcommand but finite-time, which prints the
+dimensionless dissipation only.  CSV floats carry 9 significant digits with
+'.' decimals.
+Exit codes: 0 ok, 2 parse (also a game or behaviour file that is not a
+UTF-8 JSON object, nests too deeply or gives non-integer sizes, a --kt that
+is not finite and > 0, a --tau-grid entry that is not a number, and an
+output file that cannot be written), 3 validation, 4 budget (game and
+behaviour file bytes, chained:N length, local enumeration, round-table
+cells, rounds per simulate batch and kept transcript rows, finite-time
+steps and reps*steps, sweep rows), 5 regime.
 The environment variable XORSZILARD_OUT_DIR sets the default directory for
 relative output paths.
 """
@@ -92,7 +96,11 @@ def _out_path(path: str | None) -> str | None:
 
 
 def _emit_json(data: dict, out: str | None):
-    text = json.dumps(data, indent=2)
+    try:
+        text = json.dumps(data, indent=2, allow_nan=False)
+    except ValueError:  # strict JSON has no NaN or Infinity
+        raise ValidationError(
+            "a result is not finite (a --kt this large overflows it)") from None
     path = _out_path(out)
     if path:
         with open(path, "w", encoding="utf-8") as fh:
@@ -148,45 +156,51 @@ def _is_structural_chsh(game: games.XorGame) -> bool:
 
 
 def parse_behaviour_spec(spec: str, game: games.XorGame):
-    """Resolve a behaviour spec.  Returns (behaviour, noise_delta, label)."""
-    if spec.startswith("noisy:"):
-        inner, _, tail = spec[len("noisy:"):].rpartition(":")
+    """Resolve a behaviour spec.  Returns (behaviour, noise_delta, label).
+
+    The ``noisy:`` and ``mix:`` wrappers are peeled outermost first and
+    applied innermost first, in one loop whatever their depth.
+    """
+    wrappers = []
+    while spec.startswith(("noisy:", "mix:")):
+        kind, rest = spec.split(":", 1)
+        inner, _, tail = rest.rpartition(":")
+        name = "delta" if kind == "noisy" else "visibility"
         if not inner:
-            raise ParseError(f"behaviour spec '{spec}': expected noisy:<spec>:<delta>")
+            raise ParseError(
+                f"behaviour spec '{spec}': expected {kind}:<spec>:<{name}>")
         try:
-            delta = float(tail)
+            wrappers.append((kind, float(tail)))
         except ValueError:
-            raise ParseError(f"behaviour spec '{spec}': delta must be a number")
-        b, d0, label = parse_behaviour_spec(inner, game)
-        return b, chan.apply_noise(d0, delta), f"noisy:{label}:{delta:g}"
-    if spec.startswith("mix:"):
-        inner, _, tail = spec[len("mix:"):].rpartition(":")
-        if not inner:
-            raise ParseError(f"behaviour spec '{spec}': expected mix:<spec>:<v>")
-        try:
-            vis = float(tail)
-        except ValueError:
-            raise ParseError(f"behaviour spec '{spec}': visibility must be a number")
-        b, d0, label = parse_behaviour_spec(inner, game)
-        return games.mix_with_uniform(b, vis), d0, f"mix:{label}:{vis:g}"
+            raise ParseError(f"behaviour spec '{spec}': {name} must be a number")
+        spec = inner
     if spec == "pr":
-        return games.pr_box(game), 0.0, "pr"
-    if spec == "uniform":
-        return games.uniform_behaviour(game), 0.0, "uniform"
-    if spec == "local-opt":
+        b = games.pr_box(game)
+    elif spec == "uniform":
+        b = games.uniform_behaviour(game)
+    elif spec == "local-opt":
         _, amap, bmap = optimize.local_value(game)
-        return games.deterministic_behaviour(game, amap, bmap), 0.0, "local-opt"
-    if spec == "quantum-opt":
+        b = games.deterministic_behaviour(game, amap, bmap)
+    elif spec == "quantum-opt":
         if not _is_structural_chsh(game):
             raise ValidationError(
                 "quantum-opt is only defined for the CHSH game; other games "
                 "have no canonical optimal behaviour here")
-        return games.quantum_optimal_chsh(), 0.0, "quantum-opt"
-    if spec.endswith(".json") or os.path.exists(spec):
-        return games.load_behaviour(spec), 0.0, spec
-    raise ParseError(
-        f"unknown behaviour spec '{spec}' (use pr, local-opt, quantum-opt, "
-        "uniform, noisy:<spec>:<delta>, mix:<spec>:<v>, or a file)")
+        b = games.quantum_optimal_chsh()
+    elif spec.endswith(".json") or os.path.exists(spec):
+        b = games.load_behaviour(spec)
+    else:
+        raise ParseError(
+            f"unknown behaviour spec '{spec}' (use pr, local-opt, quantum-opt, "
+            "uniform, noisy:<spec>:<delta>, mix:<spec>:<v>, or a file)")
+    delta, label = 0.0, spec
+    for kind, x in reversed(wrappers):
+        if kind == "noisy":
+            delta = chan.apply_noise(delta, x)
+        else:
+            b = games.mix_with_uniform(b, x)
+        label = f"{kind}:{label}:{x:g}"
+    return b, delta, label
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +294,8 @@ def _sweep_grid(step: float) -> np.ndarray:
     """
     s = np.full(int(4.0 / step) + 3, step)
     s[0] = 0.0
-    np.add.accumulate(s, out=s)
+    with np.errstate(over="ignore"):  # a huge step overflows past the cut
+        np.add.accumulate(s, out=s)
     s = np.minimum(s[:np.searchsorted(s, 4.0 + 1e-12)], 4.0)
     s = np.sort(np.append(s, [2.0, 2.0 * math.sqrt(2.0), 4.0]))
     return s[np.append(True, s[1:] > s[:-1])]
@@ -382,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--monte-carlo", dest="monte_carlo", action="store_true",
                    help="also estimate each Sigma from --reps trajectories "
                         "and z-score it against the exact value")
-    common(p)
+    p.add_argument("--out", default=None, help="also write the CSV to this file")
     p.set_defaults(func=cmd_finite_time)
 
     return parser

@@ -25,6 +25,7 @@ from .errors import BudgetError, ParseError, ValidationError
 PROB_ATOL = 1e-12
 RENORM_ATOL = 1e-9
 MAX_CHAIN = 256  # chained:N budget; a simulated PR box peaks at ~81 MB there
+MAX_FILE_BYTES = 2**25  # game/behaviour file budget; a 256x256 behaviour is 8.5 MiB
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -294,13 +295,23 @@ def chsh_S(b: Behaviour) -> float:
 
 
 def _json_load(path: str) -> dict:
+    """Decode a JSON object from at most MAX_FILE_BYTES bytes of UTF-8."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+        with open(path, "rb") as fh:
+            raw = fh.read(MAX_FILE_BYTES + 1)
     except OSError as exc:
         raise ParseError(f"{path}: {exc}") from exc
+    if len(raw) > MAX_FILE_BYTES:
+        raise BudgetError(f"{path}: file exceeds {MAX_FILE_BYTES} bytes")
+    try:
+        raw = raw.decode("utf-8")  # rebound, so the bytes are freed before parsing
+        data = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: line {exc.lineno} col {exc.colno}: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise ParseError(f"{path}: JSON nested too deeply") from exc
+    except ValueError as exc:  # not UTF-8, or an integer over 4300 digits
+        raise ParseError(f"{path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ParseError(f"{path}: top level must be a JSON object")
     return data
@@ -315,7 +326,7 @@ def _require(data: dict, field: str, path: str):
 def _as_grid(raw, shape, field: str, path: str) -> np.ndarray:
     try:
         arr = np.array(raw, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"{path}: field '{field}' is not numeric") from exc
     if arr.shape != shape:
         raise ParseError(
@@ -323,70 +334,61 @@ def _as_grid(raw, shape, field: str, path: str) -> np.ndarray:
     return arr
 
 
-def load_game(path: str) -> XorGame:
-    """Load and validate a game file; renormalizes mu only if off by < 1e-9."""
+def _load(path: str, field: str, tail: tuple, make):
+    """Read a game or behaviour file: its integer sizes ``nu`` and ``nv``,
+    then the probability grid ``field`` of shape ``(nu, nv) + tail``.
+
+    The grid's distributions (the whole grid when ``tail`` is empty, else
+    each ``(u, v)`` slice) are renormalized when off by less than
+    RENORM_ATOL.  Returns ``make(data, nu, nv, grid)``, with the path
+    prefixed to any ValidationError it raises.
+    """
     data = _json_load(path)
-    name = _require(data, "name", path)
     nu = _require(data, "nu", path)
     nv = _require(data, "nv", path)
-    if not isinstance(nu, int) or not isinstance(nv, int):
+    if type(nu) is not int or type(nv) is not int:  # JSON true is an int too
         raise ParseError(f"{path}: fields 'nu' and 'nv' must be integers")
-    mu = _as_grid(_require(data, "mu", path), (nu, nv), "mu", path)
-    f = _as_grid(_require(data, "f", path), (nu, nv), "f", path)
-    total = float(mu.sum())
-    if abs(total - 1.0) > PROB_ATOL:
-        if abs(total - 1.0) < RENORM_ATOL and total > 0:
-            mu = mu / total
+    grid = _as_grid(_require(data, field, path), (nu, nv) + tail, field, path)
+    sums = grid.sum(axis=(2, 3) if tail else None, keepdims=True)
+    dev = np.abs(sums - 1.0)
+    if (dev > PROB_ATOL).any():
+        if dev.max() < RENORM_ATOL and (sums > 0).all():
+            grid = grid / sums
         else:
+            index = np.unravel_index(np.argmax(dev), dev.shape)
+            where = f" slice [{index[0]}][{index[1]}]" if tail else ""
             raise ValidationError(
-                f"{path}: field 'mu' sums to {total!r}; deviation too large "
-                "to renormalize")
+                f"{path}: field '{field}'{where} sums to {float(sums[index])!r}; "
+                "deviation too large to renormalize")
     try:
-        return XorGame(name=str(name), nu=nu, nv=nv, mu=mu, f=f)
+        return make(data, nu, nv, grid)
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from exc
 
 
-def save_game(game: XorGame, path: str):
-    data = {
-        "name": game.name,
-        "nu": game.nu,
-        "nv": game.nv,
-        "mu": game.mu.tolist(),
-        "f": game.f.tolist(),
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(data, fh, indent=1)
-        fh.write("\n")
+def load_game(path: str) -> XorGame:
+    """Load and validate a game file; renormalizes mu only if off by < 1e-9."""
+    return _load(path, "mu", (), lambda data, nu, nv, mu: XorGame(
+        name=str(_require(data, "name", path)), nu=nu, nv=nv, mu=mu,
+        f=_as_grid(_require(data, "f", path), (nu, nv), "f", path)))
 
 
 def load_behaviour(path: str) -> Behaviour:
     """Load and validate a behaviour file, renormalizing slices off by < 1e-9."""
-    data = _json_load(path)
-    nu = _require(data, "nu", path)
-    nv = _require(data, "nv", path)
-    if not isinstance(nu, int) or not isinstance(nv, int):
-        raise ParseError(f"{path}: fields 'nu' and 'nv' must be integers")
-    t = _as_grid(_require(data, "table", path), (nu, nv, 2, 2), "table", path)
-    sums = t.sum(axis=(2, 3))
-    dev = np.abs(sums - 1.0)
-    if (dev > PROB_ATOL).any():
-        worst = float(dev.max())
-        if worst < RENORM_ATOL and (sums > 0).all():
-            t = t / sums[:, :, None, None]
-        else:
-            u, v = np.argwhere(dev == dev.max())[0]
-            raise ValidationError(
-                f"{path}: field 'table' slice [{u}][{v}] sums to "
-                f"{sums[u, v]!r}; deviation too large to renormalize")
-    try:
-        return Behaviour(nu=nu, nv=nv, table=t)
-    except ValidationError as exc:
-        raise ValidationError(f"{path}: {exc}") from exc
+    return _load(path, "table", (2, 2),
+                 lambda data, nu, nv, t: Behaviour(nu=nu, nv=nv, table=t))
 
 
-def save_behaviour(b: Behaviour, path: str):
-    data = {"nu": b.nu, "nv": b.nv, "table": b.table.tolist()}
+def _save(data: dict, path: str):
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(data, fh, indent=1)
         fh.write("\n")
+
+
+def save_game(game: XorGame, path: str):
+    _save({"name": game.name, "nu": game.nu, "nv": game.nv,
+           "mu": game.mu.tolist(), "f": game.f.tolist()}, path)
+
+
+def save_behaviour(b: Behaviour, path: str):
+    _save({"nu": b.nu, "nv": b.nv, "table": b.table.tolist()}, path)

@@ -105,6 +105,14 @@ def test_value_perfect_game_caps_quantum_value(capsys, tmp_path):
       "--p-model", "1", "--seed", "1", "--rounds", "3"], EXIT_VALIDATION),
     (["simulate", "--game", "chsh", "--behaviour", "quantum-opt",
       "--p-model", "1", "--seed", "1", "--rounds", "1000"], EXIT_VALIDATION),
+    (["finite-time", "--tau-grid", "10,20", "--kt", "5"], EXIT_PARSE),
+    (["value", "--game", "chained:abc"], EXIT_PARSE),
+    (["channel", "--game", "chsh", "--behaviour", "noisy:pr"], EXIT_PARSE),
+    (["channel", "--game", "chsh", "--behaviour", "noisy:pr:abc"], EXIT_PARSE),
+    (["channel", "--game", "chsh", "--behaviour", "mix:pr"], EXIT_PARSE),
+    (["channel", "--game", "chsh", "--behaviour", "mix:pr:abc"], EXIT_PARSE),
+    (["simulate", "--game", "chsh", "--behaviour", "uniform", "--rounds",
+      "100", "--p-model", "0.999", "--kt", "1e308"], EXIT_VALIDATION),
 ], ids=["value-seed", "simulate-seed", "finite-time-seed", "finite-time-p1",
         "sweep-nan", "sweep-inf", "finite-time-rate-nan", "finite-time-rate-inf",
         "finite-time-tau-nan", "finite-time-tau-inf", "finite-time-tau-abc",
@@ -114,7 +122,9 @@ def test_value_perfect_game_caps_quantum_value(capsys, tmp_path):
         "chained-257", "chained-1e10", "value-out-unwritable",
         "sweep-out-unwritable", "simulate-records-unwritable", "kt-nan",
         "kt-zero", "kt-negative", "kt-inf", "value-restarts",
-        "p-model-one-lucky", "p-model-one-loses"])
+        "p-model-one-lucky", "p-model-one-loses", "finite-time-kt",
+        "chained-abc", "noisy-no-delta", "noisy-delta-abc", "mix-no-v",
+        "mix-v-abc", "kt-overflows-work"])
 def test_bad_input_exit_codes(capsys, tmp_path, monkeypatch, argv, code):
     monkeypatch.chdir(tmp_path)
     try:
@@ -235,6 +245,107 @@ def test_channel_nested_noise_composes(capsys):
     data = run_json(capsys, "channel", "--game", "chsh",
                     "--behaviour", "noisy:noisy:pr:0.1:0.2")
     assert abs(data["p"] - apply_noise(apply_noise(1.0, 0.1), 0.2)) < 1e-15
+
+
+@pytest.mark.parametrize("kind", ["noisy", "mix"])
+def test_deep_wrapper_nesting_applies_every_layer(capsys, kind):
+    # 2000 layers: one loop, no recursion limit
+    layers, x = 2000, ("0.01" if kind == "noisy" else "0.999")
+    spec = f"{kind}:" * layers + "pr" + f":{x}" * layers
+    data = run_json(capsys, "channel", "--game", "chsh", "--behaviour", spec)
+    label, delta, b = "pr", 0.0, games.pr_box(games.make_chsh())
+    for _ in range(layers):
+        label = f"{kind}:{label}:{float(x):g}"
+        if kind == "noisy":
+            delta = apply_noise(delta, float(x))
+        else:
+            b = games.mix_with_uniform(b, float(x))
+    assert data["behaviour"] == label
+    assert data["p"] == apply_noise(games.game_value(games.make_chsh(), b),
+                                    delta)
+    if kind == "noisy":
+        p = 1.0
+        for _ in range(layers):
+            p = apply_noise(p, float(x))
+        assert data["p"] == pytest.approx(p, abs=1e-15)
+
+
+def test_noisy_nesting_past_recursion_limit_exits_zero(capsys):
+    spec = "noisy:" * 1200 + "pr" + ":0.01" * 1200
+    code, out, err = run(capsys, "channel", "--game", "chsh",
+                         "--behaviour", spec)
+    assert code == 0, err
+    assert json.loads(out)["p"] == pytest.approx(0.5, abs=1e-9)
+
+
+def test_channel_local_opt(capsys):
+    data = run_json(capsys, "channel", "--game", "chsh",
+                    "--behaviour", "local-opt")
+    assert data["behaviour"] == "local-opt"
+    assert data["p"] == 0.75
+    assert data["nonsignalling"] is True
+
+
+def _malformed(tmp_path, kind, content):
+    """A game or behaviour file holding ``content``."""
+    path = tmp_path / f"{kind}.json"
+    path.write_bytes(content if isinstance(content, bytes)
+                     else json.dumps(content).encode())
+    return str(path)
+
+
+def _load_argvs(kind, path):
+    """Commands that read ``path`` as a game or as a behaviour file."""
+    if kind == "game":
+        return [["value", "--game", path],
+                ["channel", "--game", path, "--behaviour", "uniform"]]
+    return [["channel", "--game", "chsh", "--behaviour", path],
+            ["simulate", "--game", "chsh", "--behaviour", path,
+             "--rounds", "10"]]
+
+
+@pytest.mark.parametrize("kind", ["game", "behaviour"])
+@pytest.mark.parametrize("content", [
+    b"\xff\xfe\x00",
+    b"[" * 10**5 + b"]" * 10**5,
+    "booleans",
+], ids=["not-utf8", "nested-1e5", "boolean-sizes"])
+def test_malformed_files_exit_parse(capsys, tmp_path, kind, content):
+    if content == "booleans":
+        content = ({"name": "x", "nu": True, "nv": True, "mu": [[1.0]],
+                    "f": [[0]]} if kind == "game" else
+                   {"nu": True, "nv": True, "table": [[[[0.25] * 2] * 2]]})
+    path = _malformed(tmp_path, kind, content)
+    for argv in _load_argvs(kind, path):
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_PARSE, (argv, err)
+        assert out == "" and err.startswith("error (parse): ")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="needs /dev/zero")
+@pytest.mark.parametrize("kind", ["game", "behaviour"])
+def test_endless_file_exits_budget(capsys, kind):
+    for argv in _load_argvs(kind, "/dev/zero"):
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_BUDGET, (argv, err)
+        assert out == "" and "exceeds" in err
+
+
+def test_sweep_huge_step_overflows_quietly(capsys):
+    # the running sum overflows past the cut at 4; no RuntimeWarning
+    code, out, err = run(capsys, "sweep", "--step", "1e308")
+    assert code == 0, err
+    assert [line.split(",")[0] for line in out.splitlines()] == [
+        "param", "0", "2", "2.82842712", "4"]
+
+
+def test_finite_time_out_without_kt(capsys, tmp_path):
+    path = tmp_path / "ft.csv"
+    code, out, err = run(capsys, "finite-time", "--tau-grid", "10,20",
+                         "--out", str(path))
+    assert code == 0, err
+    assert path.read_text().startswith("tau,sigma_mean,")
+    assert "slope" in json.loads(out)
 
 
 def test_channel_quantum_opt_requires_chsh(capsys):

@@ -1,9 +1,13 @@
+import json
 import math
+import os
+import re
 
 import numpy as np
 import pytest
 
-from xorszilard import (Behaviour, CorrelatorMatrix, ValidationError, XorGame,
+from xorszilard import (Behaviour, BudgetError, CorrelatorMatrix, ParseError,
+                        ValidationError, XorGame, games,
                         bias, chsh_S, correlators, deterministic_behaviour,
                         game_value, load_behaviour, load_game, make_chained,
                         make_chsh, mix_with_uniform, pr_box,
@@ -265,3 +269,116 @@ def test_loader_rejects_large_deviation(tmp_path):
                                  "f": [[0, 0], [0, 1]]}))
     with pytest.raises(ValidationError, match="mu"):
         load_game(str(gpath))
+
+
+GAME = {"name": "chsh", "nu": 2, "nv": 2, "mu": [[0.25, 0.25], [0.25, 0.25]],
+        "f": [[0, 0], [0, 1]]}
+BEHAVIOUR = {"nu": 2, "nv": 2, "table": [[[[0.25, 0.25], [0.25, 0.25]]] * 2] * 2}
+LOADERS = {"game": (load_game, GAME), "behaviour": (load_behaviour, BEHAVIOUR)}
+
+
+def _file(tmp_path, content) -> str:
+    path = tmp_path / "f.json"
+    path.write_bytes(content if isinstance(content, bytes)
+                     else json.dumps(content).encode())
+    return str(path)
+
+
+@pytest.mark.parametrize("kind", ["game", "behaviour"])
+@pytest.mark.parametrize("content, match", [
+    (b"\xff\xfe\x00", "can't decode byte 0xff"),
+    (b"[" * 10**5 + b"]" * 10**5, "nested too deeply"),
+    (b'{"nu": 2,', r"line 1 col \d+"),
+    (b"[1, 2]", "top level must be a JSON object"),
+    (b'{"nu": 1' + b"0" * 5000 + b"}", "4300 digits"),
+], ids=["not-utf8", "nested-1e5", "truncated", "not-object", "long-integer"])
+def test_loaders_map_decode_faults_to_parse_error(tmp_path, kind, content,
+                                                  match):
+    load, _ = LOADERS[kind]
+    with pytest.raises(ParseError, match=match):
+        load(_file(tmp_path, content))
+
+
+@pytest.mark.parametrize("kind", ["game", "behaviour"])
+def test_loaders_parse_errors(tmp_path, kind):
+    load, good = LOADERS[kind]
+    field = "mu" if kind == "game" else "table"
+    with pytest.raises(ParseError, match="No such file"):
+        load(str(tmp_path / "missing.json"))
+    for name in good:
+        data = dict(good)
+        del data[name]
+        with pytest.raises(ParseError, match=f"missing field '{name}'"):
+            load(_file(tmp_path, data))
+    for size in (True, 2.0, "2", None):
+        with pytest.raises(ParseError, match="'nu' and 'nv' must be integers"):
+            load(_file(tmp_path, dict(good, nv=size)))
+    for grid in ("abc", {"a": 1}, [[0.5], [0.25, 0.25]]):
+        with pytest.raises(ParseError, match=f"field '{field}' is not numeric"):
+            load(_file(tmp_path, dict(good, **{field: grid})))
+    overflow = json.dumps(good).replace("0.25", "1" + "0" * 400, 1)
+    with pytest.raises(ParseError, match=f"field '{field}' is not numeric"):
+        load(_file(tmp_path, overflow.encode()))
+    with pytest.raises(ParseError, match=f"field '{field}' has shape"):
+        load(_file(tmp_path, dict(good, nu=3)))
+
+
+@pytest.mark.parametrize("kind", ["game", "behaviour"])
+def test_loaders_bound_the_bytes_read(tmp_path, monkeypatch, kind):
+    load, good = LOADERS[kind]
+    path = _file(tmp_path, good)
+    monkeypatch.setattr(games, "MAX_FILE_BYTES", os.path.getsize(path))
+    load(path)
+    monkeypatch.setattr(games, "MAX_FILE_BYTES", os.path.getsize(path) - 1)
+    with pytest.raises(BudgetError, match="exceeds"):
+        load(path)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="needs /dev/zero")
+def test_loaders_stop_reading_an_endless_file():
+    for load in (load_game, load_behaviour):
+        with pytest.raises(BudgetError, match=f"exceeds {2**25} bytes"):
+            load("/dev/zero")
+
+
+def test_max_file_bytes_admits_largest_simulated_behaviour(tmp_path):
+    # chained:256's round table is the simulate budget: a 256 x 256
+    # behaviour of full-precision floats, as save_behaviour writes it
+    rng = np.random.default_rng(3)
+    t = rng.random((256, 256, 2, 2))
+    path = tmp_path / "b.json"
+    save_behaviour(Behaviour.from_table(t / t.sum(axis=(2, 3), keepdims=True)),
+                   str(path))
+    assert 3 * os.path.getsize(path) < games.MAX_FILE_BYTES
+
+
+def test_game_loader_renormalizes_mu(tmp_path):
+    mu = np.full((2, 2), 0.25)
+    mu[0, 1] += 3e-10
+    g = load_game(_file(tmp_path, dict(GAME, mu=mu.tolist())))
+    assert np.array_equal(g.mu, mu / mu.sum())
+    assert abs(g.mu.sum() - 1.0) <= 1e-12
+
+
+def test_behaviour_loader_names_the_slice(tmp_path):
+    t = np.full((2, 3, 2, 2), 0.25)
+    t[1, 2, 0, 1] += 1e-6
+    t[0, 0, 1, 1] += 1e-7
+    path = _file(tmp_path, {"nu": 2, "nv": 3, "table": t.tolist()})
+    with pytest.raises(ValidationError,
+                       match=r"slice \[1\]\[2\] sums to 1\.000001; "):
+        load_behaviour(path)
+
+
+def test_loaders_prefix_constructor_errors_with_the_path(tmp_path):
+    path = _file(tmp_path, dict(GAME, f=[[0, 2], [0, 1]]))
+    with pytest.raises(ValidationError,
+                       match=f"^{re.escape(path)}: game field 'f': entry at "
+                       r"\[0\]\[1\]"):
+        load_game(path)
+    t = np.full((2, 2, 2, 2), 0.25)
+    t[1, 0] = [[0.5, -0.25], [0.5, 0.25]]
+    path = _file(tmp_path, dict(BEHAVIOUR, table=t.tolist()))
+    with pytest.raises(ValidationError, match=f"^{re.escape(path)}: behaviour field "
+                       r"'table': negative entry at \[1\]\[0\]\[0\]\[1\]"):
+        load_behaviour(path)

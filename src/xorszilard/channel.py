@@ -5,8 +5,9 @@ r = x xor f(u,v).  The controller receives only the compressed bit
 g = a xor b xor r, which equals x exactly when the game round is won.
 Because the error bit e = a xor b xor f(u,v) is independent of x, the map
 x -> g is a binary symmetric channel whose success probability is the game
-value of the behaviour.  The channel is represented by that single scalar;
-asymmetric channels are out of scope and rejected at construction.
+value of the behaviour (games.game_value).  The channel is that single
+scalar p, passed as a plain float; every function that takes it checks that
+it lies in [0, 1].  Asymmetric channels are out of scope.
 
 Information quantities here stay in bits; work conversions multiply by ln 2
 only at the engine boundary.
@@ -15,12 +16,11 @@ only at the engine boundary.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BudgetError, ValidationError
-from .games import MAX_CHAIN, Behaviour, XorGame, _check_dims, game_value
+from .games import MAX_CHAIN, Behaviour, XorGame, _check_dims
 
 
 def _check_prob(p: float, name: str) -> float:
@@ -36,20 +36,6 @@ def _check_bit(x, name: str) -> int:
     return int(x)
 
 
-@dataclass(frozen=True)
-class BinaryChannel:
-    """Binary symmetric channel x -> g with success probability p.
-
-    ``flipped`` records whether orientation negated the controller bit.
-    """
-
-    p: float
-    flipped: bool = False
-
-    def __post_init__(self):
-        _check_prob(self.p, "channel success probability")
-
-
 def binary_entropy(p: float) -> float:
     """h2(p) in bits, with the 0 log 0 := 0 convention."""
     p = _check_prob(p, "binary entropy argument")
@@ -58,9 +44,10 @@ def binary_entropy(p: float) -> float:
     return -p * math.log2(p) - (1.0 - p) * math.log2(1.0 - p)
 
 
-def mutual_information(c: BinaryChannel) -> float:
-    """I(x : g) = 1 - h2(p) bits; the source and output bits are uniform."""
-    return 1.0 - binary_entropy(c.p)
+def mutual_information(p: float) -> float:
+    """I(x : g) = 1 - h2(p) bits of a channel of success probability p; the
+    source and output bits are uniform."""
+    return 1.0 - binary_entropy(p)
 
 
 def referee_encode(x: int, u: int, v: int, game: XorGame) -> int:
@@ -78,11 +65,6 @@ def compress(a: int, b: int, r: int) -> int:
     return _check_bit(a, "a") ^ _check_bit(b, "b") ^ _check_bit(r, "r")
 
 
-def induced_channel(game: XorGame, b: Behaviour) -> BinaryChannel:
-    """The side-information channel induced by playing the game with b."""
-    return BinaryChannel(p=game_value(game, b))
-
-
 def apply_noise(p: float, delta: float) -> float:
     """Success probability after flipping the controller bit with probability delta.
 
@@ -95,16 +77,16 @@ def apply_noise(p: float, delta: float) -> float:
     return p * (1.0 - 2.0 * delta) + delta
 
 
-def orient(p: float) -> BinaryChannel:
+def orient(p: float) -> tuple[float, bool]:
     """Flip the controller bit if that raises the success probability.
 
-    Returns a channel with p' = max(p, 1-p); a tie at 1/2 keeps the
+    Returns (p', flipped) with p' = max(p, 1-p); a tie at 1/2 keeps the
     identity orientation.  Mutual information is invariant under this.
     """
     p = _check_prob(p, "p")
     if p < 0.5:
-        return BinaryChannel(p=1.0 - p, flipped=True)
-    return BinaryChannel(p=p, flipped=False)
+        return 1.0 - p, True
+    return p, False
 
 
 # ---------------------------------------------------------------------------

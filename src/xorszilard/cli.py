@@ -152,7 +152,7 @@ def parse_game_spec(spec: str) -> games.XorGame:
 def _is_structural_chsh(game: games.XorGame) -> bool:
     return (game.nu, game.nv) == (2, 2) \
         and (game.f == [[0, 0], [0, 1]]).all() \
-        and np.allclose(game.mu, 0.25, atol=1e-12)
+        and np.allclose(game.mu, 0.25, rtol=0.0, atol=games.PROB_ATOL)
 
 
 def parse_behaviour_spec(spec: str, game: games.XorGame):
@@ -225,16 +225,16 @@ def cmd_channel(args) -> int:
     game = parse_game_spec(args.game)
     behaviour, delta, label = parse_behaviour_spec(args.behaviour, game)
     p = chan.apply_noise(games.game_value(game, behaviour), delta)
-    c = chan.orient(p)
-    info = chan.mutual_information(c)
+    oriented, flipped = chan.orient(p)
+    info = chan.mutual_information(oriented)
     data = {
         "game": game.name,
         "behaviour": label,
         "p": p,
-        "oriented_p": c.p,
-        "flipped": c.flipped,
+        "oriented_p": oriented,
+        "flipped": flipped,
         "bias": games.bias(game, behaviour),
-        "h_g_given_x_bits": chan.binary_entropy(c.p),
+        "h_g_given_x_bits": chan.binary_entropy(oriented),
         "mutual_information_bits": info,
         "feedback_work_kt": info * engine.LN2 * args.kt,
         "nonsignalling": bool(optimize.is_nonsignalling(behaviour)),
@@ -302,7 +302,7 @@ def _sweep_grid(step: float) -> np.ndarray:
 
 
 def cmd_cycle(args) -> int:
-    ledger = engine.cycle_ledger(chan.BinaryChannel(args.p))
+    ledger = engine.cycle_ledger(args.p)
     data = ledger.to_json_dict()
     scale = engine.LN2 * args.kt
     data["w_fb_scaled"] = ledger.w_fb_bits * scale

@@ -39,8 +39,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .channel import BinaryChannel
-from .engine import LN2, posterior, trajectory_work
+from .engine import LN2, branch_work, branch_works
 from .errors import BudgetError, RegimeError, ValidationError
 
 _TILE_EVENTS = 2**13  # expected resample events per tile
@@ -125,7 +124,7 @@ def _gaps(p: float, sched: ProtocolSchedule, k0: int, k1: int) -> np.ndarray:
     """The gaps g_k0 .. g_k1 (k1 included) of the schedule's grid."""
     s = np.arange(k0, k1 + 1) / sched.steps
     if sched.gap_path is None:
-        return posterior(0, BinaryChannel(p)).gap_kt * (1.0 - s)
+        return math.log(p / (1.0 - p)) * (1.0 - s)
     return np.array([float(sched.gap_path(si)) for si in s])
 
 
@@ -189,8 +188,7 @@ def sigma_moments(p: float, sched: ProtocolSchedule) -> tuple[float, float]:
     variance is a sum of these terms, never a difference of raw moments.
     """
     _check_branch_p(p)
-    branch = posterior(0, BinaryChannel(p))
-    w_right, w_wrong = trajectory_work(0, branch), trajectory_work(1, branch)
+    w_right, w_wrong = branch_works(p)
     steps = sched.steps
     c = sched.rate * sched.tau / steps
     decay = 1.0 - c
@@ -385,9 +383,8 @@ def estimate_sigma(p: float, sched: ProtocolSchedule, reps: int,
     _check_reps(reps)
     _check_branch_p(p)
     _check_updates(reps, sched.steps)
-    branch = posterior(0, BinaryChannel(p))
-    w_qs = branch.branch_work_bits * LN2
-    w_right, w_wrong = trajectory_work(0, branch), trajectory_work(1, branch)
+    w_qs = branch_work(p, 1.0 - p) * LN2
+    w_right, w_wrong = branch_works(p)
     moments = tilted = None
     for works, _, other in _run_batch(p, sched, reps, seed):
         sigma = np.where(other, w_wrong, w_right) - works

@@ -4,11 +4,14 @@ Work values are dimensionless: information quantities in bits, trajectory
 and branch work in units of kT (natural log), with explicit ln 2 factors at
 the conversions.  A physical scale factor is applied only by the CLI.
 
-The controller record g selects a branch whose posterior over the
-microstate is (p, 1-p).  The branch protocol assigns a posterior-matched
-two-level Hamiltonian (gap ln(p/(1-p)) kT) and returns it quasistatically
-to the degenerate one; its net work is kT ln 2 [1 - h2(p)] per branch, and
-averaging over g gives kT ln 2 times the channel mutual information.
+A channel is its success probability p, a plain float.  The controller
+record g selects a branch whose posterior over the microstate is (p, 1-p).
+The branch protocol assigns a posterior-matched two-level Hamiltonian (gap
+ln(p/(1-p)) kT) and returns it quasistatically to the degenerate one; its
+net work is kT ln 2 [1 - h2(p)] per branch, and averaging over g gives
+kT ln 2 times the channel mutual information.  A single run extracts
+ln 2p kT when the guess g equals the microstate (a hit) and ln 2(1-p) kT
+otherwise (a miss): branch_works.
 Closing the cycle costs at least the Landauer bound kT ln 2 H(g) to blindly
 reset the controller memory, so the net work is never positive.
 """
@@ -20,8 +23,8 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .channel import BinaryChannel, _check_bit, apply_noise, \
-    binary_entropy, enumerate_rounds, mutual_information
+from .channel import apply_noise, binary_entropy, enumerate_rounds, \
+    mutual_information, orient
 from .errors import BudgetError, ValidationError
 from .games import PROB_ATOL, Behaviour, XorGame, game_value
 from .optimize import ClassValueReport
@@ -35,34 +38,21 @@ MAX_RECORDS = 10**7  # rounds per batch with the transcript kept
 # branch protocol (quasistatic)
 
 
-@dataclass(frozen=True)
-class PosteriorBranch:
-    """Feedback branch for controller value g.
+def branch_works(q: float) -> tuple[float, float]:
+    """Trajectory works (hit, miss) in kT of the branch matched to q.
 
-    ``q0``/``q1`` are the posterior probabilities of microstate 0 and 1;
-    ``gap_kt`` is the posterior-matched energy gap (infinite when the
-    posterior is deterministic); ``branch_work_bits`` is the net reversible
-    branch work in units of kT ln 2.
+    The branch expects the guessed microstate with probability q, so a hit
+    extracts ln 2q and a miss ln 2(1-q): negative, as that branch compresses
+    instead of expanding, and -inf for the impossible miss of q = 1.  q is
+    an oriented success probability in [1/2, 1] (ValidationError otherwise,
+    NaN included).
     """
-
-    g: int
-    q0: float
-    q1: float
-    gap_kt: float
-    branch_work_bits: float
-
-
-def posterior(g: int, c: BinaryChannel) -> PosteriorBranch:
-    """Posterior branch of an oriented channel (p >= 1/2) for controller bit g."""
-    g = _check_bit(g, "controller bit g")
-    if c.p < 0.5:
+    if not 0.5 <= q <= 1.0:
         raise ValidationError(
-            f"channel p = {c.p!r} < 1/2: orient the channel before feedback")
-    p = c.p
-    q0, q1 = (p, 1.0 - p) if g == 0 else (1.0 - p, p)
-    gap = math.inf if p == 1.0 else math.log(p / (1.0 - p))
-    return PosteriorBranch(g=g, q0=q0, q1=q1, gap_kt=gap,
-                           branch_work_bits=branch_work(q0, q1))
+            f"controller model p = {q!r} outside [1/2, 1]; orient the "
+            "channel before feedback")
+    return (math.log(2.0 * q),
+            math.log(2.0 * (1.0 - q)) if q < 1.0 else -math.inf)
 
 
 def branch_work(q0: float, q1: float) -> float:
@@ -85,31 +75,14 @@ def branch_decomposition(q0: float, q1: float,
     return -h_nat - offset_kt, LN2 + offset_kt
 
 
-def trajectory_work(x: int, branch: PosteriorBranch) -> float:
-    """Reversible work ln(2 q_g(x)) in kT for the actual microstate x.
-
-    Negative for an unlikely microstate (that branch compresses instead of
-    expanding); -inf flags the probability-zero wrong branch of a
-    deterministic posterior.
-    """
-    x = _check_bit(x, "microstate x")
-    q = branch.q0 if x == 0 else branch.q1
-    if q == 0.0:
-        return -math.inf
-    return math.log(2.0 * q)
-
-
 def class_ceilings(report: ClassValueReport) -> tuple[float, float, float]:
     """Local/quantum/nonsignalling feedback-work ceilings in bits.
 
     The average reversible feedback work of a channel is its mutual
     information, so each ceiling is 1 - h2(omega) of that class value.
     """
-    return (
-        mutual_information(BinaryChannel(report.omega_local)),
-        mutual_information(BinaryChannel(report.omega_quantum)),
-        mutual_information(BinaryChannel(report.omega_ns)),
-    )
+    return tuple(map(mutual_information, (
+        report.omega_local, report.omega_quantum, report.omega_ns)))
 
 
 # ---------------------------------------------------------------------------
@@ -138,10 +111,11 @@ class CycleLedger:
         return asdict(self)
 
 
-def cycle_ledger(c: BinaryChannel) -> CycleLedger:
-    h_cond = binary_entropy(c.p)
+def cycle_ledger(p: float) -> CycleLedger:
+    """The ledger of a channel of success probability p."""
+    h_cond = binary_entropy(p)
     i = 1.0 - h_cond
-    return CycleLedger(p=c.p, i_bits=i, h_g_bits=1.0,
+    return CycleLedger(p=p, i_bits=i, h_g_bits=1.0,
                        h_g_given_x_bits=h_cond, w_fb_bits=i,
                        w_reset_bits=1.0, w_net_bits=-h_cond)
 
@@ -207,7 +181,8 @@ class SimulationStats:
     so ``(rounds, hits)`` and q determine the batch.  The empirical success
     rate, the mean work and its standard error follow from those integers
     with no per-round sum; a batch of all hits or all misses is exact: its
-    mean is that work and its standard error is 0.
+    mean is that work and its standard error is 0.  ``flipped`` records
+    that the controller negated its bit to orient a channel below 1/2.
     """
 
     rounds: int
@@ -215,6 +190,7 @@ class SimulationStats:
     p_model: float
     analytic_work_kt: float
     seed: int | tuple[int, ...]  # a merged batch's seeds, in merge order
+    flipped: bool = False
 
     @property
     def empirical_p(self) -> float:
@@ -222,17 +198,18 @@ class SimulationStats:
 
     @property
     def mean_work_kt(self) -> float:
-        return _mean_work(self.empirical_p, *_hit_miss_works(self.p_model))
+        return _mean_work(self.empirical_p, *branch_works(self.p_model))
 
     @property
     def stderr_kt(self) -> float:
         n, hits = self.rounds, self.hits
         if not 0 < hits < n:
             return 0.0
-        w_hit, w_miss = _hit_miss_works(self.p_model)
+        w_hit, w_miss = branch_works(self.p_model)
         return abs(w_hit - w_miss) * math.sqrt(hits * (n - hits) / (n - 1)) / n
 
     def to_json_dict(self) -> dict:
+        """The batch's fields; ``flipped`` appears only when it is true."""
         return {
             "rounds": self.rounds,
             "empirical_p": self.empirical_p,
@@ -241,13 +218,8 @@ class SimulationStats:
             "analytic_work_kt": self.analytic_work_kt,
             "seed": list(self.seed) if isinstance(self.seed, tuple)
                     else self.seed,
+            **({"flipped": True} if self.flipped else {}),
         }
-
-
-def _hit_miss_works(q: float) -> tuple[float, float]:
-    """Trajectory works (hit, miss) in kT of the branch matched to q."""
-    branch = posterior(0, BinaryChannel(q))
-    return trajectory_work(0, branch), trajectory_work(1, branch)
 
 
 def _mean_work(p_hit: float, w_hit: float, w_miss: float) -> float:
@@ -269,9 +241,10 @@ def merge_stats(a: SimulationStats, b: SimulationStats) -> SimulationStats:
     The merge is exact and associative, and equals the stats of the pooled
     batch; its seed is the tuple of every pooled batch's seed, in order.
     """
-    if a.p_model != b.p_model or a.analytic_work_kt != b.analytic_work_kt:
+    if ((a.p_model, a.analytic_work_kt, a.flipped)
+            != (b.p_model, b.analytic_work_kt, b.flipped)):
         raise ValidationError("cannot merge stats with different controller "
-                              "models or analytic targets")
+                              "models, analytic targets or orientations")
     return replace(a, rounds=a.rounds + b.rounds, hits=a.hits + b.hits,
                    seed=_seeds(a) + _seeds(b))
 
@@ -287,29 +260,32 @@ def simulate_rounds(game: XorGame, behaviour: Behaviour, n: int, seed: int,
 
     Each round draws x uniformly, (u, v) from mu, and (a, b) from the
     behaviour with no access to x; the controller sees the compressed bit
-    (flipped with probability ``noise_delta`` if nonzero) and runs the
-    branch matched to ``p_model`` (default: the exact channel success
+    (flipped with probability ``noise_delta`` if nonzero), negated when
+    the channel's success probability is below 1/2 (channel.orient), and
+    runs the branch matched to ``p_model`` (default: the oriented success
     probability).  A mismatched ``p_model`` models a controller with an
     imperfect channel estimate.
 
     Rounds are independent, so the batch is one multinomial draw of n over
     the cells of ``enumerate_rounds``, from the generator seeded
-    (seed, 0); the hits are the counts in won cells, and controller noise
-    thins the won and the lost counts binomially.  Memory is constant in n
+    (seed, 0); the hits are the counts in won cells, controller noise
+    thins the won and the lost counts binomially, and a flipped controller
+    hits exactly the other rounds, with the same draws.  Memory is constant in n
     unless records are kept.  Batches of one model combine exactly with
     ``merge_stats``.
 
     Returns SimulationStats, or (SimulationStats, rounds, cells) when
     ``keep_records`` is set: ``rounds`` is the round table
     ``enumerate_rounds(game, behaviour)[1]`` the batch was drawn from, and
-    ``cells`` index its rows in a random order, the noiseless transcript.
+    ``cells`` index its rows in a random order, the noiseless transcript
+    of the game, whatever the controller's orientation.
     They are held in the smallest unsigned dtype that indexes the table
     (uint8 for CHSH's 32 cells, uint16 up to 65 536 cells), which shuffles
     with the same draws as int64.  A batch is capped at MAX_ROUNDS
     rounds, and at MAX_RECORDS when its transcript is kept (BudgetError).
-    A controller model of 1 is rejected unless the channel never errs:
-    its branch would cost infinite work on a wrong guess (ValidationError,
-    before any draw).
+    A controller model outside [1/2, 1] is rejected (branch_works), and so
+    is a model of 1 unless the channel never errs: its branch would cost
+    infinite work on a wrong guess (ValidationError, before any draw).
     """
     if n < 1:
         raise ValidationError(f"need n >= 1 rounds, got {n}")
@@ -318,17 +294,15 @@ def simulate_rounds(game: XorGame, behaviour: Behaviour, n: int, seed: int,
         raise BudgetError(
             f"round budget exceeded: n = {n} > {limit}"
             + (" with records kept" if keep_records else ""))
-    p_true = apply_noise(game_value(game, behaviour), noise_delta)
+    p_true, flipped = orient(apply_noise(game_value(game, behaviour),
+                                         noise_delta))
     q = p_true if p_model is None else float(p_model)
-    if not 0.5 <= q <= 1.0:
-        raise ValidationError(
-            f"controller model p = {q!r} outside [1/2, 1]; orient the "
-            "channel before feedback")
+    works = branch_works(q)
     if q == 1.0 and p_true < 1.0:
         raise ValidationError(
             f"controller model p = 1 on a channel that errs (p = {p_true!r}): "
             "a wrong guess would cost infinite work")
-    analytic = _mean_work(p_true, *_hit_miss_works(q))
+    analytic = _mean_work(p_true, *works)
 
     probs, rounds = enumerate_rounds(game, behaviour)
     cells = np.flatnonzero(probs > 0.0)
@@ -341,8 +315,11 @@ def simulate_rounds(game: XorGame, behaviour: Behaviour, n: int, seed: int,
         # a hit and a won round into a miss
         hits += (int(rng.binomial(n - hits, noise_delta))
                  - int(rng.binomial(hits, noise_delta)))
+    if flipped:
+        hits = n - hits
     stats = SimulationStats(rounds=n, hits=hits, p_model=q,
-                            analytic_work_kt=analytic, seed=seed)
+                            analytic_work_kt=analytic, seed=seed,
+                            flipped=flipped)
     if keep_records:
         order = np.repeat(cells.astype(np.min_scalar_type(len(rounds) - 1)),
                           counts)
@@ -383,8 +360,9 @@ def noise_threshold(p_resource: float, omega_q: float,
     """Largest controller-noise delta keeping the channel above omega_q.
 
     Closed form: delta* = (p - omega_q) / (2p - 1).  ``method="bisect"``
-    instead bisects apply_noise(p, delta) - omega_q to ``tol`` as an
-    independent cross-check.
+    instead bisects apply_noise(p, delta) - omega_q to ``tol``, finite and
+    > 0, or to float resolution if that comes first, as an independent
+    cross-check.
     """
     p = float(p_resource)
     w = float(omega_q)
@@ -395,14 +373,17 @@ def noise_threshold(p_resource: float, omega_q: float,
     if method == "closed":
         return (p - w) / (2.0 * p - 1.0)
     if method == "bisect":
+        if not (math.isfinite(tol) and tol > 0.0):
+            raise ValidationError(f"need finite tol > 0, got {tol!r}")
         lo, hi = 0.0, 0.5  # p_eff(lo) = p > w, p_eff(hi) = 1/2 < w
-        while hi - lo > tol:
-            mid = 0.5 * (lo + hi)
+        mid = 0.25
+        while hi - lo > tol and lo < mid < hi:
             if apply_noise(p, mid) > w:
                 lo = mid
             else:
                 hi = mid
-        return 0.5 * (lo + hi)
+            mid = 0.5 * (lo + hi)
+        return mid
     raise ValidationError(f"unknown method {method!r}")
 
 

@@ -114,22 +114,6 @@ class Behaviour:
         return cls(nu=t.shape[0], nv=t.shape[1], table=t)
 
 
-@dataclass(frozen=True, eq=False)
-class CorrelatorMatrix:
-    """Matrix of correlators E_uv = E[(-1)^(a xor b) | u, v], each in [-1, 1]."""
-
-    e: np.ndarray
-
-    def __post_init__(self):
-        e = np.array(self.e, dtype=float)
-        outside = ~(np.abs(e) <= 1.0 + PROB_ATOL)  # NaN is outside too
-        if outside.any():
-            u, v = np.argwhere(outside)[0]
-            raise ValidationError(
-                f"correlator entry [{u}][{v}] = {e[u, v]!r} outside [-1, 1]")
-        object.__setattr__(self, "e", _read_only(e))
-
-
 # ---------------------------------------------------------------------------
 # standard instances
 
@@ -204,8 +188,14 @@ def pr_box(game: XorGame) -> Behaviour:
 
 
 def correlator_behaviour(e) -> Behaviour:
-    """Behaviour with uniform marginals realizing the given correlator matrix."""
-    e = CorrelatorMatrix(e=e).e
+    """Behaviour with uniform marginals realizing the given correlator matrix
+    E_uv = E[(-1)^(a xor b) | u, v], each entry in [-1, 1]."""
+    e = np.array(e, dtype=float)
+    outside = ~(np.abs(e) <= 1.0 + PROB_ATOL)  # NaN is outside too
+    if outside.any():
+        u, v = np.argwhere(outside)[0]
+        raise ValidationError(
+            f"correlator entry [{u}][{v}] = {float(e[u, v])!r} outside [-1, 1]")
     nu, nv = e.shape
     t = np.empty((nu, nv, 2, 2))
     t[:, :, 0, 0] = t[:, :, 1, 1] = (1.0 + e) / 4.0
@@ -243,10 +233,11 @@ def _check_dims(game: XorGame, b: Behaviour):
             f"behaviour is {b.nu}x{b.nv}")
 
 
-def correlators(b: Behaviour) -> CorrelatorMatrix:
+def correlators(b: Behaviour) -> np.ndarray:
+    """Correlators E_uv = E[(-1)^(a xor b) | u, v], clipped to [-1, 1]."""
     t = b.table
     e = t[:, :, 0, 0] + t[:, :, 1, 1] - t[:, :, 0, 1] - t[:, :, 1, 0]
-    return CorrelatorMatrix(e=np.clip(e, -1.0, 1.0))
+    return np.clip(e, -1.0, 1.0)
 
 
 def win_probabilities(game: XorGame, b: Behaviour) -> np.ndarray:
@@ -274,7 +265,7 @@ def bias(game: XorGame, b: Behaviour) -> float:
     """Signed correlator sum beta; satisfies omega = (1 + beta) / 2."""
     _check_dims(game, b)
     sign = np.where(game.f == 0, 1.0, -1.0)
-    return float(np.sum(game.mu * sign * correlators(b).e))
+    return float(np.sum(game.mu * sign * correlators(b)))
 
 
 def chsh_S(b: Behaviour) -> float:
@@ -282,7 +273,7 @@ def chsh_S(b: Behaviour) -> float:
     if (b.nu, b.nv) != (2, 2):
         raise ValidationError(
             f"CHSH expression needs a 2x2-question behaviour, got {b.nu}x{b.nv}")
-    e = correlators(b).e
+    e = correlators(b)
     return float(e[0, 0] + e[0, 1] + e[1, 0] - e[1, 1])
 
 

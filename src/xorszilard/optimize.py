@@ -429,8 +429,12 @@ def quantum_value(game: XorGame, tol: float = DEFAULT_TOL,
     after ``max_iter`` steps, the state has ``converged=False``, and its
     bound still holds.  Questions of zero weight never move the bias or the
     bound, so the seesaw runs without them and they keep their start
-    vectors.
+    vectors.  ``tol`` must be finite and > 0 and ``max_iter`` >= 0
+    (ValidationError).
     """
+    if not (math.isfinite(tol) and tol > 0.0) or max_iter < 0:
+        raise ValidationError(f"need finite tol > 0 and max_iter >= 0, got "
+                              f"tol = {tol!r}, max_iter = {max_iter!r}")
     weights = _weights(game)
     live_a, live_b = weights.any(axis=1), weights.any(axis=0)
     a, b = _seesaw_start(game, seed, 0)

@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from xorszilard import (BinaryChannel, ProtocolSchedule, branch_decomposition,
+from xorszilard import (ProtocolSchedule, branch_decomposition,
                         branch_work, class_ceilings, class_report,
                         cycle_ledger, deterministic_behaviour,
                         enumerate_rounds, estimate_sigma, exact_memory_ledger,
@@ -131,7 +131,7 @@ def test_criterion_06_branch_decomposition():
 def test_criterion_07_cycle_ledger():
     for i in range(101):
         p = i / 100.0
-        led = cycle_ledger(BinaryChannel(p))
+        led = cycle_ledger(p)
         assert abs(led.w_net_bits + h2(p)) < 1e-12
         assert led.w_net_bits <= 0.0
         if p in (0.0, 1.0):

@@ -1,14 +1,14 @@
 import csv
 import itertools
+import math
 import tracemalloc
 
 import pytest
 
-from xorszilard import (BinaryChannel, BudgetError, ValidationError, XorGame,
-                        apply_noise, binary_entropy, compress,
-                        enumerate_rounds, game_value, induced_channel,
-                        make_chained, make_chsh, mix_with_uniform,
-                        mutual_information, orient, pr_box,
+from xorszilard import (BudgetError, ValidationError, XorGame, apply_noise,
+                        binary_entropy, compress, cycle_ledger,
+                        enumerate_rounds, game_value, make_chained, make_chsh,
+                        mix_with_uniform, mutual_information, orient, pr_box,
                         quantum_optimal_chsh, referee_encode, rounds_to_csv,
                         simulate_rounds, uniform_behaviour)
 from xorszilard.channel import MAX_CELLS
@@ -65,10 +65,11 @@ def test_win_iff_correct_prediction_all_assignments():
 
 
 def test_induced_channel_values():
+    # the induced channel's success probability is the game value
     g = make_chsh()
-    assert induced_channel(g, pr_box(g)).p == 1.0
-    assert induced_channel(g, uniform_behaviour(g)).p == 0.5
-    assert abs(induced_channel(g, quantum_optimal_chsh()).p - 0.853553) < 1e-6
+    assert game_value(g, pr_box(g)) == 1.0
+    assert game_value(g, uniform_behaviour(g)) == 0.5
+    assert abs(game_value(g, quantum_optimal_chsh()) - 0.853553) < 1e-6
 
 
 def test_binary_entropy():
@@ -84,16 +85,20 @@ def test_binary_entropy():
 
 
 def test_mutual_information_values():
-    assert mutual_information(BinaryChannel(1.0)) == 1.0
-    assert abs(mutual_information(BinaryChannel(0.8535533905932737)) - 0.3991) < 5e-5
-    assert abs(mutual_information(BinaryChannel(0.75)) - 0.188722) < 1e-6
+    # any binary prediction task with success p feeds the engine as the
+    # float p; an XOR game is the case guess = a xor b
+    assert mutual_information(1.0) == 1.0
+    assert mutual_information(0.5) == 0.0
+    assert abs(mutual_information(0.8535533905932737) - 0.3991) < 5e-5
+    assert abs(mutual_information(0.75) - 0.188722) < 1e-6
+    assert abs(mutual_information(0.6) - 0.029049) < 1e-6
 
 
 def test_mutual_information_monotone_in_p():
     last = -1.0
     for i in range(51):
         p = 0.5 + 0.01 * i
-        cur = mutual_information(BinaryChannel(min(p, 1.0)))
+        cur = mutual_information(min(p, 1.0))
         assert cur >= last
         if 0.5 < p < 1.0:
             assert cur > last
@@ -118,27 +123,15 @@ def test_noise_composition():
 
 
 def test_orient():
-    c = orient(0.3)
-    assert c.p == 0.7 and c.flipped
-    c = orient(0.5)
-    assert c.p == 0.5 and not c.flipped
-    c = orient(0.9)
-    assert c.p == 0.9 and not c.flipped
+    assert orient(0.3) == (0.7, True)
+    assert orient(0.0) == (1.0, True)
+    assert orient(0.5) == (0.5, False)
+    assert orient(0.9) == (0.9, False)
+    assert orient(1.0) == (1.0, False)
     for p in (0.1, 0.25, 0.77):
-        assert mutual_information(orient(p)) == pytest.approx(
-            mutual_information(BinaryChannel(p)), abs=1e-12)
-
-
-def test_predicate_channel():
-    # any binary prediction task with success p feeds the engine as
-    # BinaryChannel(p); an XOR game is the case guess = a xor b
-    assert BinaryChannel(1.0).p == 1.0
-    g = make_chsh()
-    w = game_value(g, quantum_optimal_chsh())
-    assert BinaryChannel(w).p == induced_channel(g, quantum_optimal_chsh()).p
-    assert abs(mutual_information(BinaryChannel(0.6)) - 0.029049) < 1e-6
-    with pytest.raises(ValidationError):
-        BinaryChannel(1.1)
+        oriented, _ = orient(p)
+        assert mutual_information(oriented) == pytest.approx(
+            mutual_information(p), abs=1e-12)
 
 
 def exhaustive_channel_stats(game, behaviour):
@@ -211,7 +204,9 @@ def test_rounds_to_csv_memory_bounded(tmp_path):
 
 
 def test_channel_rejects_bad_probability():
-    with pytest.raises(ValidationError):
-        BinaryChannel(1.0000001)
-    with pytest.raises(ValidationError):
-        BinaryChannel(-0.1)
+    # a channel is its success probability: every function taking it
+    # checks that it lies in [0, 1]
+    for p in (1.0000001, 1.1, -0.1, math.nan, math.inf):
+        for take in (mutual_information, orient, cycle_ledger):
+            with pytest.raises(ValidationError, match="outside"):
+                take(p)

@@ -354,6 +354,47 @@ def test_channel_quantum_opt_requires_chsh(capsys):
     assert code == EXIT_VALIDATION
 
 
+def test_channel_quantum_opt_requires_exact_chsh_weights(capsys, tmp_path):
+    # CHSH's predicate with mu off by 1e-6 is another game: np.allclose's
+    # default rtol of 1e-5 once let it through to the Tsirelson table
+    path = tmp_path / "near-chsh.json"
+    mu = [[0.25 + 1e-6, 0.25 - 1e-6], [0.25 - 1e-6, 0.25 + 1e-6]]
+    save_game(XorGame(name="near-chsh", nu=2, nv=2, mu=mu,
+                      f=[[0, 0], [0, 1]]), str(path))
+    code, _, err = run(capsys, "channel", "--game", str(path),
+                       "--behaviour", "quantum-opt")
+    assert code == EXIT_VALIDATION and "only defined for the CHSH game" in err
+    save_game(games.make_chsh(), str(path))
+    data = run_json(capsys, "channel", "--game", str(path),
+                    "--behaviour", "quantum-opt")
+    assert data["p"] == pytest.approx(math.cos(math.pi / 8) ** 2, abs=1e-15)
+
+
+def _anti_pr_file(tmp_path):
+    """A CHSH behaviour file that always loses (p = 0)."""
+    path = tmp_path / "anti-pr.json"
+    games.save_behaviour(
+        games.correlator_behaviour([[-1.0, -1.0], [-1.0, 1.0]]), str(path))
+    return str(path)
+
+
+@pytest.mark.parametrize("spec, p", [("{}", 0.0), ("mix:{}:0.5", 0.25),
+                                     ("noisy:{}:0.1", 0.1)])
+def test_simulate_orients_as_channel_does(capsys, tmp_path, spec, p):
+    spec = spec.format(_anti_pr_file(tmp_path))
+    chan = run_json(capsys, "channel", "--game", "chsh", "--behaviour", spec)
+    assert chan["p"] == pytest.approx(p, abs=1e-15) and chan["flipped"]
+    data = run_json(capsys, "simulate", "--game", "chsh", "--behaviour", spec,
+                    "--rounds", "20000", "--seed", "3")
+    assert data["flipped"] is True
+    assert data["analytic_work_kt"] == pytest.approx(
+        chan["feedback_work_kt"], abs=1e-12)
+    if p == 0.0:
+        assert data["empirical_p"] == 1.0 and data["stderr_kt"] == 0.0
+    else:
+        assert abs(data["z_score"]) < 4.0
+
+
 def test_simulate_pr_exact(capsys):
     data = run_json(capsys, "simulate", "--game", "chsh", "--behaviour", "pr",
                     "--rounds", "20000", "--seed", "3")
@@ -362,6 +403,7 @@ def test_simulate_pr_exact(capsys):
     assert data["stderr_kt"] == 0.0
     assert data["z_score"] == 0.0
     assert data["seed"] == 3
+    assert "flipped" not in data  # present only for a channel below 1/2
 
 
 def test_simulate_noisy_pr(capsys):

@@ -6,11 +6,15 @@ and malformed game and behaviour files, run in-process through
 ``cli.main``.  Every case must end in a documented exit code, let no
 exception escape, print strict JSON (no NaN or Infinity) where a command
 prints JSON, and finish within a generous wall-time bound, which checks
-that the budgets bound the work.  Only stdlib ``random`` draws the cases.
+that the budgets bound the work.  A pair that ``channel`` accepts must
+also simulate: the controller orients any channel, so only the round-table
+budget may refuse it.  A small fixed corpus of channels below 1/2 runs
+before the drawn cases.  Only stdlib ``random`` draws the cases.
 """
 
 import contextlib
 import io
+import itertools
 import json
 import os
 import random
@@ -99,6 +103,10 @@ def _files(tmp_path, rng):
         "g_noname.json": {"nu": 2, "nv": 2, "mu": quarter, "f": chsh_f},
         "b_uniform.json": {"nu": 2, "nv": 2, "table": uniform},
         "b_random.json": {"nu": 2, "nv": 2, "table": _table(2, 2, rng)},
+        "b_antipr.json": {"nu": 2, "nv": 2,  # loses CHSH every round
+                          "table": [[[[0, 0.5], [0.5, 0]]] * 2,
+                                    [[[0, 0.5], [0.5, 0]],
+                                     [[0.5, 0], [0, 0.5]]]]},
         "b_3x2.json": {"nu": 3, "nv": 2, "table": _table(3, 2, rng)},
         "b_renorm.json": {"nu": 1, "nv": 1,
                           "table": [[[[0.25 + 3e-10, 0.25], [0.25, 0.25]]]]},
@@ -248,9 +256,13 @@ def test_cli_fuzz(tmp_path, monkeypatch):
     monkeypatch.delenv("XORSZILARD_OUT_DIR", raising=False)
     rng = random.Random(SEED)
     games, behaviours = _files(tmp_path, rng)
+    # a fixed corpus first: channels below 1/2, which simulate must orient
+    anti = str(tmp_path / "b_antipr.json")
+    corpus = [["channel", "--game", "chsh", "--behaviour", spec]
+              for spec in (anti, f"mix:{anti}:0.5", f"noisy:{anti}:0.1")]
+    drawn = (_argv(rng, games, behaviours, tmp_path) for _ in range(CASES))
     seen = set()
-    for case in range(CASES):
-        argv = _argv(rng, games, behaviours, tmp_path)
+    for case, argv in enumerate(itertools.chain(corpus, drawn)):
         start = time.perf_counter()
         try:
             code, out = _run(argv)
@@ -265,6 +277,13 @@ def test_cli_fuzz(tmp_path, monkeypatch):
             json.loads(out, parse_constant=_reject_constant)
         if code == 0 and argv[0] == "finite-time":  # any CSV rows, then JSON
             json.loads(out[out.index("{"):], parse_constant=_reject_constant)
+        if code == 0 and argv[0] == "channel":
+            pair = [a for key in ("--game", "--behaviour")
+                    for a in (key, argv[argv.index(key) + 1])]
+            sim_code, sim_out = _run(["simulate", *pair, "--rounds", "100"])
+            assert sim_code in (0, 4), f"{where}: simulate exits {sim_code}"
+            if sim_code == 0:
+                json.loads(sim_out, parse_constant=_reject_constant)
         seen.add((argv[0], code))
     # the grammar reaches success and failure in every subcommand
     for command in ("value", "channel", "simulate", "sweep", "cycle",

@@ -6,15 +6,14 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from xorszilard import (BinaryChannel, ValidationError,
-                        branch_decomposition, branch_work, class_ceilings,
-                        class_report, cycle_ledger, enumerate_rounds,
+from xorszilard import (ValidationError, branch_decomposition, branch_work,
+                        branch_works, class_ceilings, class_report,
+                        correlator_behaviour, cycle_ledger, enumerate_rounds,
                         exact_memory_ledger, make_chained, make_chsh,
-                        memory_ledger, merge_stats,
-                        mix_with_uniform, mutual_information, noise_threshold,
-                        posterior, pr_box, quantum_optimal_chsh,
-                        simulate_rounds, small_bias_work, sweep_s_curve,
-                        trajectory_work, uniform_behaviour)
+                        memory_ledger, merge_stats, mix_with_uniform,
+                        mutual_information, noise_threshold, pr_box,
+                        quantum_optimal_chsh, simulate_rounds,
+                        small_bias_work, sweep_s_curve, uniform_behaviour)
 from xorszilard.engine import LN2
 from xorszilard.games import XorGame, deterministic_behaviour
 
@@ -32,18 +31,19 @@ def h2(p):
 
 
 def test_posterior_branch():
-    br = posterior(0, BinaryChannel(0.75))
-    assert (br.q0, br.q1) == (0.75, 0.25)
-    assert br.gap_kt == pytest.approx(math.log(3.0), abs=1e-12)
-    br = posterior(1, BinaryChannel(0.5))
-    assert (br.q0, br.q1) == (0.5, 0.5)
-    assert br.gap_kt == 0.0
-    assert posterior(0, BinaryChannel(1.0)).gap_kt == math.inf
+    # the branch matched to q: ln 2q on a hit, ln 2(1-q) on a miss; their
+    # difference is the posterior-matched gap ln(q/(1-q))
+    w_hit, w_miss = branch_works(0.75)
+    assert w_hit - w_miss == pytest.approx(math.log(3.0), abs=1e-12)
+    assert branch_works(0.5) == (0.0, 0.0)
+    # a certain hit: the miss of q = 1 is impossible and costs -inf
+    assert branch_works(1.0) == (LN2, -math.inf)
 
 
 def test_posterior_rejects_unoriented():
-    with pytest.raises(ValidationError):
-        posterior(0, BinaryChannel(0.3))
+    for q in (0.3, 0.4999999, 1.0000001, -1.0, math.nan, math.inf):
+        with pytest.raises(ValidationError, match="orient the channel"):
+            branch_works(q)
 
 
 def test_branch_work_values():
@@ -70,32 +70,31 @@ def test_branch_decomposition_identity():
 
 
 def test_trajectory_work():
-    br = posterior(0, BinaryChannel(0.75))
-    assert trajectory_work(0, br) == pytest.approx(math.log(1.5), abs=1e-12)
-    assert trajectory_work(1, br) == pytest.approx(math.log(0.5), abs=1e-12)
+    w_hit, w_miss = branch_works(0.75)
+    assert w_hit == pytest.approx(math.log(1.5), abs=1e-12)
+    assert w_miss == pytest.approx(math.log(0.5), abs=1e-12)
     # posterior average equals ln2 * branch work
-    avg = 0.75 * trajectory_work(0, br) + 0.25 * trajectory_work(1, br)
-    assert abs(avg - LN2 * br.branch_work_bits) < 1e-12
-    assert trajectory_work(1, posterior(0, BinaryChannel(1.0))) == -math.inf
+    avg = 0.75 * w_hit + 0.25 * w_miss
+    assert abs(avg - LN2 * branch_work(0.75, 0.25)) < 1e-12
 
 
 def test_posterior_average_identity_grid():
     for i in range(1, 50):
         p = 0.5 + 0.01 * i
-        br = posterior(0, BinaryChannel(p))
-        avg = p * trajectory_work(0, br) + (1 - p) * trajectory_work(1, br)
-        assert abs(avg - LN2 * br.branch_work_bits) < 1e-12
+        w_hit, w_miss = branch_works(p)
+        avg = p * w_hit + (1 - p) * w_miss
+        assert abs(avg - LN2 * branch_work(p, 1 - p)) < 1e-12
 
 
 def test_feedback_value():
     # the average reversible feedback work is the channel mutual information
-    assert abs(mutual_information(BinaryChannel(0.75)) - 0.188722) < 1e-6
-    assert abs(mutual_information(BinaryChannel(Q_CHSH)) - 0.3991) < 5e-5
-    assert mutual_information(BinaryChannel(1.0)) == 1.0
+    assert abs(mutual_information(0.75) - 0.188722) < 1e-6
+    assert abs(mutual_information(Q_CHSH) - 0.3991) < 5e-5
+    assert mutual_information(1.0) == 1.0
     # bias form agrees
     for p in (0.5, 0.6, 0.75, 0.9):
         beta = 2 * p - 1
-        assert abs(mutual_information(BinaryChannel(p))
+        assert abs(mutual_information(p)
                    - (1 - h2((1 + beta) / 2))) < 1e-12
 
 
@@ -117,7 +116,7 @@ def test_class_ceilings_chained3():
 
 
 def test_class_ceilings_equal_values_map_equal():
-    made = [mutual_information(BinaryChannel(0.8)) for _ in range(3)]
+    made = [mutual_information(0.8) for _ in range(3)]
     assert made[0] == made[1] == made[2]
 
 
@@ -126,15 +125,15 @@ def test_class_ceilings_equal_values_map_equal():
 
 
 def test_cycle_ledger_examples():
-    assert cycle_ledger(BinaryChannel(1.0)).w_net_bits == 0.0
-    assert abs(cycle_ledger(BinaryChannel(0.75)).w_net_bits + 0.811278) < 1e-6
-    assert cycle_ledger(BinaryChannel(0.5)).w_net_bits == -1.0
+    assert cycle_ledger(1.0).w_net_bits == 0.0
+    assert abs(cycle_ledger(0.75).w_net_bits + 0.811278) < 1e-6
+    assert cycle_ledger(0.5).w_net_bits == -1.0
 
 
 def test_cycle_ledger_invariants():
     for i in range(101):
         p = i / 100.0
-        led = cycle_ledger(BinaryChannel(p))
+        led = cycle_ledger(p)
         assert led.w_fb_bits == led.i_bits
         assert led.w_reset_bits == led.h_g_bits == 1.0
         assert led.w_net_bits == -led.h_g_given_x_bits
@@ -285,10 +284,40 @@ def test_simulate_model_one_with_losses_errors():
 
 def test_simulate_rejects_bad_model():
     g = make_chsh()
-    with pytest.raises(ValidationError):
-        simulate_rounds(g, pr_box(g), 100, seed=1, p_model=0.3)
+    for q in (0.3, 1.5, math.nan):
+        with pytest.raises(ValidationError, match="orient the channel"):
+            simulate_rounds(g, pr_box(g), 100, seed=1, p_model=q)
     with pytest.raises(ValidationError):
         simulate_rounds(g, pr_box(g), 0, seed=1)
+
+
+def anti_pr(game):
+    """The box that always loses: a xor b = 1 - f(u, v)."""
+    return correlator_behaviour(2.0 * game.f - 1.0)
+
+
+def test_simulate_orients_a_losing_channel():
+    # p < 1/2: the controller negates its bit, as channel.orient does, so
+    # it hits exactly on the lost rounds of the same draws
+    g = make_chsh()
+    stats = simulate_rounds(g, anti_pr(g), 1000, seed=5)
+    assert stats.flipped and stats.hits == 1000
+    assert stats.mean_work_kt == stats.analytic_work_kt == LN2
+    assert stats.to_json_dict()["flipped"] is True
+    b = mix_with_uniform(anti_pr(g), 0.5)  # p = 1/4
+    stats, rounds, cells = simulate_rounds(g, b, 5000, seed=3,
+                                           keep_records=True)
+    assert stats.flipped and stats.p_model == 0.75
+    assert stats.hits == np.count_nonzero(~rounds.won[cells])
+    assert stats.analytic_work_kt == pytest.approx(LN2 * (1 - h2(0.75)),
+                                                   abs=1e-12)
+    # noise and orientation compose: p_eff = 0.1 orients to 0.9
+    stats = simulate_rounds(g, anti_pr(g), 200_000, seed=9, noise_delta=0.1)
+    assert stats.flipped
+    assert abs(stats.empirical_p - 0.9) < 4 * math.sqrt(0.09 / 200_000)
+    # a channel at or above 1/2 is never flipped, and its JSON says nothing
+    stats = simulate_rounds(g, uniform_behaviour(g), 100, seed=1)
+    assert not stats.flipped and "flipped" not in stats.to_json_dict()
 
 
 def test_simulate_memory_constant_in_n():
@@ -404,6 +433,8 @@ def test_merge_stats_rejects_different_targets():
         merge_stats(a, b)
     with pytest.raises(ValidationError):
         merge_stats(a, dataclasses.replace(a, p_model=0.9))
+    with pytest.raises(ValidationError, match="orientations"):
+        merge_stats(a, dataclasses.replace(a, flipped=True))
 
 
 # ---------------------------------------------------------------------------
@@ -448,6 +479,18 @@ def test_noise_threshold():
                    noise_threshold(p, w, method="bisect")) < 1e-8
     with pytest.raises(ValidationError):
         noise_threshold(0.8, Q_CHSH)
+
+
+def test_noise_threshold_bisect_tolerance(within):
+    # a NaN tolerance once returned the first midpoint, 0.25, and a zero
+    # one never returned; a tolerance below float resolution stops there
+    for tol in (math.nan, 0.0, -1e-9, math.inf):
+        with pytest.raises(ValidationError, match="tol"):
+            within(5.0, noise_threshold, 1.0, Q_CHSH, method="bisect", tol=tol)
+    closed = noise_threshold(1.0, Q_CHSH)
+    for tol in (1e-300, 5e-324):
+        d = within(5.0, noise_threshold, 1.0, Q_CHSH, method="bisect", tol=tol)
+        assert abs(d - closed) < 1e-15
 
 
 def test_sweep_s_curve():

@@ -6,13 +6,13 @@ import re
 import numpy as np
 import pytest
 
-from xorszilard import (Behaviour, BudgetError, CorrelatorMatrix, ParseError,
+from xorszilard import (Behaviour, BudgetError, ParseError,
                         ValidationError, XorGame, games,
-                        bias, chsh_S, correlators, deterministic_behaviour,
-                        game_value, load_behaviour, load_game, make_chained,
-                        make_chsh, mix_with_uniform, pr_box,
-                        quantum_optimal_chsh, save_behaviour, save_game,
-                        uniform_behaviour)
+                        bias, chsh_S, correlator_behaviour, correlators,
+                        deterministic_behaviour, game_value, load_behaviour,
+                        load_game, make_chained, make_chsh, mix_with_uniform,
+                        pr_box, quantum_optimal_chsh, save_behaviour,
+                        save_game, uniform_behaviour)
 
 SQ2 = math.sqrt(2.0)
 
@@ -55,12 +55,12 @@ def test_correlator_basics():
     # perfectly correlated slice -> +1, uniform -> 0
     t = np.zeros((1, 1, 2, 2))
     t[0, 0, 0, 0] = t[0, 0, 1, 1] = 0.5
-    assert correlators(Behaviour(1, 1, t)).e[0, 0] == 1.0
-    assert correlators(uniform_behaviour(make_chsh())).e.max() == 0.0
+    assert correlators(Behaviour(1, 1, t))[0, 0] == 1.0
+    assert correlators(uniform_behaviour(make_chsh())).max() == 0.0
 
 
 def test_quantum_optimal_correlator_pattern():
-    e = correlators(quantum_optimal_chsh()).e
+    e = correlators(quantum_optimal_chsh())
     want = np.array([[1, 1], [1, -1]]) / SQ2
     assert np.allclose(e, want, atol=1e-12)
 
@@ -164,7 +164,7 @@ def test_value_and_correlator_ranges():
         w = game_value(g, b)
         assert 0.0 <= w <= 1.0
         assert -1.0 <= bias(g, b) <= 1.0
-        assert np.abs(correlators(b).e).max() <= 1.0 + 1e-12
+        assert np.abs(correlators(b)).max() <= 1.0
 
 
 def test_game_invariant_validation():
@@ -202,11 +202,13 @@ def test_behaviour_invariant_validation():
 
 
 def test_correlator_matrix_range():
-    with pytest.raises(ValidationError):
-        CorrelatorMatrix(e=np.array([[1.5]]))
+    with pytest.raises(ValidationError, match=r"\[0\]\[0\] = 1.5 outside"):
+        correlator_behaviour([[1.5]])
     for x in (math.nan, -math.inf):
-        with pytest.raises(ValidationError):
-            CorrelatorMatrix(e=np.array([[0.5, x]]))
+        with pytest.raises(ValidationError, match=r"\[0\]\[1\]"):
+            correlator_behaviour([[0.5, x]])
+    b = correlator_behaviour([[1.0, -1.0]])
+    assert np.array_equal(correlators(b), [[1.0, -1.0]])
 
 
 def test_behaviour_from_table_infers_shape():

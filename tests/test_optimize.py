@@ -363,6 +363,19 @@ def test_uncertified_run_stops_at_max_iter():
     assert w < closed <= (1.0 + state.upper) / 2.0
 
 
+def test_seesaw_rejects_bad_tol_and_max_iter(within):
+    # the run stops only at a check step, and a check due at
+    # min(it + spacing, max_iter) < 0 never came: max_iter = -1 ran forever
+    with pytest.raises(ValidationError, match="max_iter"):
+        within(5.0, quantum_value, make_chained(5), max_iter=-1)
+    _, state = quantum_value(make_chained(5), max_iter=0)
+    assert state.iterations == 0 and not state.converged
+    # a NaN or zero tol failed in the check spacing's log with a ValueError
+    for tol in (math.nan, 0.0, -1e-12, math.inf):
+        with pytest.raises(ValidationError, match="tol"):
+            within(5.0, quantum_value, make_chsh(), tol=tol)
+
+
 def test_random_games_certified_from_one_start():
     # the seesaw factors the XOR-game SDP at full rank, nu + nv, where a
     # second-order critical point is generically optimal

@@ -7,7 +7,7 @@ from .dynamics import (ExactSigma, ProtocolSchedule, ScalingFit,
                        SigmaEstimate, estimate_sigma, fit_loglog_slope,
                        scaling_fit, sigma_moments, trajectory_energy_audit)
 from .engine import (CycleLedger, SimulationStats, branch_decomposition,
-                     branch_work, branch_works, class_ceilings, cycle_ledger,
+                     branch_works, class_ceilings, cycle_ledger,
                      exact_memory_ledger, memory_ledger, merge_stats,
                      noise_threshold, simulate_rounds, small_bias_work,
                      sweep_s_curve)
@@ -16,10 +16,9 @@ from .games import (Behaviour, XorGame, bias, chsh_S, correlator_behaviour,
                     correlators, deterministic_behaviour, game_value,
                     load_behaviour, load_game, make_chained, make_chsh,
                     mix_with_uniform, pr_box, quantum_optimal_chsh,
-                    save_behaviour, save_game, uniform_behaviour,
-                    win_probabilities)
+                    save_behaviour, save_game, uniform_behaviour)
 from .optimize import (ClassValueReport, NonsignallingReport, SeesawState,
-                       class_report, is_nonsignalling, local_value, ns_value,
+                       class_report, is_nonsignalling, local_value,
                        quantum_value)
 
 __version__ = "0.1.0"

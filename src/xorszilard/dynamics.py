@@ -39,8 +39,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .engine import LN2, branch_work, branch_works
-from .errors import BudgetError, RegimeError, ValidationError
+from .engine import branch_works
+from .errors import BudgetError, RegimeError, ValidationError, check_count, \
+    check_seed
 
 _TILE_EVENTS = 2**13  # expected resample events per tile
 _TILE_REPS = 65536  # trajectories per tile, at most
@@ -56,7 +57,8 @@ class ProtocolSchedule:
     ``gap_path`` maps normalized time s in [0, 1] to the gap in kT and must
     end at zero; when omitted, the gap ramps linearly from the
     posterior-matched value down to zero.  ``rate`` is the bath relaxation
-    rate; each of the ``steps`` updates advances time by tau/steps.
+    rate; each of the ``steps`` updates, an integer count, advances time by
+    tau/steps.
     """
 
     tau: float
@@ -66,6 +68,7 @@ class ProtocolSchedule:
 
     def __post_init__(self):
         _check_tau_rate(self.tau, self.rate)
+        object.__setattr__(self, "steps", check_count(self.steps, "steps"))
         if self.steps < 2:
             raise ValidationError(f"need steps >= 2, got {self.steps!r}")
         _check_steps(self.steps)
@@ -78,14 +81,12 @@ class ProtocolSchedule:
                                   "at the degenerate Hamiltonian")
 
     @classmethod
-    def linear(cls, tau: float, rate: float = 1.0,
-               steps: int | None = None) -> "ProtocolSchedule":
+    def linear(cls, tau: float, rate: float = 1.0) -> "ProtocolSchedule":
         """Linear ramp with the default step density max(100, 10*tau*rate)."""
-        if steps is None:
-            _check_tau_rate(tau, rate)
-            _check_steps(10.0 * tau * rate)
-            steps = max(100, int(round(10.0 * tau * rate)))
-        return cls(tau=tau, steps=steps, rate=rate)
+        _check_tau_rate(tau, rate)
+        _check_steps(10.0 * tau * rate)
+        return cls(tau=tau, steps=max(100, int(round(10.0 * tau * rate))),
+                   rate=rate)
 
 
 def _check_tau_rate(tau: float, rate: float):
@@ -108,9 +109,11 @@ def _check_updates(reps: int, steps: int):
             f"{MAX_UPDATES}")
 
 
-def _check_reps(reps: int):
+def _check_reps(reps: int) -> int:
+    reps = check_count(reps, "reps")
     if reps < 100:
         raise ValidationError(f"need reps >= 100, got {reps}")
+    return reps
 
 
 def _check_branch_p(p: float):
@@ -126,11 +129,6 @@ def _gaps(p: float, sched: ProtocolSchedule, k0: int, k1: int) -> np.ndarray:
     if sched.gap_path is None:
         return math.log(p / (1.0 - p)) * (1.0 - s)
     return np.array([float(sched.gap_path(si)) for si in s])
-
-
-def _gap_grid(p: float, sched: ProtocolSchedule) -> np.ndarray:
-    _check_branch_p(p)
-    return _gaps(p, sched, 0, sched.steps)
 
 
 def _pi_other(gaps: np.ndarray) -> np.ndarray:
@@ -268,9 +266,10 @@ def _run_batch(p: float, sched: ProtocolSchedule, reps: int,
     the gap drop at fixed state, summed over the constant-state segments
     between events; heat is the gap at each event times the state change.
     """
-    gaps = _gap_grid(p, sched)
+    _check_branch_p(p)
+    gaps = _gaps(p, sched, 0, sched.steps)
     pi_other = _pi_other(gaps)
-    key = (seed,) if isinstance(seed, int) else tuple(seed)
+    key = check_seed(seed)
     steps = sched.steps
     c = sched.rate * sched.tau / steps
     # steps per window, then reps per block; the tests on the expected
@@ -364,7 +363,6 @@ class SigmaEstimate:
     mean_sigma: float
     stderr: float
     reps: int
-    w_qs_kt: float
     seed: int | tuple[int, ...]
     exp_neg_sigma: float
     exp_neg_sigma_stderr: float
@@ -375,15 +373,16 @@ def estimate_sigma(p: float, sched: ProtocolSchedule, reps: int,
     """Estimate Sigma = (quasistatic work - extracted work) / kT.
 
     Each trajectory is paired with the quasistatic work of its own sampled
-    microstate, ln(2 q(x)); that reference averages exactly to
-    w_qs = ln2*(1 - h2(p)), so the pairing leaves the estimate unbiased
-    while cancelling the branch-outcome variance.  ``seed`` is an integer
-    or a tuple of them (a sub-seed); tile t draws from (*seed, t).
+    microstate, ln 2p or ln 2(1-p) (engine.branch_works); that reference
+    averages exactly to ln 2 times mutual_information(p), so the pairing
+    leaves the estimate unbiased while cancelling the branch-outcome
+    variance.  ``reps`` is an integer >= 100, and ``seed`` a non-negative
+    integer or a tuple of them (a sub-seed; errors.check_seed); tile t
+    draws from (*seed, t).
     """
-    _check_reps(reps)
+    reps = _check_reps(reps)
     _check_branch_p(p)
     _check_updates(reps, sched.steps)
-    w_qs = branch_work(p, 1.0 - p) * LN2
     w_right, w_wrong = branch_works(p)
     moments = tilted = None
     for works, _, other in _run_batch(p, sched, reps, seed):
@@ -393,7 +392,7 @@ def estimate_sigma(p: float, sched: ProtocolSchedule, reps: int,
     (n, mean, m2), (_, x_mean, x_m2) = moments, tilted
     return SigmaEstimate(tau=sched.tau, mean_sigma=mean,
                          stderr=math.sqrt(m2 / (n - 1) / n), reps=reps,
-                         w_qs_kt=w_qs, seed=seed, exp_neg_sigma=x_mean,
+                         seed=seed, exp_neg_sigma=x_mean,
                          exp_neg_sigma_stderr=math.sqrt(x_m2 / (n - 1) / n))
 
 
@@ -485,7 +484,7 @@ def scaling_fit(p: float, tau_grid, reps: int, seed: int,
     if sched_template is None:
         sched_template = lambda tau: ProtocolSchedule.linear(tau, rate=rate)
     scheds = [sched_template(tau) for tau in taus]
-    _check_reps(reps)
+    reps = _check_reps(reps)
     _check_updates(reps, sum(sched.steps for sched in scheds))
     points = [ExactSigma(sched.tau, *sigma_moments(p, sched), reps)
               for sched in scheds]

@@ -25,8 +25,8 @@ import numpy as np
 
 from .channel import apply_noise, binary_entropy, enumerate_rounds, \
     mutual_information, orient
-from .errors import BudgetError, ValidationError
-from .games import PROB_ATOL, Behaviour, XorGame, game_value
+from .errors import BudgetError, ValidationError, check_count, check_seed
+from .games import Behaviour, XorGame, game_value
 from .optimize import ClassValueReport
 
 LN2 = math.log(2.0)
@@ -55,24 +55,17 @@ def branch_works(q: float) -> tuple[float, float]:
             math.log(2.0 * (1.0 - q)) if q < 1.0 else -math.inf)
 
 
-def branch_work(q0: float, q1: float) -> float:
-    """Net reversible branch work 1 - H2(q) in units of kT ln 2 (bits)."""
-    if q0 < 0.0 or q1 < 0.0 or abs(q0 + q1 - 1.0) > PROB_ATOL:
-        raise ValidationError(f"invalid posterior ({q0!r}, {q1!r})")
-    return 1.0 - binary_entropy(q0)
-
-
-def branch_decomposition(q0: float, q1: float,
+def branch_decomposition(q: float,
                          offset_kt: float = 0.0) -> tuple[float, float]:
-    """Assignment and return strokes of the branch, in kT.
+    """Assignment and return strokes of the branch matched to q, in kT.
 
-    The sudden posterior-matched assignment extracts -H_nat(q) - offset and
-    the quasistatic return extracts ln 2 + offset, where ``offset_kt`` is an
-    arbitrary additive constant of the branch Hamiltonian.  The offset
-    cancels in the sum, which equals ln 2 times ``branch_work``.
+    The sudden posterior-matched assignment extracts -ln 2 h2(q) - offset
+    and the quasistatic return extracts ln 2 + offset, where ``offset_kt``
+    is an arbitrary additive constant of the branch Hamiltonian.  The
+    offset cancels in the sum, which equals ln 2 times
+    ``mutual_information(q)``.  q must lie in [0, 1] (binary_entropy).
     """
-    h_nat = LN2 * (1.0 - branch_work(q0, q1))
-    return -h_nat - offset_kt, LN2 + offset_kt
+    return -LN2 * binary_entropy(q) - offset_kt, LN2 + offset_kt
 
 
 def class_ceilings(report: ClassValueReport) -> tuple[float, float, float]:
@@ -253,7 +246,8 @@ def _seeds(stats: SimulationStats) -> tuple[int, ...]:
     return stats.seed if isinstance(stats.seed, tuple) else (stats.seed,)
 
 
-def simulate_rounds(game: XorGame, behaviour: Behaviour, n: int, seed: int,
+def simulate_rounds(game: XorGame, behaviour: Behaviour, n: int,
+                    seed: int | tuple[int, ...],
                     p_model: float | None = None, noise_delta: float = 0.0,
                     keep_records: bool = False):
     """Sample n feedback rounds and count the controller's hits.
@@ -268,7 +262,7 @@ def simulate_rounds(game: XorGame, behaviour: Behaviour, n: int, seed: int,
 
     Rounds are independent, so the batch is one multinomial draw of n over
     the cells of ``enumerate_rounds``, from the generator seeded
-    (seed, 0); the hits are the counts in won cells, controller noise
+    (*seed, 0) (a bare integer seed is the 1-tuple); the hits are the counts in won cells, controller noise
     thins the won and the lost counts binomially, and a flipped controller
     hits exactly the other rounds, with the same draws.  Memory is constant in n
     unless records are kept.  Batches of one model combine exactly with
@@ -285,8 +279,10 @@ def simulate_rounds(game: XorGame, behaviour: Behaviour, n: int, seed: int,
     rounds, and at MAX_RECORDS when its transcript is kept (BudgetError).
     A controller model outside [1/2, 1] is rejected (branch_works), and so
     is a model of 1 unless the channel never errs: its branch would cost
-    infinite work on a wrong guess (ValidationError, before any draw).
+    infinite work on a wrong guess (ValidationError, before any draw), as
+    are an n that is not an integer and a bad seed (errors.check_seed).
     """
+    n = check_count(n, "round count n")
     if n < 1:
         raise ValidationError(f"need n >= 1 rounds, got {n}")
     limit = MAX_RECORDS if keep_records else MAX_ROUNDS
@@ -307,7 +303,7 @@ def simulate_rounds(game: XorGame, behaviour: Behaviour, n: int, seed: int,
     probs, rounds = enumerate_rounds(game, behaviour)
     cells = np.flatnonzero(probs > 0.0)
     pvals = probs[cells] / math.fsum(probs[cells])
-    rng = np.random.default_rng([seed, 0])
+    rng = np.random.default_rng([*check_seed(seed), 0])
     counts = rng.multinomial(n, pvals)
     hits = int(counts[rounds.won[cells]].sum())
     if noise_delta > 0.0:
@@ -332,26 +328,19 @@ def simulate_rounds(game: XorGame, behaviour: Behaviour, n: int, seed: int,
 # expansions, thresholds, sweeps
 
 
-def small_bias_work(value: float, mode: str = "chsh", order: int = 2) -> float:
+def small_bias_work(beta: float, order: int = 2) -> float:
     """Leading-order feedback work near random guessing, in kT.
 
-    ``mode="chsh"`` takes the CHSH expression S and returns S^2/32
-    (+ S^4/3072 at order 4); ``mode="bias"`` takes the game bias beta and
-    returns beta^2/2 (+ beta^4/12).  Useful for |p - 1/2| <= 0.2/8, i.e.
-    S <= 0.2 or beta <= 0.05; beyond that use the exact formula.
+    Takes the bias beta = 2p - 1 and returns beta^2/2 (+ beta^4/12 at order
+    4); for CHSH beta = S/4, so S^2/32 (+ S^4/3072).  Useful for
+    |p - 1/2| <= 0.2/8, i.e. beta <= 0.05 or S <= 0.2; beyond that use the
+    exact formula.
     """
     if order not in (2, 4):
         raise ValidationError(f"expansion order must be 2 or 4, got {order!r}")
-    if mode == "chsh":
-        w = value * value / 32.0
-        if order == 4:
-            w += value ** 4 / 3072.0
-    elif mode == "bias":
-        w = value * value / 2.0
-        if order == 4:
-            w += value ** 4 / 12.0
-    else:
-        raise ValidationError(f"unknown expansion mode {mode!r}")
+    w = beta * beta / 2.0
+    if order == 4:
+        w += beta ** 4 / 12.0
     return w
 
 
@@ -397,6 +386,6 @@ def sweep_s_curve(s_values) -> list[tuple[float, float, float]]:
         s = float(s)
         if not 0.0 <= s <= 4.0:
             raise ValidationError(f"CHSH expression S = {s!r} outside [0, 4]")
-        bits = 1.0 - binary_entropy(0.5 + s / 8.0)
+        bits = mutual_information(0.5 + s / 8.0)
         rows.append((s, bits, bits * LN2))
     return rows

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetError, ParseError, ValidationError
+from .errors import BudgetError, ParseError, ValidationError, check_count
 
 PROB_ATOL = 1e-12
 RENORM_ATOL = 1e-9
@@ -59,7 +59,8 @@ class XorGame:
     f: np.ndarray
 
     def __post_init__(self):
-        if self.nu < 1 or self.nv < 1:
+        if (check_count(self.nu, "game: nu") < 1
+                or check_count(self.nv, "game: nv") < 1):
             raise ValidationError("game: need nu >= 1 and nv >= 1")
         mu = np.array(self.mu, dtype=float)
         f = np.array(self.f)
@@ -92,10 +93,11 @@ class Behaviour:
 
     def __post_init__(self):
         t = np.array(self.table, dtype=float)
-        if t.shape != (self.nu, self.nv, 2, 2):
+        shape = (check_count(self.nu, "behaviour: nu"),
+                 check_count(self.nv, "behaviour: nv"), 2, 2)
+        if t.shape != shape:
             raise ValidationError(
-                f"behaviour field 'table': shape {t.shape} != "
-                f"({self.nu}, {self.nv}, 2, 2)")
+                f"behaviour field 'table': shape {t.shape} != {shape}")
         _check_entries(t, "behaviour field 'table'")
         sums = t.sum(axis=(2, 3))
         bad = np.abs(sums - 1.0) > PROB_ATOL
@@ -105,13 +107,6 @@ class Behaviour:
                 f"behaviour field 'table': slice [{u}][{v}] sums to "
                 f"{sums[u, v]!r}, expected 1")
         object.__setattr__(self, "table", _read_only(t))
-
-    @classmethod
-    def from_table(cls, table) -> "Behaviour":
-        t = np.asarray(table, dtype=float)
-        if t.ndim != 4:
-            raise ValidationError("behaviour field 'table': need a 4-deep array")
-        return cls(nu=t.shape[0], nv=t.shape[1], table=t)
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +128,7 @@ def make_chained(n: int) -> XorGame:
     demand equal outputs except the wrap-around pair (0, N-1), which demands
     unequal ones.  N is capped at MAX_CHAIN: mu and f are dense N x N.
     """
-    if not isinstance(n, int) or n < 2:
+    if check_count(n, "chained game: N") < 2:
         raise ValidationError(f"chained game: need integer N >= 2, got {n!r}")
     if n > MAX_CHAIN:
         raise BudgetError(f"chained game: N = {n} > {MAX_CHAIN}")
@@ -189,8 +184,12 @@ def pr_box(game: XorGame) -> Behaviour:
 
 def correlator_behaviour(e) -> Behaviour:
     """Behaviour with uniform marginals realizing the given correlator matrix
-    E_uv = E[(-1)^(a xor b) | u, v], each entry in [-1, 1]."""
+    E_uv = E[(-1)^(a xor b) | u, v], an nu x nv matrix of entries in
+    [-1, 1]."""
     e = np.array(e, dtype=float)
+    if e.ndim != 2:
+        raise ValidationError(
+            f"correlator matrix: need a 2-D array, got shape {e.shape}")
     outside = ~(np.abs(e) <= 1.0 + PROB_ATOL)  # NaN is outside too
     if outside.any():
         u, v = np.argwhere(outside)[0]
@@ -240,23 +239,19 @@ def correlators(b: Behaviour) -> np.ndarray:
     return np.clip(e, -1.0, 1.0)
 
 
-def win_probabilities(game: XorGame, b: Behaviour) -> np.ndarray:
-    """P[a xor b = f(u,v) | u, v] for every question pair, as an nu x nv array."""
-    _check_dims(game, b)
-    t = b.table
-    even = t[:, :, 0, 0] + t[:, :, 1, 1]
-    odd = t[:, :, 0, 1] + t[:, :, 1, 0]
-    return np.where(game.f == 0, even, odd)
-
-
 def game_value(game: XorGame, b: Behaviour) -> float:
     """Winning probability of the behaviour.
 
     Computed as 1 minus the exactly-summed lost mass, which keeps perfect
     and near-perfect values exact in floating point (mu itself only sums
-    to 1 within tolerance).
+    to 1 within tolerance).  A pair (u, v) is won with the probability of
+    even outputs when f(u, v) = 0, of odd ones otherwise.
     """
-    loss = game.mu * (1.0 - win_probabilities(game, b))
+    _check_dims(game, b)
+    t = b.table
+    won = np.where(game.f == 0, t[:, :, 0, 0] + t[:, :, 1, 1],
+                   t[:, :, 0, 1] + t[:, :, 1, 0])
+    loss = game.mu * (1.0 - won)
     value = 1.0 - math.fsum(loss.ravel())
     return min(1.0, max(0.0, value))
 

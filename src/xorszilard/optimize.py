@@ -9,9 +9,9 @@ the bilinear bias over unit vectors, and upper-bounded by a feasible point
 of the XOR-game SDP dual built from the same vectors; the seesaw stops once
 the two are within a tolerance.  Its rate is measured at every step from
 the bias increments; Young's rule turns it into the over-relaxation,
-applied with one row-norm pass per half-step.  The dual gap's own rate
-spaces the checks.  The nonsignalling value of an XOR game is always 1,
-witnessed by the predicate box.
+applied with one row-norm pass per half-step, and Young's rate at that
+omega spaces the dual checks.  The nonsignalling value of an XOR game is
+always 1, witnessed by the predicate box.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetError, ValidationError
+from .errors import BudgetError, ValidationError, check_count, check_seed
 from .games import Behaviour, XorGame, game_value, pr_box
 
 LOCAL_BUDGET = 40  # enumeration budget: nu + nv question count
@@ -210,11 +210,11 @@ def _omega(bias: float) -> float:
     return min(1.0, (1.0 + float(bias)) / 2.0)
 
 
-def _seesaw_start(game: XorGame, seed: int, k: int):
+def _seesaw_start(game: XorGame, seed: int | tuple[int, ...], k: int):
     """Random unit-vector start, (nu, dim) and (nv, dim) rows drawn from
-    sub-seed (seed, k)."""
+    sub-seed (*seed, k)."""
     dim = game.nu + game.nv
-    rng = np.random.default_rng([seed, k])
+    rng = np.random.default_rng([*check_seed(seed), k])
     avecs = rng.normal(size=(game.nu, dim))
     bvecs = rng.normal(size=(game.nv, dim))
     avecs /= np.linalg.norm(avecs, axis=1, keepdims=True)
@@ -341,8 +341,8 @@ def _seesaw(weights: np.ndarray, a: np.ndarray, b: np.ndarray, tol: float,
 
     The run bounds every quantum bias from above by the dual point of its
     current vectors (_dual_bound) at step 0 and then at the step where the
-    dual gap is predicted to pass ``tol``: by the rate the gap showed since
-    the last check at this omega, else by Young's rate at omega, else
+    dual gap is predicted to pass ``tol`` at Young's rate for omega (the
+    plain rate once an overshoot has returned the run to plain steps), else
     CHECK_EVERY steps on.  The first check after a change of omega comes
     within CHECK_EVERY steps, so an overshoot is caught as early as with a
     check every CHECK_EVERY steps; plain steps whose bias stalls are checked
@@ -363,9 +363,9 @@ def _seesaw(weights: np.ndarray, a: np.ndarray, b: np.ndarray, tol: float,
     bias = float(np.vdot(a, wb))
     it = check = 0
     last = None          # (step, gap) of the last check
-    rate = None          # the gap's rate at omega
+    rate = None          # the gap's predicted rate at omega
     rise = ratio = None  # the last bias increment and increment ratio
-    fresh = True         # omega changed since the last check, or none ran
+    fresh = False        # omega changed since the last check
     while True:
         if it == check:
             bound = _dual_bound(m, w_sq, wb, wta)
@@ -373,12 +373,10 @@ def _seesaw(weights: np.ndarray, a: np.ndarray, b: np.ndarray, tol: float,
             if bias >= best - _SLACK:
                 kept, best = (a, b, bias), max(best, bias)
             elif relax:  # an overshoot: plain steps from here on
-                omega, relax, rate, fresh = 1.0, False, rho or None, True
+                omega, relax, rate = 1.0, False, rho or None
             if upper - kept[2] < tol or it == max_iter:
                 return (*kept, upper, it)
             gap = bound - bias
-            if not fresh and 0.0 < gap < last[1]:
-                rate = (gap / last[1]) ** (1.0 / (it - last[0]))
             spacing = CHECK_EVERY if rate is None else _steps_to(gap, rate, tol)
             check = min(it + spacing, max_iter)
             last, fresh = (it, gap), False
@@ -419,19 +417,21 @@ def _seesaw(weights: np.ndarray, a: np.ndarray, b: np.ndarray, tol: float,
 
 def quantum_value(game: XorGame, tol: float = DEFAULT_TOL,
                   max_iter: int = DEFAULT_MAX_ITER,
-                  seed: int = DEFAULT_SEED) -> tuple[float, SeesawState]:
+                  seed: int | tuple[int, ...] = DEFAULT_SEED
+                  ) -> tuple[float, SeesawState]:
     """Seesaw lower bound on the quantum value, certified by a dual bound.
 
-    One seesaw run from the deterministic sub-seed (seed, 0).  At dimension
+    One seesaw run from the deterministic sub-seed (*seed, 0).  At dimension
     nu + nv it factors the XOR-game SDP at full rank, where a second-order
     critical point is generically a global optimum, so the run is certified
     on every game tried.  If it is not within ``tol`` of its dual bound
     after ``max_iter`` steps, the state has ``converged=False``, and its
     bound still holds.  Questions of zero weight never move the bias or the
     bound, so the seesaw runs without them and they keep their start
-    vectors.  ``tol`` must be finite and > 0 and ``max_iter`` >= 0
-    (ValidationError).
+    vectors.  ``tol`` must be finite and > 0, ``max_iter`` an integer
+    >= 0 and ``seed`` a valid seed (errors.check_seed), or ValidationError.
     """
+    max_iter = check_count(max_iter, "max_iter")
     if not (math.isfinite(tol) and tol > 0.0) or max_iter < 0:
         raise ValidationError(f"need finite tol > 0 and max_iter >= 0, got "
                               f"tol = {tol!r}, max_iter = {max_iter!r}")
@@ -482,11 +482,6 @@ def is_nonsignalling(b: Behaviour, tol: float = 1e-9) -> NonsignallingReport:
                                location=location)
 
 
-def ns_value(game: XorGame) -> tuple[float, Behaviour]:
-    """Nonsignalling value of an XOR game: 1, certified by the predicate box."""
-    return 1.0, pr_box(game)
-
-
 # ---------------------------------------------------------------------------
 # bundled report
 
@@ -533,10 +528,12 @@ class ClassValueReport:
 
 def class_report(game: XorGame, seed: int = DEFAULT_SEED) -> ClassValueReport:
     """Bundle local, quantum (seesaw), and nonsignalling values for a game;
-    a local strategy is also a quantum one, so it bounds omega_quantum too."""
+    a local strategy is also a quantum one, so it bounds omega_quantum too.
+    The nonsignalling value of an XOR game is 1, certified by the predicate
+    box, which is verified here."""
     w_local, amap, bmap = local_value(game)
     w_quantum, state = quantum_value(game, seed=seed)
-    w_ns, certificate = ns_value(game)
+    certificate = pr_box(game)
     check = is_nonsignalling(certificate)
     if not check or game_value(game, certificate) != 1.0:
         raise ValidationError("predicate-box certificate failed verification")
@@ -545,7 +542,7 @@ def class_report(game: XorGame, seed: int = DEFAULT_SEED) -> ClassValueReport:
         omega_local=w_local,
         omega_quantum=max(w_quantum, w_local),
         omega_quantum_upper=_omega(state.upper),
-        omega_ns=w_ns,
+        omega_ns=1.0,
         local_strategy=(amap, bmap),
         converged=state.converged,
         iterations=state.iterations,

@@ -9,12 +9,12 @@ import time
 import pytest
 
 from xorszilard import (ProtocolSchedule, branch_decomposition,
-                        branch_work, class_ceilings, class_report,
+                        class_ceilings, class_report,
                         cycle_ledger, deterministic_behaviour,
                         enumerate_rounds, estimate_sigma, exact_memory_ledger,
                         game_value, is_nonsignalling, local_value, make_chained,
                         make_chsh, memory_ledger, mix_with_uniform,
-                        noise_threshold, pr_box, quantum_optimal_chsh,
+                        mutual_information, noise_threshold, pr_box, quantum_optimal_chsh,
                         quantum_value, scaling_fit, simulate_rounds,
                         small_bias_work, uniform_behaviour)
 from xorszilard.engine import LN2
@@ -118,9 +118,9 @@ def test_criterion_06_branch_decomposition():
     worst = 0.0
     p = 0.5
     while p < 0.995:
-        want = LN2 * branch_work(p, 1.0 - p)
+        want = LN2 * mutual_information(p)
         for offset in (-5.0, 0.0, 3.0):
-            assign, ret = branch_decomposition(p, 1.0 - p, offset_kt=offset)
+            assign, ret = branch_decomposition(p, offset_kt=offset)
             worst = max(worst, abs(assign + ret - want))
         p += 0.01
     assert worst < 1e-12
@@ -156,12 +156,12 @@ def test_criterion_09_small_violation_expansion():
     s = 0.02
     while s <= 0.2 + 1e-12:
         exact = LN2 * (1.0 - h2(0.5 + s / 8.0))
-        err2 = abs(exact - small_bias_work(s, mode="chsh", order=2))
+        err2 = abs(exact - small_bias_work(s / 4.0, order=2))
         assert err2 <= 2.0 * s ** 4 / 3072.0
         s += 0.02
     exact = LN2 * (1.0 - h2(0.5 + 0.2 / 8.0))
-    err2 = abs(exact - small_bias_work(0.2, mode="chsh", order=2))
-    err4 = abs(exact - small_bias_work(0.2, mode="chsh", order=4))
+    err2 = abs(exact - small_bias_work(0.2 / 4.0, order=2))
+    err4 = abs(exact - small_bias_work(0.2 / 4.0, order=4))
     assert err4 <= err2 / 10.0
     _pass(9, f"S^2/32 error bounded by 2 S^4/3072 for S <= 0.2; order-4 "
              f"tightens {err2 / max(err4, 1e-300):.0f}x at S = 0.2")

@@ -78,6 +78,7 @@ def test_value_perfect_game_caps_quantum_value(capsys, tmp_path):
     (["finite-time", "--tau-grid", "10,nan", "--reps", "100"], EXIT_VALIDATION),
     (["finite-time", "--tau-grid", "10,inf", "--reps", "100"], EXIT_VALIDATION),
     (["finite-time", "--tau-grid", "10,abc", "--reps", "100"], EXIT_PARSE),
+    (["finite-time", "--tau-grid", "10,10", "--reps", "100"], EXIT_VALIDATION),
     (["simulate", "--game", "chsh", "--behaviour", "pr",
       "--rounds", "100000000000000000000"], EXIT_BUDGET),
     (["simulate", "--game", "chsh", "--behaviour", "pr",
@@ -116,6 +117,7 @@ def test_value_perfect_game_caps_quantum_value(capsys, tmp_path):
 ], ids=["value-seed", "simulate-seed", "finite-time-seed", "finite-time-p1",
         "sweep-nan", "sweep-inf", "finite-time-rate-nan", "finite-time-rate-inf",
         "finite-time-tau-nan", "finite-time-tau-inf", "finite-time-tau-abc",
+        "finite-time-tau-repeated",
         "simulate-rounds",
         "simulate-records", "finite-time-tau-1e12", "finite-time-tau-1e300",
         "finite-time-reps", "sweep-step-1e-20", "sweep-step-1e-9",

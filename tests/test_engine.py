@@ -6,9 +6,9 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from xorszilard import (ValidationError, branch_decomposition, branch_work,
-                        branch_works, class_ceilings, class_report,
-                        correlator_behaviour, cycle_ledger, enumerate_rounds,
+from xorszilard import (ValidationError, branch_decomposition, branch_works,
+                        class_ceilings, class_report, correlator_behaviour,
+                        cycle_ledger, enumerate_rounds,
                         exact_memory_ledger, make_chained, make_chsh,
                         memory_ledger, merge_stats, mix_with_uniform,
                         mutual_information, noise_threshold, pr_box,
@@ -46,24 +46,16 @@ def test_posterior_rejects_unoriented():
             branch_works(q)
 
 
-def test_branch_work_values():
-    assert branch_work(0.5, 0.5) == 0.0
-    assert abs(branch_work(0.75, 0.25) - 0.188722) < 1e-6
-    assert branch_work(1.0, 0.0) == 1.0
-    with pytest.raises(ValidationError):
-        branch_work(0.7, 0.7)
-
-
 def test_branch_decomposition_identity():
-    # assignment + return strokes sum to ln2 * branch work on a p grid,
-    # independently of the Hamiltonian energy zero
+    # assignment + return strokes sum to ln2 * mutual information on a p
+    # grid, independently of the Hamiltonian energy zero
     for i in range(50):
         p = 0.5 + 0.01 * i
-        want = LN2 * branch_work(p, 1 - p)
+        want = LN2 * mutual_information(p)
         for offset in (-5.0, 0.0, 3.0):
-            assign, ret = branch_decomposition(p, 1 - p, offset_kt=offset)
+            assign, ret = branch_decomposition(p, offset_kt=offset)
             assert abs(assign + ret - want) < 1e-12
-        assign0, ret0 = branch_decomposition(p, 1 - p)
+        assign0, ret0 = branch_decomposition(p)
         assert assign0 == pytest.approx(
             sum(q * math.log(q) for q in (p, 1 - p) if q > 0), abs=1e-12)
         assert ret0 == LN2
@@ -73,9 +65,9 @@ def test_trajectory_work():
     w_hit, w_miss = branch_works(0.75)
     assert w_hit == pytest.approx(math.log(1.5), abs=1e-12)
     assert w_miss == pytest.approx(math.log(0.5), abs=1e-12)
-    # posterior average equals ln2 * branch work
+    # posterior average equals ln2 * mutual information
     avg = 0.75 * w_hit + 0.25 * w_miss
-    assert abs(avg - LN2 * branch_work(0.75, 0.25)) < 1e-12
+    assert abs(avg - LN2 * mutual_information(0.75)) < 1e-12
 
 
 def test_posterior_average_identity_grid():
@@ -83,7 +75,7 @@ def test_posterior_average_identity_grid():
         p = 0.5 + 0.01 * i
         w_hit, w_miss = branch_works(p)
         avg = p * w_hit + (1 - p) * w_miss
-        assert abs(avg - LN2 * branch_work(p, 1 - p)) < 1e-12
+        assert abs(avg - LN2 * mutual_information(p)) < 1e-12
 
 
 def test_feedback_value():
@@ -442,11 +434,11 @@ def test_merge_stats_rejects_different_targets():
 
 
 def test_small_bias_work_values():
-    assert small_bias_work(0.2, mode="chsh", order=2) == pytest.approx(
+    # CHSH at S = 0.2 is beta = S/4 = 0.05: S^2/32 = beta^2/2
+    assert small_bias_work(0.2 / 4, order=2) == pytest.approx(
         0.00125, abs=1e-15)
-    assert small_bias_work(0.0, mode="chsh", order=4) == 0.0
-    with pytest.raises(ValidationError):
-        small_bias_work(0.1, mode="nope")
+    assert small_bias_work(0.05) == small_bias_work(0.05, order=2)
+    assert small_bias_work(0.0, order=4) == 0.0
     with pytest.raises(ValidationError):
         small_bias_work(0.1, order=3)
 
@@ -454,15 +446,16 @@ def test_small_bias_work_values():
 def test_small_bias_expansion_error_bounds():
     for s in (0.02, 0.05, 0.1, 0.15, 0.2):
         exact = LN2 * (1 - h2(0.5 + s / 8))
-        err2 = abs(exact - small_bias_work(s, mode="chsh", order=2))
+        err2 = abs(exact - small_bias_work(s / 4, order=2))
         assert err2 <= 2 * s ** 4 / 3072
-        err4 = abs(exact - small_bias_work(s, mode="chsh", order=4))
+        err4 = abs(exact - small_bias_work(s / 4, order=4))
         assert err4 <= err2
-    # bias mode is the same expansion in beta = S/4
+        # the S form S^2/32 + S^4/3072 is the bias form at beta = S/4
+        assert small_bias_work(s / 4, order=4) == pytest.approx(
+            s * s / 32 + s ** 4 / 3072, rel=4.5e-16)
     for beta in (0.01, 0.03, 0.05):
         exact = LN2 * (1 - h2(0.5 + beta / 2))
-        assert abs(exact - small_bias_work(beta, mode="bias", order=4)) \
-            <= beta ** 6
+        assert abs(exact - small_bias_work(beta, order=4)) <= beta ** 6
 
 
 def test_noise_threshold():
@@ -479,6 +472,8 @@ def test_noise_threshold():
                    noise_threshold(p, w, method="bisect")) < 1e-8
     with pytest.raises(ValidationError):
         noise_threshold(0.8, Q_CHSH)
+    with pytest.raises(ValidationError, match="unknown method 'nope'"):
+        noise_threshold(1.0, Q_CHSH, method="nope")
 
 
 def test_noise_threshold_bisect_tolerance(within):

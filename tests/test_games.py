@@ -123,6 +123,8 @@ def test_deterministic_behaviour():
         deterministic_behaviour(g, [0], [0, 0])
     with pytest.raises(ValidationError):
         deterministic_behaviour(g, [0, 2], [0, 0])
+    with pytest.raises(ValidationError, match="bmap has shape"):
+        deterministic_behaviour(g, [0, 0], [0])
 
 
 def test_constructors_match_loop_form():
@@ -184,6 +186,15 @@ def test_game_invariant_validation():
     with pytest.raises(ValidationError, match="'f'"):
         XorGame(name="bad", nu=2, nv=2, mu=np.full((2, 2), 0.25),
                 f=np.array([[0, 0], [0, math.nan]]))
+    for nu, nv in ((0, 2), (2, 0)):
+        with pytest.raises(ValidationError, match="nu >= 1 and nv >= 1"):
+            XorGame(name="bad", nu=nu, nv=nv, mu=[[1.0]], f=[[0]])
+    with pytest.raises(ValidationError, match=r"'mu': shape \(2, 2\) != \(2, 3\)"):
+        XorGame(name="bad", nu=2, nv=3, mu=np.full((2, 2), 0.25),
+                f=np.zeros((2, 3)))
+    with pytest.raises(ValidationError, match=r"'f': shape \(2, 2\) != \(1, 4\)"):
+        XorGame(name="bad", nu=1, nv=4, mu=np.full((1, 4), 0.25),
+                f=np.zeros((2, 2)))
 
 
 def test_behaviour_invariant_validation():
@@ -199,6 +210,9 @@ def test_behaviour_invariant_validation():
     t[1, 0, 1, 0] = math.nan
     with pytest.raises(ValidationError, match=r"non-finite entry at \[1\]\[0\]\[1\]\[0\]"):
         Behaviour(2, 2, t)
+    with pytest.raises(ValidationError,
+                       match=r"shape \(2, 2, 2, 2\) != \(2, 3, 2, 2\)"):
+        Behaviour(2, 3, np.full((2, 2, 2, 2), 0.25))
 
 
 def test_correlator_matrix_range():
@@ -209,13 +223,6 @@ def test_correlator_matrix_range():
             correlator_behaviour([[0.5, x]])
     b = correlator_behaviour([[1.0, -1.0]])
     assert np.array_equal(correlators(b), [[1.0, -1.0]])
-
-
-def test_behaviour_from_table_infers_shape():
-    b = Behaviour.from_table(np.full((2, 3, 2, 2), 0.25))
-    assert (b.nu, b.nv) == (2, 3)
-    with pytest.raises(ValidationError):
-        Behaviour.from_table(np.full((2, 2, 2), 0.25))
 
 
 def test_tables_are_immutable():
@@ -349,7 +356,7 @@ def test_max_file_bytes_admits_largest_simulated_behaviour(tmp_path):
     rng = np.random.default_rng(3)
     t = rng.random((256, 256, 2, 2))
     path = tmp_path / "b.json"
-    save_behaviour(Behaviour.from_table(t / t.sum(axis=(2, 3), keepdims=True)),
+    save_behaviour(Behaviour(256, 256, t / t.sum(axis=(2, 3), keepdims=True)),
                    str(path))
     assert 3 * os.path.getsize(path) < games.MAX_FILE_BYTES
 

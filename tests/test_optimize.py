@@ -8,7 +8,7 @@ import pytest
 from xorszilard import (Behaviour, BudgetError, ValidationError, XorGame,
                         class_report, deterministic_behaviour, game_value,
                         is_nonsignalling, local_value, make_chained, make_chsh,
-                        ns_value, optimize, pr_box, quantum_value)
+                        optimize, pr_box, quantum_value)
 from xorszilard.optimize import (CHECK_EVERY, DEFAULT_SEED, DEFAULT_TOL,
                                  SeesawState, _dual_upper, _seesaw,
                                  _seesaw_start, _weights)
@@ -408,8 +408,9 @@ def test_seesaw_state_validates_unit_norms():
                                   XorGame(name="pair", nu=1, nv=1,
                                           mu=[[1.0]], f=[[1]])])
 def test_ns_value_certificate(game):
-    w, cert = ns_value(game)
-    assert w == 1.0
+    # the nonsignalling value 1 is certified by the predicate box
+    assert class_report(game).omega_ns == 1.0
+    cert = pr_box(game)
     assert game_value(game, cert) == 1.0
     assert is_nonsignalling(cert, tol=0.0).ok
 
@@ -424,7 +425,12 @@ def test_is_nonsignalling_detects_violation():
     rep = is_nonsignalling(Behaviour(2, 2, t))
     assert not rep
     assert rep.max_violation == pytest.approx(0.2, abs=1e-12)
-    assert rep.location[0] in ("alice", "bob")
+    assert rep.location[:2] == ("alice", 0)
+    # the mirror image: Bob's marginal for v=0 depends on u
+    rep = is_nonsignalling(Behaviour(2, 2, t.transpose(1, 0, 3, 2)))
+    assert not rep
+    assert rep.max_violation == pytest.approx(0.2, abs=1e-12)
+    assert rep.location[:2] == ("bob", 0)
 
 
 def test_is_nonsignalling_deterministic_and_pr():

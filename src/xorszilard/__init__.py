@@ -19,6 +19,6 @@ from .games import (Behaviour, XorGame, bias, chsh_S, correlator_behaviour,
                     save_behaviour, save_game, uniform_behaviour)
 from .optimize import (ClassValueReport, NonsignallingReport, SeesawState,
                        class_report, is_nonsignalling, local_value,
-                       quantum_value)
+                       quantum_behaviour, quantum_value)
 
 __version__ = "0.1.0"

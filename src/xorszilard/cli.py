@@ -2,10 +2,11 @@
 
 Subcommands: value, channel, simulate, sweep, cycle, finite-time.
 Game specs: ``chsh``, ``chained:N``, or a JSON file path.  Behaviour specs:
-``pr``, ``local-opt``, ``quantum-opt``, ``uniform``, a JSON file path,
-``noisy:<spec>:<delta>`` (controller-bit noise applied at channel level),
-or ``mix:<spec>:<v>`` (visibility mixing with the uniform behaviour; a
-distinct operation from channel noise).
+``pr``, ``local-opt``, ``quantum-opt`` (the certified seesaw's optimum at
+the default seed, for any game with nu + nv <= 40), ``uniform``, a JSON
+file path, ``noisy:<spec>:<delta>`` (controller-bit noise applied at
+channel level), or ``mix:<spec>:<v>`` (visibility mixing with the uniform
+behaviour; a distinct operation from channel noise).
 
 Outputs are dimensionless by default (bits, kT); ``--kt`` rescales kT to a
 physical energy in every subcommand but finite-time, which prints the
@@ -15,9 +16,10 @@ Exit codes: 0 ok, 2 parse (also a game or behaviour file that is not a
 UTF-8 JSON object, nests too deeply or gives non-integer sizes, a --kt that
 is not finite and > 0, a --tau-grid entry that is not a number, and an
 output file that cannot be written), 3 validation, 4 budget (game and
-behaviour file bytes, chained:N length, local enumeration, round-table
-cells, rounds per simulate batch and kept transcript rows, finite-time
-steps and reps*steps, sweep rows), 5 regime.
+behaviour file bytes, chained:N length, the nu + nv questions of value,
+local-opt and quantum-opt, round-table cells, rounds per simulate batch
+and kept transcript rows, finite-time steps and reps*steps, sweep rows),
+5 regime.
 The environment variable XORSZILARD_OUT_DIR sets the default directory for
 relative output paths.
 """
@@ -149,12 +151,6 @@ def parse_game_spec(spec: str) -> games.XorGame:
     raise ParseError(f"unknown game spec '{spec}' (use chsh, chained:N, or a file)")
 
 
-def _is_structural_chsh(game: games.XorGame) -> bool:
-    return (game.nu, game.nv) == (2, 2) \
-        and (game.f == [[0, 0], [0, 1]]).all() \
-        and np.allclose(game.mu, 0.25, rtol=0.0, atol=games.PROB_ATOL)
-
-
 def parse_behaviour_spec(spec: str, game: games.XorGame):
     """Resolve a behaviour spec.  Returns (behaviour, noise_delta, label).
 
@@ -182,11 +178,7 @@ def parse_behaviour_spec(spec: str, game: games.XorGame):
         _, amap, bmap = optimize.local_value(game)
         b = games.deterministic_behaviour(game, amap, bmap)
     elif spec == "quantum-opt":
-        if not _is_structural_chsh(game):
-            raise ValidationError(
-                "quantum-opt is only defined for the CHSH game; other games "
-                "have no canonical optimal behaviour here")
-        b = games.quantum_optimal_chsh()
+        b = optimize.quantum_behaviour(game)
     elif spec.endswith(".json") or os.path.exists(spec):
         b = games.load_behaviour(spec)
     else:

@@ -182,7 +182,7 @@ class SimulationStats:
     hits: int
     p_model: float
     analytic_work_kt: float
-    seed: int | tuple[int, ...]  # a merged batch's seeds, in merge order
+    seeds: tuple  # each pooled batch's seed, an int or a tuple, in order
     flipped: bool = False
 
     @property
@@ -202,15 +202,20 @@ class SimulationStats:
         return abs(w_hit - w_miss) * math.sqrt(hits * (n - hits) / (n - 1)) / n
 
     def to_json_dict(self) -> dict:
-        """The batch's fields; ``flipped`` appears only when it is true."""
+        """The batch's fields; ``flipped`` appears only when it is true.
+
+        One batch gives its ``seed``; a merged batch gives ``seeds``, the
+        list of every pooled batch's seed, so it never reads as one batch
+        with a tuple seed.
+        """
+        seeds = [list(s) if isinstance(s, tuple) else s for s in self.seeds]
         return {
             "rounds": self.rounds,
             "empirical_p": self.empirical_p,
             "mean_work_kt": self.mean_work_kt,
             "stderr_kt": self.stderr_kt,
             "analytic_work_kt": self.analytic_work_kt,
-            "seed": list(self.seed) if isinstance(self.seed, tuple)
-                    else self.seed,
+            **({"seed": seeds[0]} if len(seeds) == 1 else {"seeds": seeds}),
             **({"flipped": True} if self.flipped else {}),
         }
 
@@ -232,18 +237,14 @@ def merge_stats(a: SimulationStats, b: SimulationStats) -> SimulationStats:
     """Pool two batches of one controller model by adding their counts.
 
     The merge is exact and associative, and equals the stats of the pooled
-    batch; its seed is the tuple of every pooled batch's seed, in order.
+    batch; its ``seeds`` hold every pooled batch's seed, in order.
     """
     if ((a.p_model, a.analytic_work_kt, a.flipped)
             != (b.p_model, b.analytic_work_kt, b.flipped)):
         raise ValidationError("cannot merge stats with different controller "
                               "models, analytic targets or orientations")
     return replace(a, rounds=a.rounds + b.rounds, hits=a.hits + b.hits,
-                   seed=_seeds(a) + _seeds(b))
-
-
-def _seeds(stats: SimulationStats) -> tuple[int, ...]:
-    return stats.seed if isinstance(stats.seed, tuple) else (stats.seed,)
+                   seeds=a.seeds + b.seeds)
 
 
 def simulate_rounds(game: XorGame, behaviour: Behaviour, n: int,
@@ -314,7 +315,7 @@ def simulate_rounds(game: XorGame, behaviour: Behaviour, n: int,
     if flipped:
         hits = n - hits
     stats = SimulationStats(rounds=n, hits=hits, p_model=q,
-                            analytic_work_kt=analytic, seed=seed,
+                            analytic_work_kt=analytic, seeds=(seed,),
                             flipped=flipped)
     if keep_records:
         order = np.repeat(cells.astype(np.min_scalar_type(len(rounds) - 1)),

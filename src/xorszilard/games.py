@@ -185,7 +185,8 @@ def pr_box(game: XorGame) -> Behaviour:
 def correlator_behaviour(e) -> Behaviour:
     """Behaviour with uniform marginals realizing the given correlator matrix
     E_uv = E[(-1)^(a xor b) | u, v], an nu x nv matrix of entries in
-    [-1, 1]."""
+    [-1, 1]; entries up to PROB_ATOL outside, as rounding leaves the
+    product of two unit vectors, are clipped to it."""
     e = np.array(e, dtype=float)
     if e.ndim != 2:
         raise ValidationError(
@@ -195,6 +196,7 @@ def correlator_behaviour(e) -> Behaviour:
         u, v = np.argwhere(outside)[0]
         raise ValidationError(
             f"correlator entry [{u}][{v}] = {float(e[u, v])!r} outside [-1, 1]")
+    e = np.clip(e, -1.0, 1.0)  # an entry within PROB_ATOL past +-1 is +-1
     nu, nv = e.shape
     t = np.empty((nu, nv, 2, 2))
     t[:, :, 0, 0] = t[:, :, 1, 1] = (1.0 + e) / 4.0
@@ -208,6 +210,9 @@ def quantum_optimal_chsh() -> Behaviour:
     Given as an explicit correlator table with E = +1/sqrt(2) on the three
     aligned question pairs and -1/sqrt(2) on (1, 1), with uniform marginals.
     Its CHSH value is S = 2*sqrt(2), i.e. winning probability cos^2(pi/8).
+    The program builds ``quantum-opt`` from the seesaw on every game
+    (optimize.quantum_behaviour); this closed form is the reference that
+    the tests hold the seesaw's CHSH behaviour to.
     """
     c = 1.0 / math.sqrt(2.0)
     return correlator_behaviour([[c, c], [c, -c]])

@@ -22,9 +22,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetError, ValidationError, check_count, check_seed
-from .games import Behaviour, XorGame, game_value, pr_box
+from .games import (Behaviour, XorGame, correlator_behaviour, game_value,
+                    pr_box)
 
-LOCAL_BUDGET = 40  # enumeration budget: nu + nv question count
+LOCAL_BUDGET = 40  # local_value and quantum_behaviour budget: nu + nv
 _CHUNK_BITS = 10  # local enumeration chunks hold 2**10 maps
 _SLACK = 1e-12  # bias margin, far above rounding error since |W| sums to 1
 CHECK_EVERY = 8  # seesaw steps to a check when no rate predicts one
@@ -134,10 +135,7 @@ def local_value(game: XorGame) -> tuple[float, tuple[int, ...], tuple[int, ...]]
     map and to its global flip that have amap[0] = 0.  Ties break to the
     lexicographically smallest (amap, bmap).
     """
-    if game.nu + game.nv > LOCAL_BUDGET:
-        raise BudgetError(
-            f"local enumeration budget exceeded: nu + nv = "
-            f"{game.nu + game.nv} > {LOCAL_BUDGET}")
+    _check_budget(game)
     rows, cols = game.mu.any(axis=1), game.mu.any(axis=0)
     mu, f = game.mu[rows][:, cols], game.f[rows][:, cols]
     weights = _weights(game)[rows][:, cols]
@@ -161,6 +159,14 @@ def local_value(game: XorGame) -> tuple[float, tuple[int, ...], tuple[int, ...]]
                                       and amap < best_amap):
             best_value, best_amap, best_bmap = float(values[j]), amap, bmaps[j]
     return best_value, _answers(best_amap, rows), _answers(best_bmap, cols)
+
+
+def _check_budget(game: XorGame):
+    """BudgetError unless nu + nv <= LOCAL_BUDGET, the one question budget
+    of local_value and quantum_behaviour."""
+    if game.nu + game.nv > LOCAL_BUDGET:
+        raise BudgetError(f"question budget exceeded: nu + nv = "
+                          f"{game.nu + game.nv} > {LOCAL_BUDGET}")
 
 
 def _answers(outputs, asked: np.ndarray) -> tuple[int, ...]:
@@ -444,6 +450,22 @@ def quantum_value(game: XorGame, tol: float = DEFAULT_TOL,
                         upper=upper, iterations=iterations,
                         converged=upper - bias < tol)
     return _omega(bias), state
+
+
+def quantum_behaviour(game: XorGame) -> Behaviour:
+    """The quantum-optimal behaviour of any game within LOCAL_BUDGET.
+
+    Its correlators are E_uv = a_u . b_v of the seesaw's unit vectors from
+    quantum_value at DEFAULT_SEED, so the behaviour depends on the game
+    alone; with uniform marginals, a maximally entangled state of dimension
+    2^floor((nu + nv) / 2) realises it (Tsirelson 1980).  Its bias is the
+    run's, certified within DEFAULT_TOL of the quantum value whenever the
+    run converged.  BudgetError for nu + nv > LOCAL_BUDGET, before any
+    seesaw step.
+    """
+    _check_budget(game)
+    _, state = quantum_value(game)
+    return correlator_behaviour(state.avecs @ state.bvecs.T)
 
 
 # ---------------------------------------------------------------------------

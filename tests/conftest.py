@@ -21,7 +21,8 @@ def within():
         thread.start()
         thread.join(seconds)
         if thread.is_alive():
-            pytest.fail(f"{func.__name__} still running after {seconds} s")
+            name = getattr(func, "__name__", repr(func))  # a partial has none
+            pytest.fail(f"{name} still running after {seconds} s")
         if "error" in box:
             raise box["error"]
         return box["result"]

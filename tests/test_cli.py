@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import math
@@ -6,12 +7,14 @@ import os
 import shlex
 import subprocess
 import sys
+import time
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from xorszilard import (ValidationError, XorGame, apply_noise, cli, dynamics,
-                        engine, games, make_chained, save_game,
+                        engine, games, make_chained, optimize, save_game,
                         simulate_rounds)
 from xorszilard.cli import (EXIT_BUDGET, EXIT_PARSE, EXIT_REGIME,
                             EXIT_VALIDATION, main)
@@ -350,26 +353,111 @@ def test_finite_time_out_without_kt(capsys, tmp_path):
     assert "slope" in json.loads(out)
 
 
-def test_channel_quantum_opt_requires_chsh(capsys):
-    code, _, err = run(capsys, "channel", "--game", "chained:3",
-                       "--behaviour", "quantum-opt")
-    assert code == EXIT_VALIDATION
+def test_channel_quantum_opt_chained(capsys):
+    # quantum-opt on a game other than CHSH: the seesaw's behaviour, at
+    # chained:3's closed form
+    data = run_json(capsys, "channel", "--game", "chained:3",
+                    "--behaviour", "quantum-opt")
+    assert data["p"] == pytest.approx(math.cos(math.pi / 12) ** 2, abs=1e-12)
 
 
-def test_channel_quantum_opt_requires_exact_chsh_weights(capsys, tmp_path):
-    # CHSH's predicate with mu off by 1e-6 is another game: np.allclose's
-    # default rtol of 1e-5 once let it through to the Tsirelson table
+def test_channel_quantum_opt_near_chsh_weights(capsys, tmp_path):
+    # CHSH's predicate with mu off by 1e-6 is another game, with its own
+    # quantum optimum; exact CHSH gives the Tsirelson value
     path = tmp_path / "near-chsh.json"
     mu = [[0.25 + 1e-6, 0.25 - 1e-6], [0.25 - 1e-6, 0.25 + 1e-6]]
     save_game(XorGame(name="near-chsh", nu=2, nv=2, mu=mu,
                       f=[[0, 0], [0, 1]]), str(path))
-    code, _, err = run(capsys, "channel", "--game", str(path),
-                       "--behaviour", "quantum-opt")
-    assert code == EXIT_VALIDATION and "only defined for the CHSH game" in err
+    data = run_json(capsys, "channel", "--game", str(path),
+                    "--behaviour", "quantum-opt")
+    value = run_json(capsys, "value", "--game", str(path))
+    assert data["p"] == pytest.approx(value["omega_quantum"], abs=1e-12)
     save_game(games.make_chsh(), str(path))
     data = run_json(capsys, "channel", "--game", str(path),
                     "--behaviour", "quantum-opt")
     assert data["p"] == pytest.approx(math.cos(math.pi / 8) ** 2, abs=1e-15)
+
+
+def _sub_seed(*keys):
+    """bench/workloads.py's sub_seed: a 31-bit seed from the keys."""
+    digest = hashlib.sha256(repr(tuple(keys)).encode()).digest()
+    return int.from_bytes(digest[:4], "big") >> 1
+
+
+def _values_game(nu, nv, seed):
+    """The values benchmark's random game of this shape at a workload seed:
+    a base game drawn from seed 2026, relabelled by the workload seed."""
+    base = np.random.default_rng([2026, nu, nv])
+    mu = base.random((nu, nv))
+    mu /= mu.sum()
+    f = base.integers(0, 2, size=(nu, nv))
+    rng = np.random.default_rng(_sub_seed(seed, nu, nv))
+    pu, pv = rng.permutation(nu), rng.permutation(nv)
+    mu, f = mu[pu][:, pv], f[pu][:, pv]
+    f = f ^ rng.integers(0, 2, size=(nu, 1)) ^ rng.integers(0, 2, size=(1, nv))
+    return XorGame(name=f"random-{nu}x{nv}", nu=nu, nv=nv, mu=mu, f=f)
+
+
+VALUES_SHAPES = ((15, 3), (12, 3), (3, 14), (3, 12), (6, 6), (8, 8), (10, 10))
+# CHSH, chained:2-20 (the benchmark's chained games among them), the
+# perfect 2x4 game and the benchmark's random games at workload seeds 1-3
+QUANTUM_OPT_GAMES = (
+    ["chsh"] + [f"chained:{n}" for n in range(2, 21)]
+    + [XorGame(name="perfect-2x4", nu=2, nv=4, mu=[[0.125] * 4] * 2,
+               f=[[0] * 4] * 2)]
+    + [_values_game(nu, nv, seed) for seed in (1, 2, 3)
+       for nu, nv in VALUES_SHAPES])
+
+
+@pytest.mark.parametrize(
+    "game", QUANTUM_OPT_GAMES,
+    ids=lambda g: g if isinstance(g, str) else g.name)
+def test_channel_quantum_opt_reaches_quantum_ceiling(capsys, tmp_path, game):
+    if not isinstance(game, str):
+        save_game(game, str(tmp_path / "game.json"))
+        game = str(tmp_path / "game.json")
+    data = run_json(capsys, "channel", "--game", game,
+                    "--behaviour", "quantum-opt")
+    value = run_json(capsys, "value", "--game", game)
+    assert data["p"] == pytest.approx(value["omega_quantum"], abs=1e-12)
+    assert data["mutual_information_bits"] == pytest.approx(
+        value["ceilings_bits"]["quantum"], abs=1e-12)
+    assert (1.0 + data["bias"]) / 2.0 == pytest.approx(data["p"], abs=1e-12)
+    assert data["nonsignalling"] is True
+    if game.startswith("chained:"):
+        n = int(game.split(":")[1])
+        assert data["p"] == pytest.approx(math.cos(math.pi / (4 * n)) ** 2,
+                                          abs=1e-12)
+
+
+def test_simulate_quantum_opt_chained(capsys):
+    data = run_json(capsys, "simulate", "--game", "chained:6",
+                    "--behaviour", "quantum-opt", "--rounds", "1000000")
+    assert abs(data["z_score"]) < 4
+    p = math.cos(math.pi / 24) ** 2
+    assert data["analytic_work_kt"] == pytest.approx(
+        math.log(2.0) * (1.0 - (-p * math.log2(p)
+                                - (1.0 - p) * math.log2(1.0 - p))), abs=1e-12)
+
+
+@pytest.mark.parametrize("command", ["channel", "simulate"])
+def test_quantum_opt_over_question_budget_exits_4(capsys, tmp_path,
+                                                  monkeypatch, command):
+    # refused before any seesaw step, on chained:21 and on a 30x11 file
+    def no_seesaw(*args):
+        raise AssertionError("the seesaw ran")
+
+    monkeypatch.setattr(optimize, "_seesaw", no_seesaw)
+    path = tmp_path / "wide.json"
+    save_game(XorGame(name="g", nu=30, nv=11, mu=[[1 / 330] * 11] * 30,
+                      f=[[0] * 11] * 30), str(path))
+    for game in ("chained:21", str(path)):
+        start = time.perf_counter()
+        code, out, err = run(capsys, command, "--game", game,
+                             "--behaviour", "quantum-opt")
+        assert time.perf_counter() - start < 1.0
+        assert code == EXIT_BUDGET and out == "", err
+        assert "nu + nv" in err
 
 
 def _anti_pr_file(tmp_path):

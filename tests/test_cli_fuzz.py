@@ -9,7 +9,10 @@ prints JSON, and finish within a generous wall-time bound, which checks
 that the budgets bound the work.  A pair that ``channel`` accepts must
 also simulate: the controller orients any channel, so only the round-table
 budget may refuse it.  A small fixed corpus of channels below 1/2 runs
-before the drawn cases.  Only stdlib ``random`` draws the cases.
+before the drawn cases, and so does ``quantum-opt`` on games beyond CHSH
+(chained:20 and chained:21 at the question budget, a perfect game, 1x1,
+zero-weight and near-CHSH files), each with its exit code.  Only stdlib
+``random`` draws the cases.
 """
 
 import contextlib
@@ -256,13 +259,30 @@ def test_cli_fuzz(tmp_path, monkeypatch):
     monkeypatch.delenv("XORSZILARD_OUT_DIR", raising=False)
     rng = random.Random(SEED)
     games, behaviours = _files(tmp_path, rng)
-    # a fixed corpus first: channels below 1/2, which simulate must orient
+    # a fixed corpus first: channels below 1/2, which simulate must orient,
+    # then quantum-opt beyond CHSH, each case with its exit code
     anti = str(tmp_path / "b_antipr.json")
-    corpus = [["channel", "--game", "chsh", "--behaviour", spec]
+    corpus = [(["channel", "--game", "chsh", "--behaviour", spec], 0)
               for spec in (anti, f"mix:{anti}:0.5", f"noisy:{anti}:0.1")]
-    drawn = (_argv(rng, games, behaviours, tmp_path) for _ in range(CASES))
+    extra = {"q_perfect.json": _game("perfect", 2, 4, [[0.125] * 4] * 2,
+                                     [[0] * 4] * 2),
+             "q_near_chsh.json": _game("near", 2, 2,
+                                       [[0.25 + 1e-6, 0.25 - 1e-6],
+                                        [0.25 - 1e-6, 0.25 + 1e-6]],
+                                       [[0, 0], [0, 1]])}
+    for name, data in extra.items():
+        (tmp_path / name).write_text(json.dumps(data), encoding="utf-8")
+    perfect = str(tmp_path / "q_perfect.json")
+    quantum = [("chained:20", 0), ("chained:21", 4), (perfect, 0),
+               (str(tmp_path / "g_1x1.json"), 0),
+               (str(tmp_path / "g_zero_row.json"), 0),
+               (str(tmp_path / "q_near_chsh.json"), 0)]
+    corpus += [([command, "--game", game, "--behaviour", "quantum-opt"], code)
+               for game, code in quantum for command in ("channel", "simulate")]
+    drawn = ((_argv(rng, games, behaviours, tmp_path), None)
+             for _ in range(CASES))
     seen = set()
-    for case, argv in enumerate(itertools.chain(corpus, drawn)):
+    for case, (argv, expected) in enumerate(itertools.chain(corpus, drawn)):
         start = time.perf_counter()
         try:
             code, out = _run(argv)
@@ -272,9 +292,12 @@ def test_cli_fuzz(tmp_path, monkeypatch):
         elapsed = time.perf_counter() - start
         where = f"case {case}: {argv!r:.400}"
         assert code in DOCUMENTED_EXITS, f"{where}: exit {code!r}"
+        assert expected in (None, code), f"{where}: exit {code}, not {expected}"
         assert elapsed < CASE_SECONDS, f"{where}: took {elapsed:.1f} s"
         if code == 0 and argv[0] in JSON_COMMANDS:
-            json.loads(out, parse_constant=_reject_constant)
+            data = json.loads(out, parse_constant=_reject_constant)
+            if perfect in argv and argv[0] == "channel":
+                assert data["p"] == 1.0, f"{where}: p = {data['p']!r}"
         if code == 0 and argv[0] == "finite-time":  # any CSV rows, then JSON
             json.loads(out[out.index("{"):], parse_constant=_reject_constant)
         if code == 0 and argv[0] == "channel":

@@ -401,8 +401,26 @@ def test_merge_stats_equals_pooled_counts():
         "stderr_kt": (w_hit - w_miss) * math.sqrt(hits * (n - hits) / (n - 1))
                      / n,
         "analytic_work_kt": parts[0].analytic_work_kt,
-        "seed": [20, 21, 22],
+        "seeds": [20, 21, 22],
     }
+
+
+def test_merged_seeds_never_read_as_a_tuple_seed():
+    # (1, 2) merged with 3, 1 with 2 with 3, and one batch seeded (1, 2, 3)
+    # once all recorded the seed (1, 2, 3)
+    g = make_chsh()
+    b = pr_box(g)
+    pair = merge_stats(simulate_rounds(g, b, 10, seed=(1, 2)),
+                       simulate_rounds(g, b, 10, seed=3))
+    three = functools.reduce(merge_stats, [simulate_rounds(g, b, 10, seed=s)
+                                           for s in (1, 2, 3)])
+    single = simulate_rounds(g, b, 10, seed=(1, 2, 3))
+    assert pair.seeds == ((1, 2), 3) and three.seeds == (1, 2, 3)
+    assert single.seeds == ((1, 2, 3),)
+    dicts = [x.to_json_dict() for x in (pair, three, single)]
+    assert [d.get("seeds") for d in dicts] == [[[1, 2], 3], [1, 2, 3], None]
+    assert [d.get("seed") for d in dicts] == [None, None, [1, 2, 3]]
+    assert simulate_rounds(g, b, 10, seed=7).to_json_dict()["seed"] == 7
 
 
 def test_merge_stats_hits_exact_at_1e17_rounds():

@@ -225,6 +225,16 @@ def test_correlator_matrix_range():
     assert np.array_equal(correlators(b), [[1.0, -1.0]])
 
 
+def test_correlator_matrix_clips_rounding_past_one():
+    # the product of two unit vectors can round past +-1 (the seesaw's
+    # E = 1 + 2**-52 on a perfect game); within PROB_ATOL it is +-1, not a
+    # table with a negative entry
+    b = correlator_behaviour([[1.0 + 1e-13, -1.0 - 1e-13, 1.0 + 2.0**-52]])
+    assert np.array_equal(correlators(b), [[1.0, -1.0, 1.0]])
+    assert np.array_equal(b.table[0, 0], [[0.5, 0.0], [0.0, 0.5]])
+    assert np.array_equal(b.table[0, 1], [[0.0, 0.5], [0.5, 0.0]])
+
+
 def test_tables_are_immutable():
     g = make_chsh()
     with pytest.raises(ValueError):

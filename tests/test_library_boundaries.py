@@ -9,7 +9,9 @@ runs under a 5 s bound, so a call that would never return fails its row
 instead of stalling the suite.
 """
 
+import functools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -91,3 +93,11 @@ def test_numpy_integers_pass_as_counts_and_seeds():
         == quantum_value(CHSH, max_iter=50, seed=7)[0]
     assert ProtocolSchedule(tau=10.0, steps=np.int64(100)) == SCHED
     assert make_chained(np.int64(3)).nu == 3
+
+
+def test_within_fails_an_overrunning_partial_by_its_repr(within):
+    # a functools.partial has no __name__; the bound still fails the call
+    # with its message
+    with pytest.raises(pytest.fail.Exception,
+                       match=r"functools.partial.*still running after 0.05 s"):
+        within(0.05, functools.partial(time.sleep, 1.0))

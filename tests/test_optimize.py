@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from xorszilard import (Behaviour, BudgetError, ValidationError, XorGame,
-                        class_report, deterministic_behaviour, game_value,
-                        is_nonsignalling, local_value, make_chained, make_chsh,
-                        optimize, pr_box, quantum_value)
+                        class_report, correlators, deterministic_behaviour,
+                        game_value, is_nonsignalling, local_value,
+                        make_chained, make_chsh, optimize, pr_box,
+                        quantum_behaviour, quantum_optimal_chsh,
+                        quantum_value)
 from xorszilard.optimize import (CHECK_EVERY, DEFAULT_SEED, DEFAULT_TOL,
                                  SeesawState, _dual_upper, _seesaw,
                                  _seesaw_start, _weights)
@@ -141,12 +143,19 @@ def test_local_one_cell_game_is_instant():
         assert bmap == tuple(f_cell if v == 5 else 0 for v in range(20))
 
 
-def test_local_budget_error():
+def test_local_budget_error(monkeypatch):
+    # quantum_behaviour shares local_value's question budget, and refuses
+    # before the seesaw starts
+    def no_seesaw(*args):
+        raise AssertionError("the seesaw ran")
+
+    monkeypatch.setattr(optimize, "_seesaw", no_seesaw)
     nu = 41
     mu = np.full((nu, 1), 1.0 / nu)
     g = XorGame(name="big", nu=nu, nv=1, mu=mu, f=np.zeros((nu, 1)))
-    with pytest.raises(BudgetError):
-        local_value(g)
+    for func in (local_value, quantum_behaviour):
+        with pytest.raises(BudgetError, match=r"nu \+ nv = 42 > 40"):
+            func(g)
 
 
 def test_quantum_value_chsh():
@@ -197,6 +206,25 @@ def test_quantum_value_chained_certified(n):
     assert (1.0 + state.upper) / 2.0 >= closed - 1e-15
     assert state.converged
     assert state.upper - state.bias < DEFAULT_TOL
+
+
+def test_quantum_behaviour_chsh_is_tsirelson():
+    # the optimal CHSH correlators are unique
+    b = quantum_behaviour(make_chsh())
+    assert np.abs(correlators(b) - correlators(quantum_optimal_chsh())).max() \
+        <= 1e-12
+    assert is_nonsignalling(b)
+
+
+@pytest.mark.parametrize("n", [2, 3, 7, 20])
+def test_quantum_behaviour_chained(n):
+    # the weighted pairs' correlators sit at +-cos(pi/2N), and the table
+    # depends on the game alone
+    g = make_chained(n)
+    b = quantum_behaviour(g)
+    e = correlators(b)[g.mu > 0]
+    assert np.abs(np.abs(e) - math.cos(math.pi / (2 * n))).max() <= 1e-11
+    assert np.array_equal(b.table, quantum_behaviour(g).table)
 
 
 @pytest.mark.parametrize("n", [30, 60])

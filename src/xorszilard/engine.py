@@ -27,7 +27,6 @@ from .channel import apply_noise, binary_entropy, enumerate_rounds, \
     mutual_information, orient
 from .errors import BudgetError, ValidationError, check_count, check_seed
 from .games import Behaviour, XorGame, game_value
-from .optimize import ClassValueReport
 
 LN2 = math.log(2.0)
 MAX_ROUNDS = 10**18  # rounds per batch; multinomial counts are int64
@@ -68,11 +67,13 @@ def branch_decomposition(q: float,
     return -LN2 * binary_entropy(q) - offset_kt, LN2 + offset_kt
 
 
-def class_ceilings(report: ClassValueReport) -> tuple[float, float, float]:
+def class_ceilings(report) -> tuple[float, float, float]:
     """Local/quantum/nonsignalling feedback-work ceilings in bits.
 
-    The average reversible feedback work of a channel is its mutual
-    information, so each ceiling is 1 - h2(omega) of that class value.
+    ``report`` carries the class values ``omega_local``, ``omega_quantum``
+    and ``omega_ns``, as an optimize.ClassValueReport does.  The average
+    reversible feedback work of a channel is its mutual information, so
+    each ceiling is 1 - h2(omega) of that class value.
     """
     return tuple(map(mutual_information, (
         report.omega_local, report.omega_quantum, report.omega_ns)))
@@ -108,7 +109,7 @@ def cycle_ledger(p: float) -> CycleLedger:
     """The ledger of a channel of success probability p."""
     h_cond = binary_entropy(p)
     i = 1.0 - h_cond
-    return CycleLedger(p=p, i_bits=i, h_g_bits=1.0,
+    return CycleLedger(p=float(p), i_bits=i, h_g_bits=1.0,
                        h_g_given_x_bits=h_cond, w_fb_bits=i,
                        w_reset_bits=1.0, w_net_bits=-h_cond)
 
@@ -182,7 +183,7 @@ class SimulationStats:
     hits: int
     p_model: float
     analytic_work_kt: float
-    seeds: tuple  # each pooled batch's seed, an int or a tuple, in order
+    seeds: tuple  # each pooled batch's seed, an int or a tuple of ints, in order
     flipped: bool = False
 
     @property
@@ -304,7 +305,9 @@ def simulate_rounds(game: XorGame, behaviour: Behaviour, n: int,
     probs, rounds = enumerate_rounds(game, behaviour)
     cells = np.flatnonzero(probs > 0.0)
     pvals = probs[cells] / math.fsum(probs[cells])
-    rng = np.random.default_rng([*check_seed(seed), 0])
+    key = check_seed(seed)
+    seed = key if isinstance(seed, tuple) else key[0]  # as ints, for JSON
+    rng = np.random.default_rng([*key, 0])
     counts = rng.multinomial(n, pvals)
     hits = int(counts[rounds.won[cells]].sum())
     if noise_delta > 0.0:

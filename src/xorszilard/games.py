@@ -5,7 +5,9 @@ from a distribution ``mu`` and is won when the XOR of their output bits
 equals a binary predicate ``f(u, v)``.  A behaviour is the conditional
 probability table ``P(a, b | u, v)`` describing the players' device; it may
 be local, quantum, or merely nonsignalling.  Everything in this module is a
-pure function of immutable values.
+pure function of immutable values.  The bias form W = mu * (-1)^f lives
+here (``_weights``): ``bias`` and optimize's local and quantum values read
+it.
 
 Index conventions: behaviour tables are stored as ``table[u][v][a][b]`` and
 question matrices row-major as ``m[u][v]``.  Probability checks use absolute
@@ -261,11 +263,16 @@ def game_value(game: XorGame, b: Behaviour) -> float:
     return min(1.0, max(0.0, value))
 
 
+def _weights(game: XorGame) -> np.ndarray:
+    """Bias form W = mu * (-1)^f: strategy signs s, t earn bias s.W.t, and a
+    behaviour with correlators E earns sum W * E."""
+    return game.mu * np.where(game.f == 0, 1.0, -1.0)
+
+
 def bias(game: XorGame, b: Behaviour) -> float:
-    """Signed correlator sum beta; satisfies omega = (1 + beta) / 2."""
+    """Signed correlator sum beta = sum W * E; omega = (1 + beta) / 2."""
     _check_dims(game, b)
-    sign = np.where(game.f == 0, 1.0, -1.0)
-    return float(np.sum(game.mu * sign * correlators(b)))
+    return float(np.sum(_weights(game) * correlators(b)))
 
 
 def chsh_S(b: Behaviour) -> float:

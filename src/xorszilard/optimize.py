@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetError, ValidationError, check_count, check_seed
-from .games import (Behaviour, XorGame, correlator_behaviour, game_value,
-                    pr_box)
+from .games import (Behaviour, XorGame, _weights, correlator_behaviour,
+                    game_value, pr_box)
 
 LOCAL_BUDGET = 40  # local_value and quantum_behaviour budget: nu + nv
 _CHUNK_BITS = 10  # local enumeration chunks hold 2**10 maps
@@ -38,11 +38,6 @@ OMEGA_MAX = 1.95  # over-relaxation cap; omega = 2 would not contract
 DEFAULT_TOL = 1e-12  # certified gap of the quantum bias
 DEFAULT_MAX_ITER = 10_000
 DEFAULT_SEED = 1234  # fixed constant, never time-based
-
-
-def _weights(game: XorGame) -> np.ndarray:
-    """Bias form W = mu * (-1)^f: strategy signs s, t earn bias s.W.t."""
-    return game.mu * np.where(game.f == 0, 1.0, -1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -185,11 +180,11 @@ class SeesawState:
     """Final state of a seesaw optimization.
 
     ``avecs``/``bvecs`` hold one unit vector per question as rows of an
-    (n, dim) array; ``bias`` is their bilinear bias, ``upper`` a dual bound
-    on every quantum bias, and ``converged`` means upper - bias < tol.
+    (nu, nu + nv) and an (nv, nu + nv) array; ``bias`` is their bilinear
+    bias, ``upper`` a dual bound on every quantum bias, and ``converged``
+    means upper - bias < tol.
     """
 
-    dim: int
     avecs: np.ndarray
     bvecs: np.ndarray
     bias: float
@@ -446,9 +441,8 @@ def quantum_value(game: XorGame, tol: float = DEFAULT_TOL,
     a, b = _seesaw_start(game, seed, 0)
     a[live_a], b[live_b], bias, upper, iterations = _seesaw(
         weights[live_a][:, live_b], a[live_a], b[live_b], tol, max_iter)
-    state = SeesawState(dim=game.nu + game.nv, avecs=a, bvecs=b, bias=bias,
-                        upper=upper, iterations=iterations,
-                        converged=upper - bias < tol)
+    state = SeesawState(avecs=a, bvecs=b, bias=bias, upper=upper,
+                        iterations=iterations, converged=upper - bias < tol)
     return _omega(bias), state
 
 
@@ -511,13 +505,15 @@ def is_nonsignalling(b: Behaviour, tol: float = 1e-9) -> NonsignallingReport:
 @dataclass(frozen=True, eq=False)
 class ClassValueReport:
     """Local, quantum (best found and dual bound), and nonsignalling values
-    of one game."""
+    of one game.  ``omega_ns`` is a class constant, not a field: the
+    nonsignalling value of every XOR game is 1 (class_report)."""
+
+    omega_ns = 1.0
 
     game: str
     omega_local: float
     omega_quantum: float
     omega_quantum_upper: float
-    omega_ns: float
     local_strategy: tuple[tuple[int, ...], tuple[int, ...]]
     converged: bool
     iterations: int  # seesaw steps of the run
@@ -526,8 +522,6 @@ class ClassValueReport:
         if not 0.5 <= self.omega_local:
             raise ValidationError(
                 f"report: omega_local = {self.omega_local!r} below 1/2")
-        if self.omega_ns != 1.0:
-            raise ValidationError("report: omega_ns must be 1 for XOR games")
         if not (self.omega_local <= self.omega_quantum
                 <= self.omega_quantum_upper <= self.omega_ns):
             raise ValidationError(
@@ -564,7 +558,6 @@ def class_report(game: XorGame, seed: int = DEFAULT_SEED) -> ClassValueReport:
         omega_local=w_local,
         omega_quantum=max(w_quantum, w_local),
         omega_quantum_upper=_omega(state.upper),
-        omega_ns=1.0,
         local_strategy=(amap, bmap),
         converged=state.converged,
         iterations=state.iterations,

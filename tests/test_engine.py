@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import json
 import math
 from collections import Counter
 
@@ -421,6 +422,25 @@ def test_merged_seeds_never_read_as_a_tuple_seed():
     assert [d.get("seeds") for d in dicts] == [[[1, 2], 3], [1, 2, 3], None]
     assert [d.get("seed") for d in dicts] == [None, None, [1, 2, 3]]
     assert simulate_rounds(g, b, 10, seed=7).to_json_dict()["seed"] == 7
+
+
+def test_numpy_scalar_inputs_give_json_results():
+    # numpy seeds draw as their ints do, and a numpy p is stored as a float,
+    # so every result serializes with the standard json module
+    g = make_chsh()
+    b = quantum_optimal_chsh()
+    single = simulate_rounds(g, b, 1000, seed=np.int64(3))
+    pair = simulate_rounds(g, b, 10, seed=(np.int64(1), 2))
+    merged = merge_stats(single, simulate_rounds(g, b, 10, seed=np.int64(4)))
+    ledger = cycle_ledger(np.float32(0.8))
+    assert json.loads(json.dumps(single.to_json_dict()))["seed"] == 3
+    assert json.loads(json.dumps(pair.to_json_dict()))["seed"] == [1, 2]
+    assert json.loads(json.dumps(merged.to_json_dict()))["seeds"] == [3, 4]
+    assert json.loads(json.dumps(ledger.to_json_dict()))["p"] == \
+        float(np.float32(0.8))
+    assert type(single.seeds[0]) is int and pair.seeds == ((1, 2),)
+    assert single == simulate_rounds(g, b, 1000, seed=3)
+    assert type(ledger.p) is float
 
 
 def test_merge_stats_hits_exact_at_1e17_rounds():

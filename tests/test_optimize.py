@@ -11,9 +11,9 @@ from xorszilard import (Behaviour, BudgetError, ValidationError, XorGame,
                         make_chained, make_chsh, optimize, pr_box,
                         quantum_behaviour, quantum_optimal_chsh,
                         quantum_value)
-from xorszilard.optimize import (CHECK_EVERY, DEFAULT_SEED, DEFAULT_TOL,
-                                 SeesawState, _dual_upper, _seesaw,
-                                 _seesaw_start, _weights)
+from xorszilard.optimize import (CHECK_EVERY, CHECK_MAX, DEFAULT_SEED,
+                                 DEFAULT_TOL, SeesawState, _dual_upper,
+                                 _seesaw, _seesaw_start, _steps_to, _weights)
 
 
 def brute_force_local(game):
@@ -162,7 +162,7 @@ def test_quantum_value_chsh():
     w, state = quantum_value(make_chsh(), tol=1e-12, seed=1)
     assert abs(w - math.cos(math.pi / 8) ** 2) < 1e-6
     assert state.converged
-    assert state.dim == 4
+    assert state.avecs.shape[1] == 4
 
 
 def test_quantum_value_chained3():
@@ -286,6 +286,14 @@ def test_dual_checks_per_certified_run(monkeypatch):
     assert total <= 72
 
 
+def test_steps_to_guards():
+    # a rate that rounds to 1 must never divide by log 1 = 0; a gap already
+    # below tol or a rate of 0 is one step
+    assert _steps_to(1e-3, 1.0, 1e-12) == CHECK_MAX
+    assert _steps_to(1e-13, 0.5, 1e-12) == 1
+    assert _steps_to(1e-3, 0.0, 1e-12) == 1
+
+
 @pytest.mark.parametrize("game", [make_chained(12), make_chained(30),
                                   random_game(7, 4, 135)], ids=lambda g: g.name)
 def test_first_check_after_omega_change_within_check_every(monkeypatch, game):
@@ -361,8 +369,8 @@ def test_dual_upper_bounds_any_unit_vectors():
         _, best = quantum_value(g, seed=s)
         for _ in range(5):
             # unit rows of a random, non-stationary strategy
-            a = rng.normal(size=(g.nu, best.dim))
-            b = rng.normal(size=(g.nv, best.dim))
+            a = rng.normal(size=(g.nu, best.avecs.shape[1]))
+            b = rng.normal(size=(g.nv, best.avecs.shape[1]))
             a /= np.linalg.norm(a, axis=1, keepdims=True)
             b /= np.linalg.norm(b, axis=1, keepdims=True)
             upper = _dual_upper(weights, a, b)
@@ -427,7 +435,7 @@ def test_quantum_value_reproducible():
 
 def test_seesaw_state_validates_unit_norms():
     with pytest.raises(ValidationError):
-        SeesawState(dim=2, avecs=np.array([[2.0, 0.0]]),
+        SeesawState(avecs=np.array([[2.0, 0.0]]),
                     bvecs=np.array([[1.0, 0.0]]), bias=0.5, upper=0.5,
                     iterations=1, converged=True)
 

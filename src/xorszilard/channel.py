@@ -30,12 +30,6 @@ def _check_prob(p: float, name: str) -> float:
     return p
 
 
-def _check_bit(x, name: str) -> int:
-    if x not in (0, 1):
-        raise ValidationError(f"{name} = {x!r} is not a bit")
-    return int(x)
-
-
 def binary_entropy(p: float) -> float:
     """h2(p) in bits, with the 0 log 0 := 0 convention."""
     p = _check_prob(p, "binary entropy argument")
@@ -48,21 +42,6 @@ def mutual_information(p: float) -> float:
     """I(x : g) = 1 - h2(p) bits of a channel of success probability p; the
     source and output bits are uniform."""
     return 1.0 - binary_entropy(p)
-
-
-def referee_encode(x: int, u: int, v: int, game: XorGame) -> int:
-    """The referee bit r = x xor f(u,v); inverting gives x = r xor f(u,v)."""
-    x = _check_bit(x, "x")
-    if not 0 <= u < game.nu or not 0 <= v < game.nv:
-        raise ValidationError(
-            f"question pair ({u}, {v}) out of range for a "
-            f"{game.nu}x{game.nv} game")
-    return x ^ int(game.f[u, v])
-
-
-def compress(a: int, b: int, r: int) -> int:
-    """The controller bit g = a xor b xor r."""
-    return _check_bit(a, "a") ^ _check_bit(b, "b") ^ _check_bit(r, "r")
 
 
 def apply_noise(p: float, delta: float) -> float:

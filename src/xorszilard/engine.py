@@ -63,6 +63,7 @@ def branch_decomposition(q: float,
     is an arbitrary additive constant of the branch Hamiltonian.  The
     offset cancels in the sum, which equals ln 2 times
     ``mutual_information(q)``.  q must lie in [0, 1] (binary_entropy).
+    Library only: the paper's stroke split, acceptance criterion 6.
     """
     return -LN2 * binary_entropy(q) - offset_kt, LN2 + offset_kt
 
@@ -150,6 +151,7 @@ def memory_ledger(rounds, cells) -> tuple[float, float, bool]:
     transcript is m = (g, u, v, r, a, b) and ok checks h_m >= h_g - EPS_STAT.
     Storing the auxiliary round variables can only increase the Landauer
     reset burden.
+    Library only: the paper's memory-scope claim, acceptance criterion 11.
     """
     if len(cells) == 0:
         raise ValidationError("memory ledger needs a nonempty batch")
@@ -157,7 +159,10 @@ def memory_ledger(rounds, cells) -> tuple[float, float, bool]:
 
 
 def exact_memory_ledger(game: XorGame, b: Behaviour) -> tuple[float, float, bool]:
-    """Memory ledger from the exactly enumerated round distribution."""
+    """Memory ledger from the exactly enumerated round distribution.
+
+    Library only: the paper's memory-scope claim, acceptance criterion 11.
+    """
     probs, rounds = enumerate_rounds(game, b)
     return _ledger(rounds, probs)
 
@@ -339,6 +344,7 @@ def small_bias_work(beta: float, order: int = 2) -> float:
     4); for CHSH beta = S/4, so S^2/32 (+ S^4/3072).  Useful for
     |p - 1/2| <= 0.2/8, i.e. beta <= 0.05 or S <= 0.2; beyond that use the
     exact formula.
+    Library only: the paper's small-S expansion, acceptance criterion 9.
     """
     if order not in (2, 4):
         raise ValidationError(f"expansion order must be 2 or 4, got {order!r}")
@@ -348,14 +354,12 @@ def small_bias_work(beta: float, order: int = 2) -> float:
     return w
 
 
-def noise_threshold(p_resource: float, omega_q: float,
-                    method: str = "closed", tol: float = 1e-9) -> float:
+def noise_threshold(p_resource: float, omega_q: float) -> float:
     """Largest controller-noise delta keeping the channel above omega_q.
 
-    Closed form: delta* = (p - omega_q) / (2p - 1).  ``method="bisect"``
-    instead bisects apply_noise(p, delta) - omega_q to ``tol``, finite and
-    > 0, or to float resolution if that comes first, as an independent
-    cross-check.
+    Closed form: delta* = (p - omega_q) / (2p - 1), the root of
+    channel.apply_noise(p, delta) = omega_q.
+    Library only: the paper's PR-box noise tolerance, acceptance criterion 8.
     """
     p = float(p_resource)
     w = float(omega_q)
@@ -363,21 +367,7 @@ def noise_threshold(p_resource: float, omega_q: float,
         raise ValidationError(
             f"no noise margin: need 1/2 <= omega_q < p_resource, got "
             f"omega_q = {w!r}, p_resource = {p!r}")
-    if method == "closed":
-        return (p - w) / (2.0 * p - 1.0)
-    if method == "bisect":
-        if not (math.isfinite(tol) and tol > 0.0):
-            raise ValidationError(f"need finite tol > 0, got {tol!r}")
-        lo, hi = 0.0, 0.5  # p_eff(lo) = p > w, p_eff(hi) = 1/2 < w
-        mid = 0.25
-        while hi - lo > tol and lo < mid < hi:
-            if apply_noise(p, mid) > w:
-                lo = mid
-            else:
-                hi = mid
-            mid = 0.5 * (lo + hi)
-        return mid
-    raise ValidationError(f"unknown method {method!r}")
+    return (p - w) / (2.0 * p - 1.0)
 
 
 def sweep_s_curve(s_values) -> list[tuple[float, float, float]]:

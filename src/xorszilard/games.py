@@ -206,20 +206,6 @@ def correlator_behaviour(e) -> Behaviour:
     return Behaviour(nu, nv, t)
 
 
-def quantum_optimal_chsh() -> Behaviour:
-    """The Tsirelson-optimal CHSH behaviour.
-
-    Given as an explicit correlator table with E = +1/sqrt(2) on the three
-    aligned question pairs and -1/sqrt(2) on (1, 1), with uniform marginals.
-    Its CHSH value is S = 2*sqrt(2), i.e. winning probability cos^2(pi/8).
-    The program builds ``quantum-opt`` from the seesaw on every game
-    (optimize.quantum_behaviour); this closed form is the reference that
-    the tests hold the seesaw's CHSH behaviour to.
-    """
-    c = 1.0 / math.sqrt(2.0)
-    return correlator_behaviour([[c, c], [c, -c]])
-
-
 def mix_with_uniform(b: Behaviour, visibility: float) -> Behaviour:
     """Convex mixture v*b + (1-v)*uniform; the bias scales linearly with v."""
     if not 0.0 <= visibility <= 1.0:
@@ -384,9 +370,13 @@ def _save(data: dict, path: str):
 
 
 def save_game(game: XorGame, path: str):
+    """Write the file load_game reads.  Library only: tests make game
+    files with it."""
     _save({"name": game.name, "nu": game.nu, "nv": game.nv,
            "mu": game.mu.tolist(), "f": game.f.tolist()}, path)
 
 
 def save_behaviour(b: Behaviour, path: str):
+    """Write the file load_behaviour reads.  Library only: tests make
+    behaviour files with it."""
     _save({"nu": b.nu, "nv": b.nv, "table": b.table.tolist()}, path)

@@ -245,26 +245,6 @@ def _toward(target: np.ndarray, rows: np.ndarray, omega: float) -> np.ndarray:
     return target + (1.0 - omega) * rows
 
 
-def _dual_upper(weights: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
-    """Bound on the bias of every unit-vector strategy from the XOR-game SDP
-    dual (Tsirelson; Cleve, Hoyer, Toner and Watrous 2004), valid for any
-    unit rows a, b and tight at an optimum: the point y_u = |(W b)_u| / 2,
-    z_v = |(W^T a)_v| / 2, shifted by the least eigenvalue of
-    M = [[diag y, -W/2], [-W^T/2, diag z]].  The shift adds eigvalsh's
-    backward error n * eps * |M|_F to each of the n = nu + nv diagonal
-    entries; |M|_F <= 1, so that costs under 4e-13 for n <= 40.
-
-    This is the reference form; the seesaw computes the same bound with
-    _dual_bound on a matrix allocated once per run."""
-    y = 0.5 * np.linalg.norm(weights @ b, axis=1)
-    z = 0.5 * np.linalg.norm(weights.T @ a, axis=1)
-    n = len(y) + len(z)
-    m = np.block([[np.diag(y), -0.5 * weights], [-0.5 * weights.T, np.diag(z)]])
-    lam = np.linalg.eigvalsh(m)[0]
-    slack = -lam + n * np.finfo(float).eps * np.linalg.norm(m)
-    return float(y.sum() + z.sum() + n * max(0.0, slack))
-
-
 def _dual_matrix(weights: np.ndarray) -> np.ndarray:
     """M = [[0, -W/2], [-W^T/2, 0]], whose diagonal _dual_bound writes."""
     nu, nv = weights.shape
@@ -276,8 +256,16 @@ def _dual_matrix(weights: np.ndarray) -> np.ndarray:
 
 def _dual_bound(m: np.ndarray, w_sq: float, wb: np.ndarray,
                 wta: np.ndarray) -> float:
-    """_dual_upper from the products wb = W b and wta = W^T a, writing the
-    diagonal (y, z) into ``m`` from _dual_matrix; w_sq = |W|_F^2, so
+    """Bound on the bias of every unit-vector strategy from the XOR-game SDP
+    dual (Tsirelson; Cleve, Hoyer, Toner and Watrous 2004), valid for any
+    unit rows a, b and tight at an optimum: the point y_u = |(W b)_u| / 2,
+    z_v = |(W^T a)_v| / 2, shifted by the least eigenvalue of
+    M = [[diag y, -W/2], [-W^T/2, diag z]].  The shift adds eigvalsh's
+    backward error n * eps * |M|_F to each of the n = nu + nv diagonal
+    entries; |M|_F <= 1, so that costs under 4e-13 for n <= 40.
+
+    Takes the products wb = W b and wta = W^T a, and writes the diagonal
+    (y, z) into ``m`` from _dual_matrix; w_sq = |W|_F^2, so
     |M|_F^2 = w_sq / 2 + |y|^2 + |z|^2 needs no pass over M."""
     n = len(m)
     diag = 0.5 * np.concatenate([_row_norms(wb), _row_norms(wta)])[:, 0]

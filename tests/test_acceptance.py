@@ -14,10 +14,12 @@ from xorszilard import (ProtocolSchedule, branch_decomposition,
                         enumerate_rounds, estimate_sigma, exact_memory_ledger,
                         game_value, is_nonsignalling, local_value, make_chained,
                         make_chsh, memory_ledger, mix_with_uniform,
-                        mutual_information, noise_threshold, pr_box, quantum_optimal_chsh,
+                        mutual_information, noise_threshold, pr_box,
                         quantum_value, scaling_fit, simulate_rounds,
                         small_bias_work, uniform_behaviour)
 from xorszilard.engine import LN2
+
+from oracles import noise_threshold_bisect, quantum_optimal_chsh
 
 Q_CHSH = math.cos(math.pi / 8) ** 2
 
@@ -143,8 +145,8 @@ def test_criterion_07_cycle_ledger():
 
 
 def test_criterion_08_noise_threshold():
-    closed = noise_threshold(1.0, Q_CHSH, method="closed")
-    bisect = noise_threshold(1.0, Q_CHSH, method="bisect", tol=1e-9)
+    closed = noise_threshold(1.0, Q_CHSH)
+    bisect = noise_threshold_bisect(1.0, Q_CHSH)
     assert abs(closed - 0.146447) < 1e-6
     assert abs(bisect - 0.146447) < 1e-3
     assert abs(closed - bisect) < 1e-8

@@ -6,12 +6,13 @@ import tracemalloc
 import pytest
 
 from xorszilard import (BudgetError, ValidationError, XorGame, apply_noise,
-                        binary_entropy, compress, cycle_ledger,
-                        enumerate_rounds, game_value, make_chained, make_chsh,
-                        mix_with_uniform, mutual_information, orient, pr_box,
-                        quantum_optimal_chsh, referee_encode, rounds_to_csv,
+                        binary_entropy, cycle_ledger, enumerate_rounds,
+                        game_value, make_chained, make_chsh, mix_with_uniform,
+                        mutual_information, orient, pr_box, rounds_to_csv,
                         simulate_rounds, uniform_behaviour)
 from xorszilard.channel import MAX_CELLS
+
+from oracles import compress, quantum_optimal_chsh, referee_encode
 
 
 def test_referee_encode_xor_table():

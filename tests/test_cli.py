@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import io
+import itertools
 import json
 import math
 import os
@@ -16,6 +17,7 @@ import pytest
 from xorszilard import (ValidationError, XorGame, apply_noise, cli, dynamics,
                         engine, games, make_chained, optimize, save_game,
                         simulate_rounds)
+from xorszilard.channel import _CSV_ROWS
 from xorszilard.cli import (EXIT_BUDGET, EXIT_PARSE, EXIT_REGIME,
                             EXIT_VALIDATION, main)
 
@@ -525,13 +527,15 @@ def test_simulate_records_csv(capsys, tmp_path):
 
 def test_simulate_records_bytes_match_csv_writer(capsys, tmp_path):
     # the transcript file is the csv module's rendering of the drawn rows,
-    # whether it is longer than chained:3's 72-cell table or shorter
-    g = make_chained(3)
-    b = games.mix_with_uniform(games.pr_box(g), 0.75)
+    # whether it is longer than the round table (72 cells for chained:3,
+    # 1152 with two-digit questions for chained:12) or shorter, and over
+    # more than two writer chunks
     header = ["x", "u", "v", "a", "b", "r", "g", "e", "won"]
-    for n in (3000, 20):
-        path = tmp_path / f"rounds{n}.csv"
-        data = run_json(capsys, "simulate", "--game", "chained:3",
+    for chain, n in itertools.product((3, 12), (3000, 20, 2 * _CSV_ROWS + 5)):
+        g = make_chained(chain)
+        b = games.mix_with_uniform(games.pr_box(g), 0.75)
+        path = tmp_path / f"rounds{chain}_{n}.csv"
+        data = run_json(capsys, "simulate", "--game", f"chained:{chain}",
                         "--behaviour", "mix:pr:0.75", "--rounds", str(n),
                         "--seed", "7", "--records", str(path))
         stats, rounds, cells = simulate_rounds(g, b, n, 7, keep_records=True)
@@ -697,10 +701,21 @@ def test_finite_time_draws_no_random_numbers(tmp_path):
 
 
 def test_out_dir_env(capsys, tmp_path, monkeypatch):
-    monkeypatch.setenv("XORSZILARD_OUT_DIR", str(tmp_path))
+    # relative --out and --records paths resolve under the directory, not
+    # the working directory
+    out_dir, cwd = tmp_path / "out", tmp_path / "cwd"
+    out_dir.mkdir()
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    monkeypatch.setenv("XORSZILARD_OUT_DIR", str(out_dir))
     run_json(capsys, "cycle", "--p", "0.75", "--out", "ledger.json")
-    saved = json.loads((tmp_path / "ledger.json").read_text())
+    saved = json.loads((out_dir / "ledger.json").read_text())
     assert saved["w_net_bits"] == pytest.approx(-0.811278, abs=1e-6)
+    run_json(capsys, "simulate", "--game", "chsh", "--behaviour", "pr",
+             "--rounds", "10", "--seed", "1", "--records", "rounds.csv")
+    lines = (out_dir / "rounds.csv").read_bytes().split(b"\r\n")
+    assert lines[0] == b"x,u,v,a,b,r,g,e,won" and len(lines) == 12
+    assert list(cwd.iterdir()) == []
 
 
 def test_kt_scaling(capsys):

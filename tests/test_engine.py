@@ -13,10 +13,12 @@ from xorszilard import (ValidationError, branch_decomposition, branch_works,
                         exact_memory_ledger, make_chained, make_chsh,
                         memory_ledger, merge_stats, mix_with_uniform,
                         mutual_information, noise_threshold, pr_box,
-                        quantum_optimal_chsh, simulate_rounds,
-                        small_bias_work, sweep_s_curve, uniform_behaviour)
+                        simulate_rounds, small_bias_work, sweep_s_curve,
+                        uniform_behaviour)
 from xorszilard.engine import LN2
 from xorszilard.games import XorGame, deterministic_behaviour
+
+from oracles import noise_threshold_bisect, quantum_optimal_chsh
 
 Q_CHSH = math.cos(math.pi / 8) ** 2
 
@@ -504,26 +506,12 @@ def test_noise_threshold():
     assert abs(d2 - 0.107163) < 1e-6
     # vanishing margin
     assert noise_threshold(Q_CHSH + 1e-9, Q_CHSH) < 2e-9
-    # bisection cross-check
+    # bisection cross-check, to float resolution
     for p, w in [(1.0, Q_CHSH), (0.95, Q_CHSH), (0.9, 0.75)]:
-        assert abs(noise_threshold(p, w) -
-                   noise_threshold(p, w, method="bisect")) < 1e-8
+        assert abs(noise_threshold(p, w) - noise_threshold_bisect(p, w)) < 1e-8
+    assert abs(noise_threshold_bisect(1.0, Q_CHSH) - d) < 1e-15
     with pytest.raises(ValidationError):
         noise_threshold(0.8, Q_CHSH)
-    with pytest.raises(ValidationError, match="unknown method 'nope'"):
-        noise_threshold(1.0, Q_CHSH, method="nope")
-
-
-def test_noise_threshold_bisect_tolerance(within):
-    # a NaN tolerance once returned the first midpoint, 0.25, and a zero
-    # one never returned; a tolerance below float resolution stops there
-    for tol in (math.nan, 0.0, -1e-9, math.inf):
-        with pytest.raises(ValidationError, match="tol"):
-            within(5.0, noise_threshold, 1.0, Q_CHSH, method="bisect", tol=tol)
-    closed = noise_threshold(1.0, Q_CHSH)
-    for tol in (1e-300, 5e-324):
-        d = within(5.0, noise_threshold, 1.0, Q_CHSH, method="bisect", tol=tol)
-        assert abs(d - closed) < 1e-15
 
 
 def test_sweep_s_curve():

@@ -11,8 +11,10 @@ from xorszilard import (Behaviour, BudgetError, ParseError,
                         bias, chsh_S, correlator_behaviour, correlators,
                         deterministic_behaviour, game_value, load_behaviour,
                         load_game, make_chained, make_chsh, mix_with_uniform,
-                        pr_box, quantum_optimal_chsh, save_behaviour,
-                        save_game, uniform_behaviour)
+                        pr_box, save_behaviour, save_game,
+                        uniform_behaviour)
+
+from oracles import quantum_optimal_chsh
 
 SQ2 = math.sqrt(2.0)
 

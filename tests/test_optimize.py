@@ -9,11 +9,12 @@ from xorszilard import (Behaviour, BudgetError, ValidationError, XorGame,
                         class_report, correlators, deterministic_behaviour,
                         game_value, is_nonsignalling, local_value,
                         make_chained, make_chsh, optimize, pr_box,
-                        quantum_behaviour, quantum_optimal_chsh,
-                        quantum_value)
+                        quantum_behaviour, quantum_value)
 from xorszilard.optimize import (CHECK_EVERY, CHECK_MAX, DEFAULT_SEED,
-                                 DEFAULT_TOL, SeesawState, _dual_upper,
-                                 _seesaw, _seesaw_start, _steps_to, _weights)
+                                 DEFAULT_TOL, SeesawState, _seesaw,
+                                 _seesaw_start, _steps_to, _weights)
+
+from oracles import dual_upper, quantum_optimal_chsh
 
 
 def brute_force_local(game):
@@ -342,7 +343,7 @@ def test_in_loop_dual_bound_matches_reference():
             b /= np.linalg.norm(b, axis=1, keepdims=True)
             _, _, bias, upper, it = _seesaw(weights, a, b, DEFAULT_TOL, 0)
             assert it == 0
-            assert abs(upper - _dual_upper(weights, a, b)) <= 1e-15
+            assert abs(upper - dual_upper(weights, a, b)) <= 1e-15
             assert abs(bias - np.einsum("uv,ud,vd->", weights, a, b)) <= 1e-15
 
 
@@ -354,7 +355,7 @@ def test_zero_weighted_sum_gives_run_up_with_sound_bound():
     a, b = _seesaw_start(g, 1, 0)
     a1, b1, bias, upper, it = _seesaw(weights, a, b, DEFAULT_TOL, 100)
     assert it == 1 and a1 is a and b1 is b
-    assert abs(upper - _dual_upper(weights, a, b)) <= 1e-15
+    assert abs(upper - dual_upper(weights, a, b)) <= 1e-15
     assert math.isfinite(bias)
     w, state = quantum_value(g)
     assert state.converged and state.avecs.shape == (3, 6)
@@ -373,7 +374,7 @@ def test_dual_upper_bounds_any_unit_vectors():
             b = rng.normal(size=(g.nv, best.avecs.shape[1]))
             a /= np.linalg.norm(a, axis=1, keepdims=True)
             b /= np.linalg.norm(b, axis=1, keepdims=True)
-            upper = _dual_upper(weights, a, b)
+            upper = dual_upper(weights, a, b)
             assert upper >= np.einsum("uv,ud,vd->", weights, a, b)
             assert upper >= best.bias
 

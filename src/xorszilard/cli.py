@@ -305,8 +305,7 @@ def cmd_cycle(args) -> int:
 
 
 def cmd_finite_time(args) -> int:
-    fit = dynamics.scaling_fit(args.p, args.tau_grid, args.reps, args.seed,
-                               rate=args.rate, monte_carlo=args.monte_carlo)
+    fit = dynamics.scaling_fit(args.p, args.tau_grid, args.reps, rate=args.rate)
     rows = [(pt.tau, pt.mean_sigma, pt.stderr, pt.reps, args.seed)
             for pt in fit.points]
     _write_csv([rows], ["tau", "sigma_mean", "sigma_stderr", "reps", "seed"],
@@ -315,16 +314,6 @@ def cmd_finite_time(args) -> int:
     data = {"slope": fit.slope, "slope_stderr": fit.slope_stderr,
             "slope_band": [fit.slope - band, fit.slope + band],
             "seed": args.seed}
-    if args.monte_carlo:
-        data["monte_carlo"] = [{
-            "tau": est.tau, "seed": list(est.seed), "reps": est.reps,
-            "sigma_mean": est.mean_sigma, "sigma_stderr": est.stderr,
-            "z": _z(est.mean_sigma - pt.mean_sigma, pt.stderr),
-            "exp_neg_sigma": est.exp_neg_sigma,
-            "exp_neg_sigma_stderr": est.exp_neg_sigma_stderr,
-            "z_jarzynski": _z(est.exp_neg_sigma - 1.0,
-                              est.exp_neg_sigma_stderr),
-        } for pt, est in zip(fit.points, fit.monte_carlo)]
     _emit_json(data, None)
     return 0
 
@@ -386,9 +375,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reps", type=int, default=2000)
     p.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
     p.add_argument("--rate", type=float, default=1.0)
-    p.add_argument("--monte-carlo", dest="monte_carlo", action="store_true",
-                   help="also estimate each Sigma from --reps trajectories "
-                        "and z-score it against the exact value")
     p.add_argument("--out", default=None, help="also write the CSV to this file")
     p.set_defaults(func=cmd_finite_time)
 

@@ -15,15 +15,10 @@ memory.  scaling_fit and the CLI compute Sigma this way.  With the
 posterior-matched start, sigma is the dissipated work of the ramp, so
 <exp(-sigma)> = 1 exactly (Jarzynski 1997; Crooks 1998).
 
-Sampling (estimate_sigma, the Monte Carlo cross-check): a Glauber step
-flips to the other level with probability rate*dt times that level's Gibbs
-weight, which is the law of a heat-bath step that, with probability
-rate*dt, redraws the state from the instantaneous Gibbs law and otherwise
-keeps it.  The redraw events do not depend on the state, so each
-trajectory's events are drawn directly as geometric gaps along its steps
-(uniformization), and a trajectory costs O(rate*tau) events instead of
-O(steps) updates.  reps*steps still bounds the work, since there are never
-more events than updates.
+Sampling (estimate_sigma, the reference that the tests and the benchmark
+z-score the recursion against): blocks of trajectories step the Glauber
+chain itself, one update at a time, in O(reps*steps) time, which
+MAX_UPDATES bounds, and O(steps + block) memory.  No CLI command runs it.
 
 Conventions: the predicted level is pinned at energy zero and the gap is
 the single control parameter (the net branch work is independent of that
@@ -34,7 +29,7 @@ state; heat is the energy change under state flips at fixed gap.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -43,8 +38,7 @@ from .engine import branch_works
 from .errors import BudgetError, RegimeError, ValidationError, check_count, \
     check_seed
 
-_TILE_EVENTS = 2**13  # expected resample events per tile
-_TILE_REPS = 65536  # trajectories per tile, at most
+_BLOCK_REPS = 2**14  # trajectories per block of the reference sampler
 MAX_STEPS = 10**7  # steps of one schedule: the gap grid holds steps + 1 floats
 MAX_UPDATES = 10**10  # reps * steps of one estimate or one scaling fit
 _CHUNK = 2**13  # steps per chunk of the exact recursion
@@ -76,7 +70,7 @@ class ProtocolSchedule:
             raise ValidationError(
                 f"step size too large: rate*dt = "
                 f"{self.rate * self.tau / self.steps!r} > 1")
-        if self.gap_path is not None and abs(self.gap_path(1.0)) > 1e-12:
+        if self.gap_path is not None and not abs(self.gap_path(1.0)) <= 1e-12:
             raise ValidationError("gap_path(1) must be 0: the protocol ends "
                                   "at the degenerate Hamiltonian")
 
@@ -124,11 +118,17 @@ def _check_branch_p(p: float):
 
 
 def _gaps(p: float, sched: ProtocolSchedule, k0: int, k1: int) -> np.ndarray:
-    """The gaps g_k0 .. g_k1 (k1 included) of the schedule's grid."""
+    """The gaps g_k0 .. g_k1 (k1 included) of the schedule's grid; a
+    gap_path value that is not finite raises ValidationError."""
     s = np.arange(k0, k1 + 1) / sched.steps
     if sched.gap_path is None:
         return math.log(p / (1.0 - p)) * (1.0 - s)
-    return np.array([float(sched.gap_path(si)) for si in s])
+    gaps = np.array([float(sched.gap_path(si)) for si in s])
+    bad = np.flatnonzero(~np.isfinite(gaps))
+    if bad.size:
+        raise ValidationError(f"gap_path({s[bad[0]]!r}) = {gaps[bad[0]]!r} "
+                              "is not finite")
+    return gaps
 
 
 def _pi_other(gaps: np.ndarray) -> np.ndarray:
@@ -214,114 +214,34 @@ def sigma_moments(p: float, sched: ProtocolSchedule) -> tuple[float, float]:
     return w_right - mean, math.sqrt(max(var, 0.0))
 
 
-def _resample_cells(rng: np.random.Generator, cells: int,
-                    c: float) -> np.ndarray:
-    """Sorted flat indices of the resample events on a grid of ``cells``.
-
-    Each cell is an event with probability c, independently, so the
-    distances between events are Geometric(c): floor(Exp(1)/lam) + 1 with
-    lam = -log(1 - c).  They are drawn until they pass the grid's end.
-    """
-    if c >= 1.0:
-        return np.arange(cells)
-    if c <= 0.0:  # rate*dt can underflow to zero
-        return np.arange(0)
-    lam = -math.log1p(-c)
-    parts = []
-    last = -1
-    while last < cells - 1:
-        expected = (cells - 1 - last) * c
-        skips = rng.standard_exponential(
-            int(expected + 4.0 * math.sqrt(expected)) + 16)
-        # a skip past the grid's end needs no exact length, and when c is
-        # tiny it would overflow a float or an int64
-        np.minimum(skips, cells * lam, out=skips)
-        skips /= lam
-        np.floor(skips, out=skips)
-        pos = skips.astype(np.int64)
-        pos += 1
-        np.cumsum(pos, out=pos)
-        pos += last
-        last = int(pos[-1])
-        parts.append(pos)
-    pos = parts[0] if len(parts) == 1 else np.concatenate(parts)
-    return pos[:np.searchsorted(pos, cells)]
-
-
 def _run_batch(p: float, sched: ProtocolSchedule, reps: int,
                seed: int | tuple[int, ...]):
     """Yield (works, heats, sampled_other) for successive blocks of reps.
 
-    State is 0 for the predicted level (posterior probability p) and 1 for
-    the other one.  A Glauber step flips to the target level with
-    probability c * pi_target, c = rate*dt, a detailed-balance chain with
-    the instantaneous Gibbs law stationary.  It is sampled as its
-    heat-bath step (module docstring): the resample events are drawn
-    straight onto the (rep, step) grid, and each redraws the state, to the
-    other level with probability 1/(1 + e^gap).
-
-    The grid is cut into tiles, a block of reps by a window of steps, of
-    about _TILE_EVENTS expected events each, seeded (*seed, tile); a
-    trajectory carries its state from one window into the next.  Work is
-    the gap drop at fixed state, summed over the constant-state segments
-    between events; heat is the gap at each event times the state change.
+    State s is 0 for the predicted level (posterior probability p) and 1
+    for the other one.  A Glauber update flips 0 -> 1 with probability
+    c pi_k and 1 -> 0 with c (1 - pi_k), c = rate*dt, so the new state is
+    1 with probability c pi_k + (1 - c) s.  Each block of at most
+    _BLOCK_REPS trajectories steps this chain one update at a time, block
+    b drawing from (*seed, b).  Work is the gap drop at fixed state; heat
+    is the gap at each update times the state change.
     """
     _check_branch_p(p)
     gaps = _gaps(p, sched, 0, sched.steps)
-    pi_other = _pi_other(gaps)
     key = check_seed(seed)
-    steps = sched.steps
-    c = sched.rate * sched.tau / steps
-    # steps per window, then reps per block; the tests on the expected
-    # event count keep a tiny (or zero) c out of the divisions
-    window = steps if c * steps <= _TILE_EVENTS else int(_TILE_EVENTS / c)
-    block = (_TILE_REPS if c * window * _TILE_REPS <= _TILE_EVENTS
-             else max(1, int(_TILE_EVENTS / (c * window))))
-    tile = 0
-    for r0 in range(0, reps, block):
-        m = min(block, reps - r0)
-        rng = np.random.default_rng([*key, tile])
-        other = rng.random(m) >= p
-        state = other.astype(np.float64)
-        works = -gaps[0] * state  # assignment quench from the degenerate level
-        heats = np.zeros(m)
-        for w0 in range(0, steps, window):
-            if w0:
-                rng = np.random.default_rng([*key, tile])
-            w1 = min(steps, w0 + window)
-            k = _resample_cells(rng, m * (w1 - w0), c)
-            rep = k // (w1 - w0)
-            k -= rep * (w1 - w0)
-            k += w0 + 1  # the update of each event
-            g = gaps[k]
-            new = rng.random(k.size) < pi_other[k]
-            # each rep's first and last event in this window
-            first = np.ones(k.size, dtype=bool)
-            np.not_equal(rep[1:], rep[:-1], out=first[1:])
-            last = np.ones(k.size, dtype=bool)
-            last[:-1] = first[1:]
-            fi, li = np.flatnonzero(first), np.flatnonzero(last)
-            hit = rep[fi]
-            # occupancy form: the state before the first event holds from
-            # w0 to it, each event's state until the next one or w1 (the
-            # arrays are reused in place to keep a tile's memory small)
-            g_first = np.full(m, gaps[w1])
-            g_first[hit] = g[fi]
-            works += state * (gaps[w0] - g_first)
-            seg = np.empty(k.size)  # the next event's gap, then the work
-            seg[:-1] = g[1:]
-            seg[li] = gaps[w1]
-            np.subtract(g, seg, out=seg)
-            seg *= new
-            works[hit] += np.add.reduceat(seg, fi)
-            # flip form: the gap at each event times the state change
-            seg[1:] = new[:-1]  # the state before each event, then the heat
-            seg[fi] = state[hit]
-            np.subtract(new, seg, out=seg)
-            seg *= g
-            heats[hit] += np.add.reduceat(seg, fi)
-            state[hit] = new[li]
-            tile += 1
+    c = sched.rate * sched.tau / sched.steps
+    up = c * _pi_other(gaps)
+    for b, r0 in enumerate(range(0, reps, _BLOCK_REPS)):
+        rng = np.random.default_rng([*key, b])
+        other = rng.random(min(_BLOCK_REPS, reps - r0)) >= p
+        s = other.astype(np.float64)
+        works = -gaps[0] * s  # assignment quench from the degenerate level
+        heats = np.zeros(s.size)
+        for k in range(1, sched.steps + 1):
+            works += (gaps[k - 1] - gaps[k]) * s
+            new = rng.random(s.size) < up[k] + (1.0 - c) * s
+            heats += gaps[k] * (new - s)
+            s = new.astype(np.float64)
         yield works, heats, other
 
 
@@ -377,8 +297,8 @@ def estimate_sigma(p: float, sched: ProtocolSchedule, reps: int,
     averages exactly to ln 2 times mutual_information(p), so the pairing
     leaves the estimate unbiased while cancelling the branch-outcome
     variance.  ``reps`` is an integer >= 100, and ``seed`` a non-negative
-    integer or a tuple of them (a sub-seed; errors.check_seed); tile t
-    draws from (*seed, t).
+    integer or a tuple of them (a sub-seed; errors.check_seed); block b
+    draws from (*seed, b).
     """
     reps = _check_reps(reps)
     _check_branch_p(p)
@@ -413,8 +333,10 @@ def fit_loglog_slope(taus, sigmas) -> tuple[float, float]:
     sigmas = np.asarray(sigmas, dtype=float)
     if taus.size < 2:
         raise ValidationError("log-log fit needs at least 2 points")
-    if (sigmas <= 0.0).any() or (taus <= 0.0).any():
-        raise ValidationError("log-log fit needs positive tau and sigma values")
+    if not (np.isfinite(taus).all() and np.isfinite(sigmas).all()
+            and (taus > 0.0).all() and (sigmas > 0.0).all()):
+        raise ValidationError(
+            "log-log fit needs finite positive tau and sigma values")
     x = np.log(taus)
     y = np.log(sigmas)
     xc = x - x.mean()
@@ -450,33 +372,26 @@ class ExactSigma:
 
 @dataclass(frozen=True)
 class ScalingFit:
-    """Fitted dissipation scaling over a tau grid.
-
-    ``points`` hold the exact Sigma the fit uses; ``monte_carlo`` holds one
-    estimate per tau when the fit was asked to cross-check them, else none.
-    """
+    """Fitted dissipation scaling over a tau grid; ``points`` hold the
+    exact Sigma the fit uses."""
 
     slope: float
     slope_stderr: float
-    points: list[ExactSigma] = field(default_factory=list)
-    monte_carlo: list[SigmaEstimate] = field(default_factory=list)
+    points: list[ExactSigma]
 
 
-def scaling_fit(p: float, tau_grid, reps: int, seed: int,
-                rate: float = 1.0,
-                sched_template: Callable[[float], ProtocolSchedule] | None = None,
-                monte_carlo: bool = False) -> ScalingFit:
+def scaling_fit(p: float, tau_grid, reps: int, rate: float = 1.0,
+                sched_template: Callable[[float], ProtocolSchedule] | None = None
+                ) -> ScalingFit:
     """Exact Sigma over a tau grid and the log-log slope fitted to it.
 
     ``sched_template`` maps tau to a schedule (default: the linear ramp at
     the given rate).  Each Sigma comes from sigma_moments, so the fit draws
     no random numbers; ``reps`` sets only the standard error reported next
-    to it.  With ``monte_carlo``, grid point i is also estimated from
-    ``reps`` trajectories under the sub-seed (seed, i), as an independent
-    cross-check that the fit does not use.  The update budget counts reps
-    times the grid's steps either way, so any accepted fit can be
-    cross-checked.  An exact Sigma that is not positive cannot be fitted
-    and raises a RegimeError naming each such point.
+    to it.  The update budget counts reps times the grid's steps, as a
+    reference sample of that size would take.  An exact Sigma that is not
+    positive cannot be fitted and raises a RegimeError naming each such
+    point.
     """
     taus = [float(t) for t in tau_grid]
     if len(taus) < 2:
@@ -498,7 +413,4 @@ def scaling_fit(p: float, tau_grid, reps: int, seed: int,
             "at p = 1/2 dissipates nothing, and a log-log fit needs "
             "Sigma > 0 at every tau")
     slope, se = fit_loglog_slope(taus, [pt.mean_sigma for pt in points])
-    estimates = ([estimate_sigma(p, sched, reps, (seed, i))
-                  for i, sched in enumerate(scheds)] if monte_carlo else [])
-    return ScalingFit(slope=slope, slope_stderr=se, points=points,
-                      monte_carlo=estimates)
+    return ScalingFit(slope=slope, slope_stderr=se, points=points)

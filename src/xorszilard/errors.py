@@ -21,7 +21,7 @@ class BudgetError(RuntimeError):
 
 
 class RegimeError(RuntimeError):
-    """A stochastic estimate fell outside its usable regime."""
+    """An exact dissipation Sigma <= 0, which a log-log fit cannot use."""
 
 
 def check_count(n, name: str) -> int:

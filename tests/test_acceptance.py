@@ -171,8 +171,7 @@ def test_criterion_09_small_violation_expansion():
 
 def test_criterion_10_finite_time_scaling():
     t0 = time.perf_counter()
-    fit = scaling_fit(0.85, [10.0, 20.0, 40.0, 80.0, 160.0], reps=20_000,
-                      seed=7)
+    fit = scaling_fit(0.85, [10.0, 20.0, 40.0, 80.0, 160.0], reps=20_000)
     for est in fit.points:
         assert est.mean_sigma > 3.0 * est.stderr, est
     assert -1.3 <= fit.slope <= -0.7

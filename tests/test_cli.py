@@ -112,6 +112,7 @@ def test_value_perfect_game_caps_quantum_value(capsys, tmp_path):
     (["simulate", "--game", "chsh", "--behaviour", "quantum-opt",
       "--p-model", "1", "--seed", "1", "--rounds", "1000"], EXIT_VALIDATION),
     (["finite-time", "--tau-grid", "10,20", "--kt", "5"], EXIT_PARSE),
+    (["finite-time", "--monte-carlo"], EXIT_PARSE),
     (["value", "--game", "chained:abc"], EXIT_PARSE),
     (["channel", "--game", "chsh", "--behaviour", "noisy:pr"], EXIT_PARSE),
     (["channel", "--game", "chsh", "--behaviour", "noisy:pr:abc"], EXIT_PARSE),
@@ -130,6 +131,7 @@ def test_value_perfect_game_caps_quantum_value(capsys, tmp_path):
         "sweep-out-unwritable", "simulate-records-unwritable", "kt-nan",
         "kt-zero", "kt-negative", "kt-inf", "value-restarts",
         "p-model-one-lucky", "p-model-one-loses", "finite-time-kt",
+        "finite-time-monte-carlo",
         "chained-abc", "noisy-no-delta", "noisy-delta-abc", "mix-no-v",
         "mix-v-abc", "kt-overflows-work"])
 def test_bad_input_exit_codes(capsys, tmp_path, monkeypatch, argv, code):
@@ -143,8 +145,9 @@ def test_bad_input_exit_codes(capsys, tmp_path, monkeypatch, argv, code):
     assert "Traceback" not in err
 
 
-def test_readme_cli_lines_parse():
-    # every command in README's CLI block is accepted by the parser
+def test_readme_cli_lines_parse(capsys, tmp_path, monkeypatch):
+    # every command in README's CLI block runs to exit 0, its relative
+    # output paths under a temporary XORSZILARD_OUT_DIR
     path = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
     with open(path, encoding="utf-8") as fh:
         block = fh.read().split("## CLI", 1)[1]
@@ -152,12 +155,15 @@ def test_readme_cli_lines_parse():
     lines = [line.split("#", 1)[0] for line in block.splitlines()
              if line.startswith("xorszilard ")]
     assert len(lines) >= 9
-    parser = cli.build_parser()
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("XORSZILARD_OUT_DIR", str(tmp_path))
     for line in lines:
         try:
-            parser.parse_args(shlex.split(line)[1:])
-        except SystemExit:
-            pytest.fail(f"README command does not parse: {line.strip()}")
+            code = main(shlex.split(line)[1:])
+        except SystemExit as exc:
+            code = exc.code
+        err = capsys.readouterr().err
+        assert code == 0 and "Traceback" not in err, (line.strip(), err)
 
 
 def test_value_bad_game_file_names_mu(capsys, tmp_path):
@@ -670,26 +676,8 @@ def test_finite_time_exact_sigma(capsys):
     assert "tau=10: sigma=0+-0;" in err and "exact" in err
 
 
-def test_finite_time_monte_carlo(capsys):
-    argv = ("--p", "0.9", "--tau-grid", "5,10,20", "--reps", "4000",
-            "--seed", "3")
-    exact_rows, exact = _finite_time(capsys, *argv)
-    rows, data = _finite_time(capsys, *argv, "--monte-carlo")
-    # the fit and the CSV are the exact ones either way
-    checks = data.pop("monte_carlo")
-    assert rows == exact_rows and data == exact and len(checks) == 3
-    for i, (row, mc) in enumerate(zip(rows, checks)):
-        assert mc["tau"] == float(row[0]) and mc["reps"] == 4000
-        assert mc["seed"] == [3, i]
-        assert mc["z"] == pytest.approx(
-            (mc["sigma_mean"] - float(row[1])) / float(row[2]), rel=1e-6)
-        assert abs(mc["z"]) < 5 and abs(mc["z_jarzynski"]) < 5
-        assert mc["z_jarzynski"] == pytest.approx(
-            (mc["exp_neg_sigma"] - 1) / mc["exp_neg_sigma_stderr"])
-
-
 def test_finite_time_draws_no_random_numbers(tmp_path):
-    # the default run is the exact recursion: numpy.random stays unimported
+    # finite-time is the exact recursion: numpy.random stays unimported
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     code = ("import sys; from xorszilard.cli import main; "
             "rc = main(['finite-time', '--tau-grid', '5,10']); "

@@ -211,23 +211,17 @@ def _argv(rng, games, behaviours, tmp_path):
     if command == "cycle":
         opt["--p"] = _pick(rng, PROBS, BAD_PROBS)
     if command == "finite-time":
-        monte_carlo = rng.random() < 0.3
         if rng.random() < 0.7:
             opt["--p"] = _pick(rng, PROBS, BAD_PROBS)
         if rng.random() < 0.8:
             opt["--tau-grid"] = _pick(
-                rng, ["5,10", "1,2,4", "10,20,40"]
-                + ([] if monte_carlo else ["1000,2000"]),
+                rng, ["5,10", "1,2,4", "10,20,40", "1000,2000"],
                 ["10", "5,nan", "10,inf", "0,5", "-5,10", "10,1e12",
                  "10,1e300"])
-        opt["--reps"] = _pick(rng, ["2", "100"] + ([] if monte_carlo
-                                                   else ["2000"]),
-                              ["1", "-3"] + ([] if monte_carlo
-                                             else [str(10**20)]))
+        opt["--reps"] = _pick(rng, ["2", "100", "2000"],
+                              ["1", "-3", str(10**20)])
         if rng.random() < 0.3:
             opt["--rate"] = _pick(rng, ["1", "0.5"], ["1e300"])
-        if monte_carlo:
-            argv.append("--monte-carlo")
     if rng.random() < (0.05 if command == "finite-time" else 0.3):
         opt["--kt"] = _pick(rng, ["2.5", "1e-21"], [], 0.5)  # finite-time: 2
     if rng.random() < 0.15:

@@ -114,9 +114,9 @@ def test_fit_loglog_slope_synthetic():
 
 
 def test_scaling_fit_slope():
-    fit = scaling_fit(0.85, [10, 20, 40, 80], reps=3000, seed=7)
+    fit = scaling_fit(0.85, [10, 20, 40, 80], reps=3000)
     assert -1.3 <= fit.slope <= -0.7
-    assert len(fit.points) == 4 and fit.monte_carlo == []
+    assert len(fit.points) == 4
     assert all(pt.mean_sigma > 0 for pt in fit.points)
     for pt in fit.points:
         mean, sd = sigma_moments(0.85, ProtocolSchedule.linear(pt.tau))
@@ -126,23 +126,21 @@ def test_scaling_fit_slope():
 
 def test_scaling_fit_regime_error():
     # deep in the quasistatic regime, where 100-rep Monte Carlo estimates
-    # went negative at some seeds, the exact Sigma is positive and the same
-    # at every seed; only a Sigma that is exactly <= 0 stops the fit
+    # went negative at some seeds, the exact Sigma is positive; only a
+    # Sigma that is exactly <= 0 stops the fit
     template = lambda tau: ProtocolSchedule(tau=tau, steps=int(2 * tau))
     taus = [1600.0, 3200.0]
-    fits = [scaling_fit(0.85, taus, reps=100, seed=seed,
-                        sched_template=template) for seed in range(10)]
-    assert all(fit == fits[0] for fit in fits)
-    assert all(pt.mean_sigma > 0 for pt in fits[0].points)
+    fit = scaling_fit(0.85, taus, reps=100, sched_template=template)
+    assert all(pt.mean_sigma > 0 for pt in fit.points)
     with pytest.raises(RegimeError) as err:
-        scaling_fit(0.5, taus, reps=100, seed=0, sched_template=template)
+        scaling_fit(0.5, taus, reps=100, sched_template=template)
     for tau in taus:
         assert f"tau={tau:g}: sigma=0+-0" in str(err.value)
 
 
 def test_scaling_fit_needs_two_points():
     with pytest.raises(ValidationError):
-        scaling_fit(0.85, [1e6], reps=100, seed=1)
+        scaling_fit(0.85, [1e6], reps=100)
 
 
 def test_custom_gap_path():
@@ -223,11 +221,13 @@ def test_sampled_work_matches_exact_path_law():
         assert chi2 < bound, (sched, chi2)
 
 
-def test_tiles_carry_state_across_windows(monkeypatch):
-    # two expected events per tile: one rep per tile, 4-step windows
-    monkeypatch.setattr(dynamics, "_TILE_EVENTS", 2)
-    chi2, bound = _work_chi2(0.8, ProtocolSchedule(tau=4.0, steps=8),
-                             10_000, 12)
+def test_blocks_sample_the_same_law(monkeypatch):
+    # blocks of 3 reps, the last one short, each from its own sub-stream
+    monkeypatch.setattr(dynamics, "_BLOCK_REPS", 3)
+    sched = ProtocolSchedule(tau=4.0, steps=8)
+    sizes = [w.size for w, _, _ in dynamics._run_batch(0.8, sched, 10, 12)]
+    assert sizes == [3, 3, 3, 1]
+    chi2, bound = _work_chi2(0.8, sched, 10_000, 12)
     assert chi2 < bound, chi2
 
 
@@ -253,20 +253,19 @@ def test_mean_sigma_matches_exact_recursion():
                 (p, tau, est.mean_sigma, exact, est.stderr)
 
 
-def test_sampler_memory_bounded_by_tiles():
-    # each trajectory draws ~10x a tile's expected events; tiles bound the
-    # memory to the gap grid plus one tile, whatever the event count
-    sched = ProtocolSchedule(tau=10 * dynamics._TILE_EVENTS,
-                             steps=20 * dynamics._TILE_EVENTS)
+def test_sampler_memory_bounded_by_blocks():
+    # two blocks, the second one short: memory holds the gap grid and one
+    # block's states, never a state per (rep, step)
+    reps = dynamics._BLOCK_REPS + 3000
+    sched = ProtocolSchedule.linear(100.0)
     tracemalloc.start()
     try:
-        estimate_sigma(0.85, sched, reps=100, seed=2)
+        estimate_sigma(0.85, sched, reps=reps, seed=2)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # the events of one estimate would take 100 * 163840 * 8 B = 131 MB per
-    # array; the gap and Gibbs grids take 2.6 MB each
-    assert peak < 16 * 2**20, peak
+    # reps * steps states would take 19.4 MB as bools, 155 MB as floats
+    assert peak < 4 * 2**20 < reps * sched.steps, peak
 
 
 def test_jarzynski_equality():
@@ -288,12 +287,12 @@ def test_jarzynski_equality():
 def test_regime_error_names_exact_points():
     # p=0.78, tau=80 at seed 11 read -0.00018 +- 0.00202 by Monte Carlo and
     # stopped the fit; the exact Sigma(80) is +0.0042, and the fit runs
-    fit = scaling_fit(0.78, [10, 20, 40, 80], reps=2000, seed=11)
+    fit = scaling_fit(0.78, [10, 20, 40, 80], reps=2000)
     assert f"{fit.points[-1].mean_sigma:.9g}" == "0.00415201349"
     # p = 1/2 has no dissipation: every Sigma is exactly 0 with stderr 0,
     # and the message asks for no more reps
     with pytest.raises(RegimeError) as err:
-        scaling_fit(0.5, [10, 20], reps=200, seed=11)
+        scaling_fit(0.5, [10, 20], reps=200)
     text = str(err.value)
     assert "tau=10: sigma=0+-0;" in text and "tau=20: sigma=0+-0)" in text
     assert "exact" in text and "--reps" not in text and "z=" not in text
@@ -407,13 +406,10 @@ def test_monte_carlo_sub_seeds():
     assert a == estimate_sigma(0.85, sched, 1000, (7, 1))
     assert a.seed == (7, 1)
     assert a != estimate_sigma(0.85, sched, 1000, (7, 2))
-    # an integer seed draws from (seed, tile), as before sub-seeds existed
+    # an integer seed draws from (seed, block), as before sub-seeds existed
     first = [next(dynamics._run_batch(0.85, sched, 1000, key))[0]
              for key in (7, (7,))]
     assert np.array_equal(*first)
-    fit = scaling_fit(0.85, [10, 20], reps=1000, seed=7, monte_carlo=True)
-    assert [est.seed for est in fit.monte_carlo] == [(7, 0), (7, 1)]
-    assert fit.monte_carlo[0] == estimate_sigma(0.85, sched, 1000, (7, 0))
 
 
 def test_sigma_moments_memory_bounded():

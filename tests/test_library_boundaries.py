@@ -3,10 +3,10 @@
 Each row is a callable, a malformed input and the package error it must
 raise: counts that are not integers (operator.index decides: ints and numpy
 ints pass, floats and NaN do not), seeds that are not a non-negative integer
-or a tuple of them, game and behaviour sizes that are not integers, and
-correlator matrices that are not 2-D.  Every row
-runs under a 5 s bound, so a call that would never return fails its row
-instead of stalling the suite.
+or a tuple of them, game and behaviour sizes that are not integers,
+correlator matrices that are not 2-D, and gap paths or log-log points that
+are not finite.  Every row runs under a 5 s bound, so a call that would
+never return fails its row instead of stalling the suite.
 """
 
 import functools
@@ -18,12 +18,17 @@ import pytest
 
 from xorszilard import (Behaviour, ProtocolSchedule, ValidationError, XorGame,
                         class_report, correlator_behaviour, estimate_sigma,
-                        make_chained, make_chsh, pr_box, quantum_value,
-                        scaling_fit, simulate_rounds, trajectory_energy_audit)
+                        fit_loglog_slope, make_chained, make_chsh, pr_box,
+                        quantum_value, scaling_fit, sigma_moments,
+                        simulate_rounds, trajectory_energy_audit)
 
 CHSH = make_chsh()
 PR = pr_box(CHSH)
 SCHED = ProtocolSchedule(tau=10.0, steps=100)
+MID_NAN = ProtocolSchedule(tau=10.0, steps=100, gap_path=lambda s:
+                           math.nan if 0.4 < s < 0.6 else 1.0 - s)
+MID_INF = ProtocolSchedule(tau=10.0, steps=100, gap_path=lambda s:
+                           math.inf if 0.4 < s < 0.6 else 1.0 - s)
 TABLE = np.full((2, 2, 2, 2), 0.25)
 
 
@@ -59,9 +64,23 @@ ROWS = [
     row("audit-negative-seed", "seed",
         trajectory_energy_audit, 0.85, SCHED, -1),
     row("scaling-fit-nan-reps", "reps",
-        scaling_fit, 0.85, [10, 20], reps=math.nan, seed=1),
-    row("scaling-fit-negative-seed", "seed",
-        scaling_fit, 0.85, [10, 20], reps=100, seed=-1, monte_carlo=True),
+        scaling_fit, 0.85, [10, 20], reps=math.nan),
+    row("schedule-nan-gap-path-end", "gap_path",
+        ProtocolSchedule, tau=10.0, steps=100, gap_path=lambda s: math.nan),
+    row("sigma-moments-nan-mid-path", "not finite",
+        sigma_moments, 0.85, MID_NAN),
+    row("sigma-moments-inf-mid-path", "not finite",
+        sigma_moments, 0.85, MID_INF),
+    row("sigma-nan-mid-path", "not finite",
+        estimate_sigma, 0.85, MID_NAN, 200, 1),
+    row("scaling-fit-nan-mid-path", "not finite",
+        scaling_fit, 0.85, [10, 20], reps=100,
+        sched_template=lambda tau: ProtocolSchedule(
+            tau=tau, steps=100, gap_path=MID_NAN.gap_path)),
+    row("loglog-nan-sigma", "finite",
+        fit_loglog_slope, [1, 2, 3], [0.1, math.nan, 0.3]),
+    row("loglog-inf-tau", "finite",
+        fit_loglog_slope, [1, 2, math.inf], [0.1, 0.2, 0.3]),
     row("game-float-size", "nu", XorGame, name="g", nu=2.0, nv=2,
         mu=CHSH.mu, f=CHSH.f),
     row("behaviour-float-size", "nv", Behaviour, 2, 2.0, TABLE),

@@ -116,15 +116,18 @@ def rounds_to_csv(rounds, cells, path: str):
     ``cells`` are indices into the round table ``rounds``, one per round in
     transcript order: any integer sequence, such as the compact unsigned
     array ``simulate_rounds`` returns.  Each table cell the transcript
-    uses is encoded once as a CRLF-ended line of integer fields, ``won`` as
-    0 or 1: a transcript shorter than the table finds its cells with
-    np.unique, a longer one encodes the whole table.  The file is those
-    lines over ``cells``, joined and written _CSV_ROWS rows at a time, so a
-    chunk's index slice, gathered lines, string and encoded bytes each stay
-    near 100 KB however long the transcript.
+    uses, found by one counting pass over ``cells``, is encoded once as a
+    CRLF-ended line of integer fields, ``won`` as 0 or 1.  The count and the
+    file both go _CSV_ROWS rows at a time, the file as those lines over
+    ``cells``, joined, so a chunk's index slice, counts, gathered lines,
+    string and encoded bytes each stay near 100 KB however long the
+    transcript.
     """
-    used = (np.unique(cells) if len(cells) < len(rounds)
-            else np.arange(len(rounds)))
+    counts = np.zeros(len(rounds), dtype=np.intp)
+    for start in range(0, len(cells), _CSV_ROWS):
+        counts += np.bincount(cells[start:start + _CSV_ROWS],
+                              minlength=len(rounds))
+    used = np.flatnonzero(counts)
     columns = [rounds[name][used].astype(np.int64).tolist()
                for name in CSV_HEADER]
     lines = np.empty(len(rounds), dtype=object)

@@ -4,14 +4,16 @@ The local value is an exact maximum over deterministic strategies: the
 smaller side's output maps are enumerated as bounded chunks of +-1 sign
 rows against the bias form W = mu * (-1)^f, the other side answering each
 of its questions best, so the nu + nv budget bounds the work.  The quantum
-value is lower-bounded by one seeded alternating (seesaw) maximization of
-the bilinear bias over unit vectors, and upper-bounded by a feasible point
-of the XOR-game SDP dual built from the same vectors; the seesaw stops once
-the two are within a tolerance.  Its rate is measured at every step from
-the bias increments; Young's rule turns it into the over-relaxation,
-applied with one row-norm pass per half-step, and Young's rate at that
-omega spaces the dual checks.  The nonsignalling value of an XOR game is
-always 1, witnessed by the predicate box.
+value is lower-bounded by the bilinear bias of unit vectors and
+upper-bounded by a feasible point of the XOR-game SDP dual built from the
+same vectors, certified once the two are within a tolerance.  The first
+vectors tried are the unit rows of W's top singular block, which certify
+CHSH and every chained game with no further work; otherwise one seeded
+alternating (seesaw) maximization runs at full rank.  Its rate is measured
+at every step from the bias increments; Young's rule turns it into the
+over-relaxation, applied with one row-norm pass per half-step, and Young's
+rate at that omega spaces the dual checks.  The nonsignalling value of an
+XOR game is always 1, witnessed by the predicate box.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ RATE_SETTLE = 0.05  # relative change at which a plain-step rate is used
 RELAXED_SETTLE = 0.005  # the same for an over-relaxed step's rate
 RISE_MIN = 1e-13  # least bias increment whose ratio measures a rate
 OMEGA_MAX = 1.95  # over-relaxation cap; omega = 2 would not contract
+TOP_TIE = 1e-9  # relative gap of singular values tied with W's largest
 
 DEFAULT_TOL = 1e-12  # certified gap of the quantum bias
 DEFAULT_MAX_ITER = 10_000
@@ -404,21 +407,46 @@ def _seesaw(weights: np.ndarray, a: np.ndarray, b: np.ndarray, tol: float,
         rise = step_rise
 
 
+def _top_block(weights: np.ndarray, dim: int):
+    """Unit rows of W's top singular block, zero-padded to ``dim`` columns,
+    or None when a question has no component in that block.
+
+    The block is the columns of U and V (W = U S V^T) whose singular values
+    are within a relative TOP_TIE of the largest, one row per question;
+    scaled to unit length they are the optimal vectors of CHSH and every
+    chained game (Wehner 2006).  The tie cut only chooses the candidate:
+    the caller's dual check decides whether it is optimal."""
+    u, s, vt = np.linalg.svd(weights, full_matrices=False)
+    k = int(np.count_nonzero(s >= (1.0 - TOP_TIE) * s[0]))
+    a, b = np.zeros((weights.shape[0], dim)), np.zeros((weights.shape[1], dim))
+    a[:, :k], b[:, :k] = u[:, :k], vt[:k].T
+    norm_a, norm_b = _row_norms(a), _row_norms(b)
+    if not (norm_a.all() and norm_b.all()):
+        return None
+    return a / norm_a, b / norm_b
+
+
 def quantum_value(game: XorGame, tol: float = DEFAULT_TOL,
                   max_iter: int = DEFAULT_MAX_ITER,
                   seed: int | tuple[int, ...] = DEFAULT_SEED
                   ) -> tuple[float, SeesawState]:
-    """Seesaw lower bound on the quantum value, certified by a dual bound.
+    """Lower bound on the quantum value, certified by a dual bound.
 
-    One seesaw run from the deterministic sub-seed (*seed, 0).  At dimension
-    nu + nv it factors the XOR-game SDP at full rank, where a second-order
-    critical point is generically a global optimum, so the run is certified
-    on every game tried.  If it is not within ``tol`` of its dual bound
-    after ``max_iter`` steps, the state has ``converged=False``, and its
-    bound still holds.  Questions of zero weight never move the bias or the
-    bound, so the seesaw runs without them and they keep their start
-    vectors.  ``tol`` must be finite and > 0, ``max_iter`` an integer
-    >= 0 and ``seed`` a valid seed (errors.check_seed), or ValidationError.
+    The first candidate is W's top singular block (_top_block): if the dual
+    point of those vectors is within ``tol`` of their bias, they are
+    returned with ``iterations=0``, as on CHSH and every chained game.
+    Otherwise one seesaw run starts from the deterministic sub-seed
+    (*seed, 0), so ``seed`` matters only then.  A rejected candidate is not
+    continued: every seesaw step stays in the span of its start, so a run
+    from it would search only the rank of the block.  The seeded run has
+    dimension nu + nv and factors the XOR-game SDP at full rank, where a
+    second-order critical point is generically a global optimum, so it is
+    certified on every game tried.  If it is not within ``tol`` of its dual
+    bound after ``max_iter`` steps, the state has ``converged=False``, and
+    its bound still holds.  Questions of zero weight never move the bias or
+    the bound, so both run without them and they keep their seeded start
+    vectors.  ``tol`` must be finite and > 0, ``max_iter`` an integer >= 0
+    and ``seed`` a valid seed (errors.check_seed), or ValidationError.
     """
     max_iter = check_count(max_iter, "max_iter")
     if not (math.isfinite(tol) and tol > 0.0) or max_iter < 0:
@@ -426,9 +454,13 @@ def quantum_value(game: XorGame, tol: float = DEFAULT_TOL,
                               f"tol = {tol!r}, max_iter = {max_iter!r}")
     weights = _weights(game)
     live_a, live_b = weights.any(axis=1), weights.any(axis=0)
+    live = weights[live_a][:, live_b]
     a, b = _seesaw_start(game, seed, 0)
-    a[live_a], b[live_b], bias, upper, iterations = _seesaw(
-        weights[live_a][:, live_b], a[live_a], b[live_b], tol, max_iter)
+    candidate = _top_block(live, a.shape[1])
+    run = None if candidate is None else _seesaw(live, *candidate, tol, 0)
+    if run is None or run[3] - run[2] >= tol:  # its gap, upper - bias
+        run = _seesaw(live, a[live_a], b[live_b], tol, max_iter)
+    a[live_a], b[live_b], bias, upper, iterations = run
     state = SeesawState(avecs=a, bvecs=b, bias=bias, upper=upper,
                         iterations=iterations, converged=upper - bias < tol)
     return _omega(bias), state
@@ -437,12 +469,14 @@ def quantum_value(game: XorGame, tol: float = DEFAULT_TOL,
 def quantum_behaviour(game: XorGame) -> Behaviour:
     """The quantum-optimal behaviour of any game within LOCAL_BUDGET.
 
-    Its correlators are E_uv = a_u . b_v of the seesaw's unit vectors from
-    quantum_value at DEFAULT_SEED, so the behaviour depends on the game
-    alone; with uniform marginals, a maximally entangled state of dimension
-    2^floor((nu + nv) / 2) realises it (Tsirelson 1980).  Its bias is the
-    run's, certified within DEFAULT_TOL of the quantum value whenever the
-    run converged.  BudgetError for nu + nv > LOCAL_BUDGET, before any
+    Its correlators are E_uv = a_u . b_v of the unit vectors from
+    quantum_value at DEFAULT_SEED: the top singular block of W when its
+    dual check certifies it, as on CHSH and every chained game, else the
+    seeded seesaw's, so the behaviour depends on the game alone.  With
+    uniform marginals, a maximally entangled state of dimension
+    2^floor((nu + nv) / 2) realises it (Tsirelson 1980).  Its bias is
+    certified within DEFAULT_TOL of the quantum value whenever the state
+    converged.  BudgetError for nu + nv > LOCAL_BUDGET, before any SVD or
     seesaw step.
     """
     _check_budget(game)
@@ -504,7 +538,7 @@ class ClassValueReport:
     omega_quantum_upper: float
     local_strategy: tuple[tuple[int, ...], tuple[int, ...]]
     converged: bool
-    iterations: int  # seesaw steps of the run
+    iterations: int  # seesaw steps; 0 when W's top block certified
 
     def __post_init__(self):
         if not 0.5 <= self.omega_local:
@@ -531,10 +565,10 @@ class ClassValueReport:
 
 
 def class_report(game: XorGame, seed: int = DEFAULT_SEED) -> ClassValueReport:
-    """Bundle local, quantum (seesaw), and nonsignalling values for a game;
-    a local strategy is also a quantum one, so it bounds omega_quantum too.
-    The nonsignalling value of an XOR game is 1, certified by the predicate
-    box, which is verified here."""
+    """Bundle local, quantum (quantum_value) and nonsignalling values of a
+    game; a local strategy is also a quantum one, so it bounds omega_quantum
+    too.  The nonsignalling value of an XOR game is 1, certified by the
+    predicate box, which is verified here."""
     w_local, amap, bmap = local_value(game)
     w_quantum, state = quantum_value(game, seed=seed)
     certificate = pr_box(game)

@@ -53,10 +53,22 @@ def test_value_chained3(capsys):
     assert data["omega_ns"] == 1.0
 
 
-def test_value_reports_seesaw_iterations(capsys):
+def test_value_reports_seesaw_iterations(capsys, monkeypatch):
+    # the seeded seesaw alone: chained:6's top singular block would certify
+    # with no step
+    monkeypatch.setattr(optimize, "_top_block", lambda *args: None)
     data = run_json(capsys, "value", "--game", "chained:6")
     assert type(data["iterations"]) is int and data["iterations"] > 0
     assert data["converged"] is True and "restarts" not in data
+
+
+def test_value_chained_certified_whatever_the_seed(capsys):
+    # the top singular block certifies chained:12, so --seed picks nothing
+    first, second = (run_json(capsys, "value", "--game", "chained:12",
+                              "--seed", seed) for seed in ("1", "2"))
+    assert first["iterations"] == second["iterations"] == 0
+    assert first["omega_quantum"] == second["omega_quantum"]
+    assert first["converged"] is True
 
 
 def test_value_perfect_game_caps_quantum_value(capsys, tmp_path):

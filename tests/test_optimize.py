@@ -10,9 +10,10 @@ from xorszilard import (Behaviour, BudgetError, ValidationError, XorGame,
                         game_value, is_nonsignalling, local_value,
                         make_chained, make_chsh, optimize, pr_box,
                         quantum_behaviour, quantum_value)
-from xorszilard.optimize import (CHECK_EVERY, CHECK_MAX, DEFAULT_SEED,
-                                 DEFAULT_TOL, SeesawState, _seesaw,
-                                 _seesaw_start, _steps_to, _weights)
+from xorszilard.optimize import (CHECK_EVERY, CHECK_MAX, DEFAULT_MAX_ITER,
+                                 DEFAULT_SEED, DEFAULT_TOL, SeesawState,
+                                 _omega, _seesaw, _seesaw_start, _steps_to,
+                                 _weights)
 
 from oracles import dual_upper, quantum_optimal_chsh
 
@@ -58,6 +59,23 @@ def sparse_game(nu, nv, cells, seed):
     mu /= mu.sum()
     return XorGame(name=f"sparse{seed}", nu=nu, nv=nv, mu=mu,
                    f=rng.integers(0, 2, size=(nu, nv)))
+
+
+def seeded_seesaw(game, seed=DEFAULT_SEED, tol=DEFAULT_TOL,
+                  max_iter=DEFAULT_MAX_ITER):
+    """quantum_value's path when the top singular block is rejected: one
+    seesaw run from the sub-seed (seed, 0), on a game that weights every
+    question."""
+    start = _seesaw_start(game, seed, 0)
+    a, b, bias, upper, it = _seesaw(_weights(game), *start, tol, max_iter)
+    return _omega(bias), SeesawState(
+        avecs=a, bvecs=b, bias=bias, upper=upper, iterations=it,
+        converged=upper - bias < tol)
+
+
+PERFECT = XorGame(name="perfect-2x4", nu=2, nv=4, mu=[[0.125] * 4] * 2,
+                  f=[[0] * 4] * 2)
+ONE = XorGame(name="one", nu=1, nv=1, mu=[[1.0]], f=[[1]])
 
 
 def transpose(game):
@@ -201,12 +219,73 @@ def test_seesaw_monotone_and_sound():
 
 @pytest.mark.parametrize("n", range(2, 21))
 def test_quantum_value_chained_certified(n):
+    # W's top singular block is optimal on every chained game, so no seesaw
+    # step is taken
     closed = math.cos(math.pi / (4 * n)) ** 2
     w, state = quantum_value(make_chained(n))
     assert abs(w - closed) <= 1e-12
     assert (1.0 + state.upper) / 2.0 >= closed - 1e-15
-    assert state.converged
+    assert state.converged and state.iterations == 0
     assert state.upper - state.bias < DEFAULT_TOL
+
+
+@pytest.mark.parametrize("game, closed", [
+    (make_chsh(), math.cos(math.pi / 8) ** 2), (PERFECT, 1.0), (ONE, 1.0)],
+    ids=["chsh", "perfect-2x4", "one"])
+def test_top_block_certifies_without_a_step(game, closed):
+    w, state = quantum_value(game, seed=5)
+    assert abs(w - closed) <= 1e-12
+    assert (1.0 + state.upper) / 2.0 >= closed - 1e-15
+    assert state.converged and state.iterations == 0
+
+
+def test_rejected_top_block_leaves_the_seeded_run_unchanged():
+    # every seesaw step stays in the span of its start, so a rejected
+    # candidate is dropped and the seeded full-rank run is the parent's
+    shapes = ((15, 3), (12, 3), (3, 14), (3, 12), (6, 6), (8, 8), (10, 10))
+    games = [(random_game(nu, nv, s), s) for s in (1, 2, 3)
+             for nu, nv in shapes]
+    rng = np.random.default_rng(41)
+    rejected = 0
+    while rejected < 20:
+        g = random_game(int(rng.integers(2, 13)), int(rng.integers(2, 13)),
+                        int(rng.integers(1000, 10**6)))
+        if quantum_value(g)[1].iterations > 0:
+            games.append((g, DEFAULT_SEED))
+            rejected += 1
+    for g, s in games:
+        w, state = quantum_value(g, seed=s)
+        w_ref, ref = seeded_seesaw(g, seed=s)
+        assert state.iterations > 0 and state.converged, g.name
+        assert w == w_ref
+        for name in ("avecs", "bvecs"):
+            assert np.array_equal(getattr(state, name), getattr(ref, name))
+        for name in ("bias", "upper", "iterations"):
+            assert getattr(state, name) == getattr(ref, name), (g.name, name)
+
+
+def test_top_block_missing_a_question_falls_back():
+    # the top singular block of diag(0.6, 0.4) has no component on
+    # question 1, so the seeded seesaw runs
+    g = XorGame(name="diag", nu=2, nv=2, mu=[[0.6, 0.0], [0.0, 0.4]],
+                f=np.zeros((2, 2)))
+    w, state = quantum_value(g, seed=2)
+    w_ref, ref = seeded_seesaw(g, seed=2)
+    assert state.converged and state.iterations == ref.iterations > 0
+    assert w == w_ref == pytest.approx(1.0, abs=1e-12)
+    assert np.array_equal(state.avecs, ref.avecs)
+
+
+def test_certified_top_block_keeps_zero_weight_start_rows():
+    # questions 1 and 3 of Alice and 0, 2 and 4 of Bob carry no weight
+    g = sparse_game(4, 5, [(0, 1), (0, 3), (2, 1), (2, 3)], seed=2)
+    for s in (1, 2):
+        _, state = quantum_value(g, seed=s)
+        assert state.converged and state.iterations == 0
+        a, b = _seesaw_start(g, s, 0)
+        assert np.array_equal(state.avecs[[1, 3]], a[[1, 3]])
+        assert np.array_equal(state.bvecs[[0, 2, 4]], b[[0, 2, 4]])
+        assert not np.array_equal(state.avecs[0], a[0])
 
 
 def test_quantum_behaviour_chsh_is_tsirelson():
@@ -232,21 +311,23 @@ def test_quantum_behaviour_chained(n):
 def test_large_chained_certified(n):
     # past the CLI's enumeration budget, where plain seesaw steps left
     # chained:60 uncertified after 4000 steps
+    closed = math.cos(math.pi / (4 * n)) ** 2
     w, state = quantum_value(make_chained(n), max_iter=4000)
-    assert state.converged
-    assert abs(w - math.cos(math.pi / (4 * n)) ** 2) <= 1e-12
+    assert state.converged and state.iterations == 0
+    assert abs(w - closed) <= 1e-12
+    assert (1.0 + state.upper) / 2.0 >= closed - 1e-15
 
 
 def test_seesaw_step_count_chained():
     # deterministic at the default seed; plain seesaw steps take 6232, and
     # an omega set from dual-gap rates over 8-step check blocks took 1696
-    steps = sum(quantum_value(make_chained(n))[1].iterations
+    steps = sum(seeded_seesaw(make_chained(n))[1].iterations
                 for n in range(2, 21))
     assert steps <= 1696
 
 
 def trace_run(monkeypatch, game, **kwargs):
-    """quantum_value with each half-step's omega and each dual check's step
+    """seeded_seesaw with each half-step's omega and each dual check's step
     recorded."""
     omegas, checks = [], []
     toward, dual_bound = optimize._toward, optimize._dual_bound
@@ -261,7 +342,7 @@ def trace_run(monkeypatch, game, **kwargs):
 
     monkeypatch.setattr(optimize, "_toward", traced_toward)
     monkeypatch.setattr(optimize, "_dual_bound", traced_dual_bound)
-    w, state = quantum_value(game, **kwargs)
+    w, state = seeded_seesaw(game, **kwargs)
     return w, state, omegas[::2], checks
 
 
@@ -319,7 +400,7 @@ def test_overshooting_step_returns_run_to_plain_steps(monkeypatch):
         return -step if omega != 1.0 else step
 
     monkeypatch.setattr(optimize, "_toward", overshoot)
-    w, state = quantum_value(make_chained(8))
+    w, state = seeded_seesaw(make_chained(8))
     relaxed = [i for i, o in enumerate(omegas) if o != 1.0]
     assert len(relaxed) == 2 * CHECK_EVERY
     assert relaxed == list(range(relaxed[0], relaxed[0] + 2 * CHECK_EVERY))
@@ -381,9 +462,8 @@ def test_dual_upper_bounds_any_unit_vectors():
 
 @pytest.mark.parametrize("game", [
     sparse_game(4, 4, [(2, 3), (0, 3)], seed=3),  # zero-weight questions
-    XorGame(name="one", nu=1, nv=1, mu=[[1.0]], f=[[1]]),
-    XorGame(name="perfect-2x4", nu=2, nv=4, mu=[[0.125] * 4] * 2,
-            f=[[0] * 4] * 2),
+    ONE,
+    PERFECT,
 ])
 def test_certificate_on_degenerate_games(game):
     w, state = quantum_value(game)
@@ -394,7 +474,7 @@ def test_certificate_on_degenerate_games(game):
 
 def test_uncertified_run_stops_at_max_iter():
     closed = math.cos(math.pi / 48) ** 2
-    w, state = quantum_value(make_chained(12), max_iter=3)
+    w, state = seeded_seesaw(make_chained(12), max_iter=3)
     assert state.iterations == 3
     assert not state.converged
     assert w < closed <= (1.0 + state.upper) / 2.0
@@ -405,7 +485,7 @@ def test_seesaw_rejects_bad_tol_and_max_iter(within):
     # min(it + spacing, max_iter) < 0 never came: max_iter = -1 ran forever
     with pytest.raises(ValidationError, match="max_iter"):
         within(5.0, quantum_value, make_chained(5), max_iter=-1)
-    _, state = quantum_value(make_chained(5), max_iter=0)
+    _, state = seeded_seesaw(make_chained(5), max_iter=0)
     assert state.iterations == 0 and not state.converged
     # a NaN or zero tol failed in the check spacing's log with a ValueError
     for tol in (math.nan, 0.0, -1e-12, math.inf):
@@ -516,7 +596,7 @@ def test_class_ordering_holds_on_random_games():
 def test_seesaw_follows_rising_rate():
     # the plain rate keeps rising after it first settles on these games; a
     # fixed omega from that first rate took 384 and 720 steps
-    _, state = quantum_value(make_chained(30), max_iter=4000)
+    _, state = seeded_seesaw(make_chained(30), max_iter=4000)
     assert state.converged and state.iterations <= 256
     _, state = quantum_value(random_game(7, 4, 135))
     assert state.converged and state.iterations <= 400

@@ -2,11 +2,12 @@
 
 Subcommands: value, channel, simulate, sweep, cycle, finite-time.
 Game specs: ``chsh``, ``chained:N``, or a JSON file path.  Behaviour specs:
-``pr``, ``local-opt``, ``quantum-opt`` (the certified seesaw's optimum at
-the default seed, for any game with nu + nv <= 40), ``uniform``, a JSON
-file path, ``noisy:<spec>:<delta>`` (controller-bit noise applied at
-channel level), or ``mix:<spec>:<v>`` (visibility mixing with the uniform
-behaviour; a distinct operation from channel noise).
+``pr``, ``local-opt``, ``quantum-opt`` (quantum_value's certified vectors
+at the default seed: W's top singular block on CHSH and every chained
+game, else the seeded seesaw's; for any game with nu + nv <= 40),
+``uniform``, a JSON file path, ``noisy:<spec>:<delta>`` (controller-bit
+noise applied at channel level), or ``mix:<spec>:<v>`` (visibility mixing
+with the uniform behaviour; a distinct operation from channel noise).
 
 Outputs are dimensionless by default (bits, kT); ``--kt`` rescales kT to a
 physical energy in every subcommand but finite-time, which prints the

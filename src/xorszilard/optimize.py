@@ -11,9 +11,9 @@ vectors tried are the unit rows of W's top singular block, which certify
 CHSH and every chained game with no further work; otherwise one seeded
 alternating (seesaw) maximization runs at full rank.  Its rate is measured
 at every step from the bias increments; Young's rule turns it into the
-over-relaxation, applied with one row-norm pass per half-step, and Young's
-rate at that omega spaces the dual checks.  The nonsignalling value of an
-XOR game is always 1, witnessed by the predicate box.
+over-relaxation, applied with one row-norm pass per half-step, and the
+dual bound is checked every CHECK_EVERY steps.  The nonsignalling value of
+an XOR game is always 1, witnessed by the predicate box.
 """
 
 from __future__ import annotations
@@ -30,10 +30,8 @@ from .games import (Behaviour, XorGame, _weights, correlator_behaviour,
 LOCAL_BUDGET = 40  # local_value and quantum_behaviour budget: nu + nv
 _CHUNK_BITS = 10  # local enumeration chunks hold 2**10 maps
 _SLACK = 1e-12  # bias margin, far above rounding error since |W| sums to 1
-CHECK_EVERY = 8  # seesaw steps to a check when no rate predicts one
-CHECK_MAX = 64  # most seesaw steps between two checks
-RATE_SETTLE = 0.05  # relative change at which a plain-step rate is used
-RELAXED_SETTLE = 0.005  # the same for an over-relaxed step's rate
+CHECK_EVERY = 8  # seesaw steps between two dual checks
+RATE_SETTLE = 0.05  # relative agreement of two increment ratios giving a rate
 RISE_MIN = 1e-13  # least bias increment whose ratio measures a rate
 OMEGA_MAX = 1.95  # over-relaxation cap; omega = 2 would not contract
 TOP_TIE = 1e-9  # relative gap of singular values tied with W's largest
@@ -291,24 +289,6 @@ def _young_rho(rate: float, omega: float) -> float:
     return (rate + omega - 1.0) ** 2 / (rate * omega * omega)
 
 
-def _young_rate(rho: float, omega: float) -> float:
-    """The rate at omega of an iteration whose plain-step rate is rho: the
-    largest |lambda| with (lambda + omega - 1)^2 = lambda omega^2 rho."""
-    q = omega - 1.0
-    half = 0.5 * omega * omega * rho - q
-    disc = half * half - q * q
-    return half + math.sqrt(disc) if disc > 0.0 else q
-
-
-def _steps_to(gap: float, rate: float, tol: float) -> int:
-    """Steps for a gap that contracts by ``rate`` per step to fall below tol,
-    at most CHECK_MAX."""
-    if gap <= tol or rate <= 0.0:
-        return 1
-    steps = math.log(tol / gap) / math.log(rate) if rate < 1.0 else CHECK_MAX
-    return max(1, math.ceil(min(steps, CHECK_MAX)))
-
-
 @np.errstate(invalid="ignore")  # a row of zero weighted sum ends the run
 def _seesaw(weights: np.ndarray, a: np.ndarray, b: np.ndarray, tol: float,
             max_iter: int):
@@ -322,28 +302,24 @@ def _seesaw(weights: np.ndarray, a: np.ndarray, b: np.ndarray, tol: float,
     at OMEGA_MAX.  The rate is measured at every step from the bias, which
     costs one dot product: the error of the vectors contracts by the rate
     per step, so the bias increments contract by its square.  When two
-    successive increment ratios r agree within RATE_SETTLE (RELAXED_SETTLE
-    once over-relaxed), sqrt(r) is the step's rate and Young's relation
-    (rate + omega - 1)^2 = rate omega^2 rho gives rho.  A rho above the last
-    one raises omega: the plain rate of a nonlinear run keeps rising after
-    it first settles, so omega follows it up.  Nothing else raises omega.
-    Over-relaxed steps can lower the bias: a check whose bias is more than
-    _SLACK below the best so far returns the run to plain steps, under
-    which the bias never falls.
+    successive increment ratios r agree within RATE_SETTLE, sqrt(r) is the
+    step's rate and Young's relation (rate + omega - 1)^2 = rate omega^2 rho
+    gives rho.  A rho above the last one raises omega: the plain rate of a
+    nonlinear run keeps rising after it first settles, so omega follows it
+    up.  Nothing else raises omega.
 
     The run bounds every quantum bias from above by the dual point of its
-    current vectors (_dual_bound) at step 0 and then at the step where the
-    dual gap is predicted to pass ``tol`` at Young's rate for omega (the
-    plain rate once an overshoot has returned the run to plain steps), else
-    CHECK_EVERY steps on.  The first check after a change of omega comes
-    within CHECK_EVERY steps, so an overshoot is caught as early as with a
-    check every CHECK_EVERY steps; plain steps whose bias stalls are checked
-    at once.  The run keeps the vectors of the last check whose bias is
-    within _SLACK of the best seen at a check (near an optimum the bias
-    settles to rounding error while the dual gap still shrinks), and the
-    least bound seen; both hold for any unit vectors, and the run stops once
-    they are within ``tol``.  A row whose weighted sum is exactly zero has
-    no direction: the run then ends with the vectors it kept.
+    current vectors (_dual_bound) at step 0, at every multiple of
+    CHECK_EVERY and at ``max_iter``, and nowhere else.  Over-relaxed steps
+    can lower the bias: a check whose bias is more than _SLACK below the
+    best so far returns the run to plain steps, under which the bias never
+    falls.  The run keeps the vectors of the last check whose bias is within
+    _SLACK of the best seen at a check (near an optimum the bias settles to
+    rounding error while the dual gap still shrinks), and the least bound
+    seen; both hold for any unit vectors, and the run stops at the first
+    check where they are within ``tol``.  A row whose weighted sum is
+    exactly zero has no direction: the run then ends with the vectors it
+    kept.
     """
     wt = weights.T
     m = _dual_matrix(weights)
@@ -353,25 +329,17 @@ def _seesaw(weights: np.ndarray, a: np.ndarray, b: np.ndarray, tol: float,
     rows_a, rows_b = a, b
     wb, wta = weights @ b, wt @ a
     bias = float(np.vdot(a, wb))
-    it = check = 0
-    last = None          # (step, gap) of the last check
-    rate = None          # the gap's predicted rate at omega
+    it = 0
     rise = ratio = None  # the last bias increment and increment ratio
-    fresh = False        # omega changed since the last check
     while True:
-        if it == check:
-            bound = _dual_bound(m, w_sq, wb, wta)
-            upper = min(upper, bound)
+        if it % CHECK_EVERY == 0 or it == max_iter:
+            upper = min(upper, _dual_bound(m, w_sq, wb, wta))
             if bias >= best - _SLACK:
                 kept, best = (a, b, bias), max(best, bias)
             elif relax:  # an overshoot: plain steps from here on
-                omega, relax, rate = 1.0, False, rho or None
+                omega, relax = 1.0, False
             if upper - kept[2] < tol or it == max_iter:
                 return (*kept, upper, it)
-            gap = bound - bias
-            spacing = CHECK_EVERY if rate is None else _steps_to(gap, rate, tol)
-            check = min(it + spacing, max_iter)
-            last, fresh = (it, gap), False
         rows_a = _toward(wb, rows_a, omega)
         a = rows_a / _row_norms(rows_a)
         wta = wt @ a
@@ -387,20 +355,12 @@ def _seesaw(weights: np.ndarray, a: np.ndarray, b: np.ndarray, tol: float,
         step_rise += bias
         if rise is not None and rise > RISE_MIN:
             r = step_rise / rise
-            if omega == 1.0 and step_rise <= RISE_MIN:
-                check = it  # the plain steps have stalled: check now
-            elif 0.0 < r < 1.0 and ratio is not None and abs(r - ratio) <= (
-                    RATE_SETTLE if omega == 1.0 else RELAXED_SETTLE) * r:
-                lam = math.sqrt(r)
-                seen = _young_rho(lam, omega)
+            if (0.0 < r < 1.0 and ratio is not None
+                    and abs(r - ratio) <= RATE_SETTLE * r):
+                seen = _young_rho(math.sqrt(r), omega)
                 if rho < seen < 1.0 and _young_omega(seen) > omega:
                     rho, omega = seen, _young_omega(seen)
-                    rate = _young_rate(rho, omega)
-                    due = it + _steps_to(last[1] * lam ** (it - last[0]),
-                                         rate, tol)
-                    check = min(check if fresh else it + CHECK_EVERY, due,
-                                max_iter)
-                    fresh, step_rise = True, None
+                    step_rise = None
             ratio = r
         else:
             ratio = None
@@ -441,12 +401,13 @@ def quantum_value(game: XorGame, tol: float = DEFAULT_TOL,
     from it would search only the rank of the block.  The seeded run has
     dimension nu + nv and factors the XOR-game SDP at full rank, where a
     second-order critical point is generically a global optimum, so it is
-    certified on every game tried.  If it is not within ``tol`` of its dual
-    bound after ``max_iter`` steps, the state has ``converged=False``, and
-    its bound still holds.  Questions of zero weight never move the bias or
-    the bound, so both run without them and they keep their seeded start
-    vectors.  ``tol`` must be finite and > 0, ``max_iter`` an integer >= 0
-    and ``seed`` a valid seed (errors.check_seed), or ValidationError.
+    certified on every game tried.  It checks its dual bound every
+    CHECK_EVERY steps; if it is not within ``tol`` by ``max_iter`` steps,
+    the state has ``converged=False``, and its bound still holds.  Questions
+    of zero weight never move the bias or the bound, so both run without
+    them and they keep their seeded start vectors.  ``tol`` must be finite
+    and > 0, ``max_iter`` an integer >= 0 and ``seed`` a valid seed
+    (errors.check_seed), or ValidationError.
     """
     max_iter = check_count(max_iter, "max_iter")
     if not (math.isfinite(tol) and tol > 0.0) or max_iter < 0:

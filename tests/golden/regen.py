@@ -1,11 +1,20 @@
-"""Rewrite the golden `value` corpus, value.json, from the working tree.
+"""Rewrite the golden corpus from the working tree.
 
     PYTHONPATH=src python tests/golden/regen.py
 
-Each entry is the exit code and the parsed stdout JSON of one
-``value --game G --seed 1``, run in-process through ``cli.main``.  The
-corpus is a regression net, not an oracle: tests/test_golden.py holds the
-program to the outputs it printed when the corpus was last written.  A
+Every corpus file is rewritten in one run, each command run in-process
+through ``cli.main``:
+
+- value.json: the exit code and the parsed stdout JSON of
+  ``value --game G --seed 1`` for each named and each seeded random game;
+- commands.json: the same for each argv of COMMANDS and for RECORDS_ARGV,
+  keyed by the argv joined with spaces.  CSV lines that a command prints
+  before its JSON, or in its place, are kept as text under ``csv``: they
+  carry 9 significant digits, so they are compared exactly;
+- records.csv: the transcript RECORDS_ARGV writes, compared as bytes.
+
+The corpus is a regression net, not an oracle: tests/test_golden.py holds
+the program to the outputs it printed when the corpus was last written.  A
 change that rewrites an entry names it in CHANGES.md with the reason.
 """
 
@@ -13,6 +22,7 @@ import contextlib
 import io
 import json
 import os
+import shutil
 import sys
 import tempfile
 
@@ -21,11 +31,25 @@ import numpy as np
 from xorszilard import XorGame, save_game
 from xorszilard.cli import main
 
-CORPUS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "value.json")
+HERE = os.path.dirname(os.path.abspath(__file__))
+CORPUS = os.path.join(HERE, "value.json")
+COMMANDS_CORPUS = os.path.join(HERE, "commands.json")
+RECORDS = os.path.join(HERE, "records.csv")
 NAMED = ["chsh"] + [f"chained:{n}" for n in (3, 4, 5, 6, 7, 8, 10, 12)]
 # the values benchmark's shapes: tall, wide and square
 RANDOM_SHAPES = ((15, 3), (12, 3), (3, 14), (3, 12), (6, 6), (8, 8), (10, 10))
 RANDOM_SEED = 24
+
+COMMANDS = (
+    [["channel", "--game", g, "--behaviour", b]
+     for g in ("chsh", "chained:12")
+     for b in ("pr", "local-opt", "quantum-opt", "mix:pr:0.75")]
+    + [["simulate", "--game", g, "--behaviour", b, "--seed", "5"]
+       for g in ("chsh", "chained:6") for b in ("quantum-opt", "noisy:pr:0.1")]
+    + [["cycle", "--p", "0.75"], ["sweep", "--step", "0.25"], ["finite-time"]])
+# exact probabilities (no BLAS in the behaviour), so the bytes hold on any core
+RECORDS_ARGV = ["simulate", "--game", "chained:6", "--behaviour", "mix:pr:0.75",
+                "--rounds", "10000", "--seed", "5", "--records", "records.csv"]
 
 
 def random_games():
@@ -39,16 +63,26 @@ def random_games():
     return out
 
 
-def run_value(spec: str) -> dict:
-    """Exit code and parsed stdout of ``value --game spec --seed 1``."""
+def run(argv: list[str]) -> dict:
+    """Exit code and stdout of ``argv``: its JSON document, parsed, as
+    ``stdout`` (None when it prints none), and any CSV lines as ``csv``."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        code = main(["value", "--game", spec, "--seed", "1"])
-    return {"exit": code, "stdout": json.loads(out.getvalue())}
+        code = main(argv)
+    csv, brace, doc = out.getvalue().partition("{")
+    entry = {"exit": code, "stdout": json.loads(brace + doc) if brace else None}
+    if csv:
+        entry["csv"] = csv.splitlines()
+    return entry
+
+
+def run_value(spec: str) -> dict:
+    """Exit code and parsed stdout of ``value --game spec --seed 1``."""
+    return run(["value", "--game", spec, "--seed", "1"])
 
 
 def outputs(workdir: str) -> dict:
-    """Every corpus entry, keyed by game name; game files go in workdir."""
+    """Every value.json entry, keyed by game name; game files go in workdir."""
     entries = {name: run_value(name) for name in NAMED}
     for game in random_games():
         path = os.path.join(workdir, f"{game.name}.json")
@@ -57,10 +91,27 @@ def outputs(workdir: str) -> dict:
     return entries
 
 
+def command_outputs(workdir: str) -> dict:
+    """Every commands.json entry, keyed by argv; RECORDS_ARGV writes its
+    transcript to records.csv in workdir."""
+    entries = {" ".join(argv): run(argv) for argv in COMMANDS}
+    entries[" ".join(RECORDS_ARGV)] = run(
+        RECORDS_ARGV[:-1] + [os.path.join(workdir, RECORDS_ARGV[-1])])
+    return entries
+
+
+def _dump(data: dict, path: str):
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(data, fh, indent=1)
+        fh.write("\n")
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as workdir:
-        corpus = outputs(workdir)
-    with open(CORPUS, "w", encoding="utf-8") as fh:
-        json.dump(corpus, fh, indent=1)
-        fh.write("\n")
-    print(f"wrote {len(corpus)} entries to {CORPUS}", file=sys.stderr)
+        values = outputs(workdir)
+        commands = command_outputs(workdir)
+        shutil.copyfile(os.path.join(workdir, RECORDS_ARGV[-1]), RECORDS)
+    _dump(values, CORPUS)
+    _dump(commands, COMMANDS_CORPUS)
+    print(f"wrote {len(values)} entries to {CORPUS}, {len(commands)} to "
+          f"{COMMANDS_CORPUS} and a transcript to {RECORDS}", file=sys.stderr)

@@ -3,7 +3,8 @@ import math
 
 import pytest
 
-from golden.regen import CORPUS, NAMED, outputs, random_games
+from golden.regen import (COMMANDS, COMMANDS_CORPUS, CORPUS, NAMED, RECORDS,
+                          RECORDS_ARGV, command_outputs, outputs, random_games)
 
 # Floats are held to a few ulp.  omega_quantum_upper is rounded to nearest,
 # and its last digits move with the BLAS kernel by up to ~1.6e-13 on
@@ -34,8 +35,8 @@ def float_bound(path: str, want: float, record: dict) -> float:
 
 def mismatches(got, want, record, path=""):
     """Where ``got`` departs from ``want``, a part of corpus entry
-    ``record``: types, ints, strings, bools and list lengths exactly, floats
-    within float_bound."""
+    ``record``: types, ints, strings, bools, None and list lengths exactly,
+    floats within float_bound."""
     if type(got) is not type(want):
         return [f"{path}: {got!r} != {want!r}"]
     if isinstance(want, dict):
@@ -73,3 +74,36 @@ def test_corpus_covers_every_game(corpus, current):
 @pytest.mark.parametrize("name", NAMED + [g.name for g in random_games()])
 def test_value_matches_golden(corpus, current, name):
     assert mismatches(current[name], corpus[name], corpus[name]) == []
+
+
+@pytest.fixture(scope="module")
+def commands_corpus():
+    with open(COMMANDS_CORPUS, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+@pytest.fixture(scope="module")
+def commands_workdir(tmp_path_factory):
+    return tmp_path_factory.mktemp("golden-commands")
+
+
+@pytest.fixture(scope="module")
+def commands_current(commands_workdir):
+    return command_outputs(str(commands_workdir))
+
+
+def test_commands_corpus_covers_every_command(commands_corpus, commands_current):
+    assert commands_current.keys() == commands_corpus.keys()
+
+
+@pytest.mark.parametrize("key", [" ".join(argv)
+                                 for argv in COMMANDS + [RECORDS_ARGV]])
+def test_command_matches_golden(commands_corpus, commands_current, key):
+    want = commands_corpus[key]
+    assert mismatches(commands_current[key], want, want) == []
+
+
+def test_records_match_golden_bytes(commands_current, commands_workdir):
+    with open(RECORDS, "rb") as fh:
+        want = fh.read()
+    assert (commands_workdir / RECORDS_ARGV[-1]).read_bytes() == want

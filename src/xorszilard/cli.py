@@ -12,7 +12,8 @@ with the uniform behaviour; a distinct operation from channel noise).
 Outputs are dimensionless by default (bits, kT); ``--kt`` rescales kT to a
 physical energy in every subcommand but finite-time, which prints the
 dimensionless dissipation only.  CSV floats carry 9 significant digits with
-'.' decimals.
+'.' decimals.  finite-time's ``--rate`` reaches the fit through the schedule:
+scaling_fit gets the linear ramp at that rate as its schedule template.
 Exit codes: 0 ok, 2 parse (also a game or behaviour file that is not a
 UTF-8 JSON object, nests too deeply or gives non-integer sizes, a --kt that
 is not finite and > 0, a --tau-grid entry that is not a number, and an
@@ -98,12 +99,16 @@ def _out_path(path: str | None) -> str | None:
     return path
 
 
-def _emit_json(data: dict, out: str | None):
+def _strict_json(data: dict) -> str:
     try:
-        text = json.dumps(data, indent=2, allow_nan=False)
+        return json.dumps(data, indent=2, allow_nan=False)
     except ValueError:  # strict JSON has no NaN or Infinity
         raise ValidationError(
             "a result is not finite (a --kt this large overflows it)") from None
+
+
+def _emit_json(data: dict, out: str | None):
+    text = _strict_json(data)
     path = _out_path(out)
     if path:
         with open(path, "w", encoding="utf-8") as fh:
@@ -177,7 +182,7 @@ def parse_behaviour_spec(spec: str, game: games.XorGame):
         b = games.uniform_behaviour(game)
     elif spec == "local-opt":
         _, amap, bmap = optimize.local_value(game)
-        b = games.deterministic_behaviour(game, amap, bmap)
+        b = games.deterministic_behaviour(amap, bmap)
     elif spec == "quantum-opt":
         b = optimize.quantum_behaviour(game)
     elif spec.endswith(".json") or os.path.exists(spec):
@@ -244,11 +249,7 @@ def cmd_simulate(args) -> int:
     result = engine.simulate_rounds(game, behaviour, args.rounds, args.seed,
                                     p_model=args.p_model, noise_delta=delta,
                                     keep_records=args.records is not None)
-    if args.records is not None:
-        stats, rounds, cells = result
-        chan.rounds_to_csv(rounds, cells, _out_path(args.records))
-    else:
-        stats = result
+    stats, *transcript = result if args.records is not None else (result,)
     z = _z(stats.mean_work_kt - stats.analytic_work_kt, stats.stderr_kt)
     data = stats.to_json_dict()
     data["game"] = game.name
@@ -256,6 +257,9 @@ def cmd_simulate(args) -> int:
     data["noise_delta"] = delta
     data["mean_work_scaled"] = stats.mean_work_kt * args.kt
     data["z_score"] = z
+    if transcript:
+        _strict_json(data)  # a result that cannot print writes no transcript
+        chan.rounds_to_csv(*transcript, _out_path(args.records))
     _emit_json(data, args.out)
     return 0
 
@@ -306,7 +310,9 @@ def cmd_cycle(args) -> int:
 
 
 def cmd_finite_time(args) -> int:
-    fit = dynamics.scaling_fit(args.p, args.tau_grid, args.reps, rate=args.rate)
+    fit = dynamics.scaling_fit(
+        args.p, args.tau_grid, args.reps,
+        lambda tau: dynamics.ProtocolSchedule.linear(tau, rate=args.rate))
     rows = [(pt.tau, pt.mean_sigma, pt.stderr, pt.reps, args.seed)
             for pt in fit.points]
     _write_csv([rows], ["tau", "sigma_mean", "sigma_stderr", "reps", "seed"],

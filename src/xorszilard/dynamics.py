@@ -380,24 +380,23 @@ class ScalingFit:
     points: list[ExactSigma]
 
 
-def scaling_fit(p: float, tau_grid, reps: int, rate: float = 1.0,
-                sched_template: Callable[[float], ProtocolSchedule] | None = None
-                ) -> ScalingFit:
+def scaling_fit(p: float, tau_grid, reps: int,
+                sched_template: Callable[[float], ProtocolSchedule]
+                = ProtocolSchedule.linear) -> ScalingFit:
     """Exact Sigma over a tau grid and the log-log slope fitted to it.
 
-    ``sched_template`` maps tau to a schedule (default: the linear ramp at
-    the given rate).  Each Sigma comes from sigma_moments, so the fit draws
-    no random numbers; ``reps`` sets only the standard error reported next
-    to it.  The update budget counts reps times the grid's steps, as a
-    reference sample of that size would take.  An exact Sigma that is not
-    positive cannot be fitted and raises a RegimeError naming each such
-    point.
+    ``sched_template`` maps tau to a schedule, so it fixes the bath rate
+    too: the default is the linear ramp at rate 1, and the CLI's ``--rate``
+    passes the linear ramp at that rate.  Each Sigma comes from
+    sigma_moments, so the fit draws no random numbers; ``reps`` sets only
+    the standard error reported next to it.  The update budget counts reps
+    times the grid's steps, as a reference sample of that size would take.
+    An exact Sigma that is not positive cannot be fitted and raises a
+    RegimeError naming each such point.
     """
     taus = [float(t) for t in tau_grid]
     if len(taus) < 2:
         raise ValidationError("scaling fit needs a tau grid with >= 2 points")
-    if sched_template is None:
-        sched_template = lambda tau: ProtocolSchedule.linear(tau, rate=rate)
     scheds = [sched_template(tau) for tau in taus]
     reps = _check_reps(reps)
     _check_updates(reps, sum(sched.steps for sched in scheds))

@@ -10,15 +10,18 @@ here (``_weights``): ``bias`` and optimize's local and quantum values read
 it.
 
 Index conventions: behaviour tables are stored as ``table[u][v][a][b]`` and
-question matrices row-major as ``m[u][v]``.  Probability checks use absolute
-tolerance 1e-12; file loaders renormalize only deviations below 1e-9.
+question matrices row-major as ``m[u][v]``.  The question counts ``nu`` and
+``nv`` of a game or behaviour are read from these shapes, never passed; only
+a file states them, and its reader checks its grids against them.
+Probability checks use absolute tolerance 1e-12; file loaders renormalize
+only deviations below 1e-9.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -48,30 +51,28 @@ def _check_entries(arr: np.ndarray, field: str):
 
 @dataclass(frozen=True, eq=False)
 class XorGame:
-    """An XOR game: question counts, question distribution and predicate.
+    """An XOR game: question distribution and predicate.
 
-    ``mu`` is an ``nu x nv`` matrix of question probabilities summing to 1;
-    ``f`` is an ``nu x nv`` matrix of predicate bits.
+    ``mu`` is a non-empty ``nu x nv`` matrix of question probabilities
+    summing to 1; ``f`` is a matrix of predicate bits of the same shape.
+    The question counts ``nu`` and ``nv`` are read from mu's shape.
     """
 
     name: str
-    nu: int
-    nv: int
     mu: np.ndarray
     f: np.ndarray
+    nu: int = field(init=False)
+    nv: int = field(init=False)
 
     def __post_init__(self):
-        if (check_count(self.nu, "game: nu") < 1
-                or check_count(self.nv, "game: nv") < 1):
-            raise ValidationError("game: need nu >= 1 and nv >= 1")
         mu = np.array(self.mu, dtype=float)
         f = np.array(self.f)
-        if mu.shape != (self.nu, self.nv):
+        if mu.ndim != 2 or mu.size == 0:
+            raise ValidationError("game field 'mu': need a non-empty 2-D "
+                                  f"array, got shape {mu.shape}")
+        if f.shape != mu.shape:
             raise ValidationError(
-                f"game field 'mu': shape {mu.shape} != ({self.nu}, {self.nv})")
-        if f.shape != (self.nu, self.nv):
-            raise ValidationError(
-                f"game field 'f': shape {f.shape} != ({self.nu}, {self.nv})")
+                f"game field 'f': shape {f.shape} != {mu.shape}")
         _check_entries(mu, "game field 'mu'")
         total = float(mu.sum())
         if abs(total - 1.0) > PROB_ATOL:
@@ -83,23 +84,25 @@ class XorGame:
             raise ValidationError(f"game field 'f': entry at [{u}][{v}] not a bit")
         object.__setattr__(self, "mu", _read_only(mu))
         object.__setattr__(self, "f", _read_only(f.astype(np.int64)))
+        object.__setattr__(self, "nu", mu.shape[0])
+        object.__setattr__(self, "nv", mu.shape[1])
 
 
 @dataclass(frozen=True, eq=False)
 class Behaviour:
-    """Conditional probability table P(a,b|u,v), stored as table[u][v][a][b]."""
+    """Conditional probability table P(a,b|u,v), stored as table[u][v][a][b];
+    the question counts ``nu`` and ``nv`` are read from its shape."""
 
-    nu: int
-    nv: int
     table: np.ndarray
+    nu: int = field(init=False)
+    nv: int = field(init=False)
 
     def __post_init__(self):
         t = np.array(self.table, dtype=float)
-        shape = (check_count(self.nu, "behaviour: nu"),
-                 check_count(self.nv, "behaviour: nv"), 2, 2)
-        if t.shape != shape:
+        if t.ndim != 4 or t.shape[2:] != (2, 2) or t.size == 0:
             raise ValidationError(
-                f"behaviour field 'table': shape {t.shape} != {shape}")
+                "behaviour field 'table': need a non-empty (nu, nv, 2, 2) "
+                f"array, got shape {t.shape}")
         _check_entries(t, "behaviour field 'table'")
         sums = t.sum(axis=(2, 3))
         bad = np.abs(sums - 1.0) > PROB_ATOL
@@ -109,6 +112,8 @@ class Behaviour:
                 f"behaviour field 'table': slice [{u}][{v}] sums to "
                 f"{sums[u, v]!r}, expected 1")
         object.__setattr__(self, "table", _read_only(t))
+        object.__setattr__(self, "nu", t.shape[0])
+        object.__setattr__(self, "nv", t.shape[1])
 
 
 # ---------------------------------------------------------------------------
@@ -119,7 +124,7 @@ def make_chsh() -> XorGame:
     """The CHSH game: two questions each, uniform mu, predicate f(u,v) = u*v."""
     mu = np.full((2, 2), 0.25)
     f = np.array([[0, 0], [0, 1]])
-    return XorGame(name="chsh", nu=2, nv=2, mu=mu, f=f)
+    return XorGame(name="chsh", mu=mu, f=f)
 
 
 def make_chained(n: int) -> XorGame:
@@ -141,7 +146,7 @@ def make_chained(n: int) -> XorGame:
         mu[j, j] = w
         mu[(j + 1) % n, j] = w
     f[0, n - 1] = 1
-    return XorGame(name=f"chained:{n}", nu=n, nv=n, mu=mu, f=f)
+    return XorGame(name=f"chained:{n}", mu=mu, f=f)
 
 
 # ---------------------------------------------------------------------------
@@ -150,28 +155,26 @@ def make_chained(n: int) -> XorGame:
 
 def uniform_behaviour(game: XorGame) -> Behaviour:
     """The maximally mixed behaviour: every output pair has probability 1/4."""
-    return Behaviour(game.nu, game.nv, np.full((game.nu, game.nv, 2, 2), 0.25))
+    return Behaviour(np.full((game.nu, game.nv, 2, 2), 0.25))
 
 
-def deterministic_behaviour(game: XorGame, amap, bmap) -> Behaviour:
+def deterministic_behaviour(amap, bmap) -> Behaviour:
     """Deterministic strategy: player outputs are fixed functions of questions.
 
     ``amap`` and ``bmap`` list the output bit for each question of Alice and
-    Bob respectively.
+    Bob respectively, so their lengths are the question counts; a map that
+    does not fit a game fails where the behaviour meets it (``_check_dims``).
     """
     a, b = np.asarray(list(amap)), np.asarray(list(bmap))
-    if a.shape != (game.nu,):
+    if a.ndim != 1 or b.ndim != 1:
         raise ValidationError(
-            f"amap has shape {a.shape}, game has {game.nu} Alice questions")
-    if b.shape != (game.nv,):
-        raise ValidationError(
-            f"bmap has shape {b.shape}, game has {game.nv} Bob questions")
+            f"strategy maps must be 1-D, got shapes {a.shape} and {b.shape}")
     if not (((a == 0) | (a == 1)).all() and ((b == 0) | (b == 1)).all()):
         raise ValidationError("strategy maps must contain bits only")
-    t = np.zeros((game.nu, game.nv, 2, 2))
-    t[np.arange(game.nu)[:, None], np.arange(game.nv),
+    t = np.zeros((a.size, b.size, 2, 2))
+    t[np.arange(a.size)[:, None], np.arange(b.size),
       a.astype(np.int64)[:, None], b.astype(np.int64)] = 1.0
-    return Behaviour(game.nu, game.nv, t)
+    return Behaviour(t)
 
 
 def pr_box(game: XorGame) -> Behaviour:
@@ -199,11 +202,10 @@ def correlator_behaviour(e) -> Behaviour:
         raise ValidationError(
             f"correlator entry [{u}][{v}] = {float(e[u, v])!r} outside [-1, 1]")
     e = np.clip(e, -1.0, 1.0)  # an entry within PROB_ATOL past +-1 is +-1
-    nu, nv = e.shape
-    t = np.empty((nu, nv, 2, 2))
+    t = np.empty(e.shape + (2, 2))
     t[:, :, 0, 0] = t[:, :, 1, 1] = (1.0 + e) / 4.0
     t[:, :, 0, 1] = t[:, :, 1, 0] = (1.0 - e) / 4.0
-    return Behaviour(nu, nv, t)
+    return Behaviour(t)
 
 
 def mix_with_uniform(b: Behaviour, visibility: float) -> Behaviour:
@@ -211,7 +213,7 @@ def mix_with_uniform(b: Behaviour, visibility: float) -> Behaviour:
     if not 0.0 <= visibility <= 1.0:
         raise ValidationError(f"visibility {visibility!r} outside [0, 1]")
     t = visibility * b.table + (1.0 - visibility) * 0.25
-    return Behaviour(b.nu, b.nv, t)
+    return Behaviour(t)
 
 
 # ---------------------------------------------------------------------------
@@ -320,12 +322,13 @@ def _as_grid(raw, shape, field: str, path: str) -> np.ndarray:
 
 def _load(path: str, field: str, tail: tuple, make):
     """Read a game or behaviour file: its integer sizes ``nu`` and ``nv``,
-    then the probability grid ``field`` of shape ``(nu, nv) + tail``.
+    then the probability grid ``field``, which must have the shape
+    ``(nu, nv) + tail`` the file states.
 
     The grid's distributions (the whole grid when ``tail`` is empty, else
     each ``(u, v)`` slice) are renormalized when off by less than
-    RENORM_ATOL.  Returns ``make(data, nu, nv, grid)``, with the path
-    prefixed to any ValidationError it raises.
+    RENORM_ATOL.  Returns ``make(data, grid)``, with the path prefixed to
+    any ValidationError it raises.
     """
     data = _json_load(path)
     nu = _require(data, "nu", path)
@@ -345,22 +348,21 @@ def _load(path: str, field: str, tail: tuple, make):
                 f"{path}: field '{field}'{where} sums to {float(sums[index])!r}; "
                 "deviation too large to renormalize")
     try:
-        return make(data, nu, nv, grid)
+        return make(data, grid)
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from exc
 
 
 def load_game(path: str) -> XorGame:
     """Load and validate a game file; renormalizes mu only if off by < 1e-9."""
-    return _load(path, "mu", (), lambda data, nu, nv, mu: XorGame(
-        name=str(_require(data, "name", path)), nu=nu, nv=nv, mu=mu,
-        f=_as_grid(_require(data, "f", path), (nu, nv), "f", path)))
+    return _load(path, "mu", (), lambda data, mu: XorGame(
+        name=str(_require(data, "name", path)), mu=mu,
+        f=_as_grid(_require(data, "f", path), mu.shape, "f", path)))
 
 
 def load_behaviour(path: str) -> Behaviour:
     """Load and validate a behaviour file, renormalizing slices off by < 1e-9."""
-    return _load(path, "table", (2, 2),
-                 lambda data, nu, nv, t: Behaviour(nu=nu, nv=nv, table=t))
+    return _load(path, "table", (2, 2), lambda data, t: Behaviour(t))
 
 
 def _save(data: dict, path: str):

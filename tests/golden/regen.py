@@ -58,8 +58,8 @@ def random_games():
     out = []
     for nu, nv in RANDOM_SHAPES:
         mu = rng.random((nu, nv))
-        out.append(XorGame(name=f"random-{nu}x{nv}", nu=nu, nv=nv,
-                           mu=mu / mu.sum(), f=rng.integers(0, 2, (nu, nv))))
+        out.append(XorGame(name=f"random-{nu}x{nv}", mu=mu / mu.sum(),
+                           f=rng.integers(0, 2, (nu, nv))))
     return out
 
 

@@ -81,7 +81,7 @@ def test_criterion_04_bsc_oracle_equivalence():
     w_loc, amap, bmap = local_value(g)
     behaviours = {
         "pr": pr_box(g),
-        "local-opt": deterministic_behaviour(g, amap, bmap),
+        "local-opt": deterministic_behaviour(amap, bmap),
         "quantum-opt": quantum_optimal_chsh(),
         "uniform": uniform_behaviour(g),
         "mix:pr:0.7": mix_with_uniform(pr_box(g), 0.7),

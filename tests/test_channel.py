@@ -162,8 +162,7 @@ def test_round_table_cell_budget():
     # 8 nu nv cells: chained:256's table is the largest accepted
     assert MAX_CELLS == 8 * 256 * 256
     nu, nv = 257, 256
-    g = XorGame(name="wide", nu=nu, nv=nv, mu=[[1.0 / (nu * nv)] * nv] * nu,
-                f=[[0] * nv] * nu)
+    g = XorGame(name="wide", mu=[[1.0 / (nu * nv)] * nv] * nu, f=[[0] * nv] * nu)
     with pytest.raises(BudgetError, match="cells"):
         enumerate_rounds(g, uniform_behaviour(g))
 

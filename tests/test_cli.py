@@ -74,8 +74,8 @@ def test_value_chained_certified_whatever_the_seed(capsys):
 def test_value_perfect_game_caps_quantum_value(capsys, tmp_path):
     # the seesaw bias of a perfectly winnable game can round above 1
     path = tmp_path / "perfect.json"
-    save_game(XorGame(name="perfect-2x4", nu=2, nv=4, mu=[[0.125] * 4] * 2,
-                      f=[[0] * 4] * 2), str(path))
+    save_game(XorGame(name="perfect-2x4", mu=[[0.125] * 4] * 2, f=[[0] * 4] * 2),
+              str(path))
     data = run_json(capsys, "value", "--game", str(path))
     assert data["omega_quantum"] == 1.0
     assert data["ceilings_bits"]["quantum"] == 1.0
@@ -132,6 +132,9 @@ def test_value_perfect_game_caps_quantum_value(capsys, tmp_path):
     (["channel", "--game", "chsh", "--behaviour", "mix:pr:abc"], EXIT_PARSE),
     (["simulate", "--game", "chsh", "--behaviour", "uniform", "--rounds",
       "100", "--p-model", "0.999", "--kt", "1e308"], EXIT_VALIDATION),
+    (["simulate", "--game", "chsh", "--behaviour", "uniform", "--rounds",
+      "100", "--p-model", "0.999", "--kt", "1e308", "--records", "r.csv"],
+     EXIT_VALIDATION),
 ], ids=["value-seed", "simulate-seed", "finite-time-seed", "finite-time-p1",
         "sweep-nan", "sweep-inf", "finite-time-rate-nan", "finite-time-rate-inf",
         "finite-time-tau-nan", "finite-time-tau-inf", "finite-time-tau-abc",
@@ -145,8 +148,9 @@ def test_value_perfect_game_caps_quantum_value(capsys, tmp_path):
         "p-model-one-lucky", "p-model-one-loses", "finite-time-kt",
         "finite-time-monte-carlo",
         "chained-abc", "noisy-no-delta", "noisy-delta-abc", "mix-no-v",
-        "mix-v-abc", "kt-overflows-work"])
+        "mix-v-abc", "kt-overflows-work", "kt-overflows-records"])
 def test_bad_input_exit_codes(capsys, tmp_path, monkeypatch, argv, code):
+    # a command that fails leaves no file in its working directory
     monkeypatch.chdir(tmp_path)
     try:
         rc = main(argv)
@@ -155,6 +159,7 @@ def test_bad_input_exit_codes(capsys, tmp_path, monkeypatch, argv, code):
     err = capsys.readouterr().err
     assert rc == code, err
     assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_readme_cli_lines_parse(capsys, tmp_path, monkeypatch):
@@ -237,8 +242,8 @@ def test_round_table_budget_exit_code(capsys, tmp_path):
     # the table is built; chained:256 itself still simulates
     nu, nv = 257, 256
     path = tmp_path / "wide.json"
-    save_game(XorGame(name="wide", nu=nu, nv=nv,
-                      mu=[[1.0 / (nu * nv)] * nv] * nu, f=[[0] * nv] * nu),
+    save_game(XorGame(name="wide", mu=[[1.0 / (nu * nv)] * nv] * nu,
+                      f=[[0] * nv] * nu),
               str(path))
     code, out, err = run(capsys, "simulate", "--game", str(path),
                          "--behaviour", "uniform", "--rounds", "1000")
@@ -386,8 +391,7 @@ def test_channel_quantum_opt_near_chsh_weights(capsys, tmp_path):
     # quantum optimum; exact CHSH gives the Tsirelson value
     path = tmp_path / "near-chsh.json"
     mu = [[0.25 + 1e-6, 0.25 - 1e-6], [0.25 - 1e-6, 0.25 + 1e-6]]
-    save_game(XorGame(name="near-chsh", nu=2, nv=2, mu=mu,
-                      f=[[0, 0], [0, 1]]), str(path))
+    save_game(XorGame(name="near-chsh", mu=mu, f=[[0, 0], [0, 1]]), str(path))
     data = run_json(capsys, "channel", "--game", str(path),
                     "--behaviour", "quantum-opt")
     value = run_json(capsys, "value", "--game", str(path))
@@ -415,7 +419,7 @@ def _values_game(nu, nv, seed):
     pu, pv = rng.permutation(nu), rng.permutation(nv)
     mu, f = mu[pu][:, pv], f[pu][:, pv]
     f = f ^ rng.integers(0, 2, size=(nu, 1)) ^ rng.integers(0, 2, size=(1, nv))
-    return XorGame(name=f"random-{nu}x{nv}", nu=nu, nv=nv, mu=mu, f=f)
+    return XorGame(name=f"random-{nu}x{nv}", mu=mu, f=f)
 
 
 VALUES_SHAPES = ((15, 3), (12, 3), (3, 14), (3, 12), (6, 6), (8, 8), (10, 10))
@@ -423,8 +427,7 @@ VALUES_SHAPES = ((15, 3), (12, 3), (3, 14), (3, 12), (6, 6), (8, 8), (10, 10))
 # perfect 2x4 game and the benchmark's random games at workload seeds 1-3
 QUANTUM_OPT_GAMES = (
     ["chsh"] + [f"chained:{n}" for n in range(2, 21)]
-    + [XorGame(name="perfect-2x4", nu=2, nv=4, mu=[[0.125] * 4] * 2,
-               f=[[0] * 4] * 2)]
+    + [XorGame(name="perfect-2x4", mu=[[0.125] * 4] * 2, f=[[0] * 4] * 2)]
     + [_values_game(nu, nv, seed) for seed in (1, 2, 3)
        for nu, nv in VALUES_SHAPES])
 
@@ -469,8 +472,8 @@ def test_quantum_opt_over_question_budget_exits_4(capsys, tmp_path,
 
     monkeypatch.setattr(optimize, "_seesaw", no_seesaw)
     path = tmp_path / "wide.json"
-    save_game(XorGame(name="g", nu=30, nv=11, mu=[[1 / 330] * 11] * 30,
-                      f=[[0] * 11] * 30), str(path))
+    save_game(XorGame(name="g", mu=[[1 / 330] * 11] * 30, f=[[0] * 11] * 30),
+              str(path))
     for game in ("chained:21", str(path)):
         start = time.perf_counter()
         code, out, err = run(capsys, command, "--game", game,
@@ -686,6 +689,18 @@ def test_finite_time_exact_sigma(capsys):
                        "10,20", "--reps", "200")
     assert code == EXIT_REGIME
     assert "tau=10: sigma=0+-0;" in err and "exact" in err
+
+
+def test_finite_time_rate_reaches_the_fit(capsys):
+    # --rate reaches scaling_fit as the linear ramp at that rate, which
+    # sets both the bath rate and the step count of each schedule
+    rows, _ = _finite_time(capsys, "--tau-grid", "5,10", "--rate", "2")
+    for row, tau in zip(rows, (5.0, 10.0)):
+        at_rate = dynamics.sigma_moments(
+            0.85, dynamics.ProtocolSchedule.linear(tau, rate=2.0))[0]
+        at_one = dynamics.sigma_moments(
+            0.85, dynamics.ProtocolSchedule.linear(tau))[0]
+        assert row[1] == f"{at_rate:.9g}" != f"{at_one:.9g}"
 
 
 def test_finite_time_draws_no_random_numbers(tmp_path):

@@ -152,9 +152,9 @@ def test_exact_memory_ledger_pr_box():
 
 
 def test_exact_memory_ledger_single_question():
-    g = XorGame(name="pair", nu=1, nv=1, mu=[[1.0]], f=[[0]])
+    g = XorGame(name="pair", mu=[[1.0]], f=[[0]])
     # deterministic outputs: the transcript only carries the thermal bit
-    h_g, h_m, ok = exact_memory_ledger(g, deterministic_behaviour(g, [0], [0]))
+    h_g, h_m, ok = exact_memory_ledger(g, deterministic_behaviour([0], [0]))
     assert abs(h_g - 1.0) < 1e-12
     assert abs(h_m - 1.0) < 1e-12
     assert ok

@@ -23,7 +23,7 @@ def random_behaviour(nu, nv, seed):
     rng = np.random.default_rng(seed)
     t = rng.random((nu, nv, 2, 2))
     t /= t.sum(axis=(2, 3), keepdims=True)
-    return Behaviour(nu, nv, t)
+    return Behaviour(t)
 
 
 def test_chsh_definition():
@@ -57,7 +57,7 @@ def test_correlator_basics():
     # perfectly correlated slice -> +1, uniform -> 0
     t = np.zeros((1, 1, 2, 2))
     t[0, 0, 0, 0] = t[0, 0, 1, 1] = 0.5
-    assert correlators(Behaviour(1, 1, t))[0, 0] == 1.0
+    assert correlators(Behaviour(t))[0, 0] == 1.0
     assert correlators(uniform_behaviour(make_chsh())).max() == 0.0
 
 
@@ -95,7 +95,7 @@ def test_omega_bias_identity_random():
 def test_chsh_S_values():
     g = make_chsh()
     assert chsh_S(pr_box(g)) == pytest.approx(4.0, abs=1e-12)
-    best_local = deterministic_behaviour(g, [0, 0], [0, 0])
+    best_local = deterministic_behaviour([0, 0], [0, 0])
     assert chsh_S(best_local) == pytest.approx(2.0, abs=1e-12)
     assert chsh_S(quantum_optimal_chsh()) == pytest.approx(2 * SQ2, abs=1e-12)
     # omega = 1/2 + S/8
@@ -119,14 +119,19 @@ def test_pr_box_properties():
 
 def test_deterministic_behaviour():
     g = make_chsh()
-    assert game_value(g, deterministic_behaviour(g, [0, 0], [0, 0])) == pytest.approx(0.75, abs=1e-12)
-    assert game_value(g, deterministic_behaviour(g, [0, 1], [0, 0])) == pytest.approx(0.75, abs=1e-12)
-    with pytest.raises(ValidationError):
-        deterministic_behaviour(g, [0], [0, 0])
-    with pytest.raises(ValidationError):
-        deterministic_behaviour(g, [0, 2], [0, 0])
-    with pytest.raises(ValidationError, match="bmap has shape"):
-        deterministic_behaviour(g, [0, 0], [0])
+    assert game_value(g, deterministic_behaviour([0, 0], [0, 0])) == pytest.approx(0.75, abs=1e-12)
+    assert game_value(g, deterministic_behaviour([0, 1], [0, 0])) == pytest.approx(0.75, abs=1e-12)
+    # a map that does not fit the game fails where the two meet
+    with pytest.raises(ValidationError, match="game is 2x2, behaviour is 1x2"):
+        game_value(g, deterministic_behaviour([0], [0, 0]))
+    with pytest.raises(ValidationError, match="game is 2x2, behaviour is 2x1"):
+        game_value(g, deterministic_behaviour([0, 0], [0]))
+    with pytest.raises(ValidationError, match="bits only"):
+        deterministic_behaviour([0, 2], [0, 0])
+    with pytest.raises(ValidationError, match="1-D"):
+        deterministic_behaviour([[0, 1]], [0, 0])
+    with pytest.raises(ValidationError, match="non-empty"):
+        deterministic_behaviour([], [0])
 
 
 def test_constructors_match_loop_form():
@@ -135,8 +140,7 @@ def test_constructors_match_loop_form():
     for _ in range(20):
         nu, nv = (int(x) for x in rng.integers(1, 9, size=2))
         mu = rng.random((nu, nv))
-        g = XorGame(name="r", nu=nu, nv=nv, mu=mu / mu.sum(),
-                    f=rng.integers(0, 2, size=(nu, nv)))
+        g = XorGame(name="r", mu=mu / mu.sum(), f=rng.integers(0, 2, size=(nu, nv)))
         amap = rng.integers(0, 2, size=nu).tolist()
         bmap = rng.integers(0, 2, size=nv).tolist()
         box, det = np.zeros((nu, nv, 2, 2)), np.zeros((nu, nv, 2, 2))
@@ -146,7 +150,7 @@ def test_constructors_match_loop_form():
                 box[u, v, 0, fb] = box[u, v, 1, 1 - fb] = 0.5
                 det[u, v, amap[u], bmap[v]] = 1.0
         assert np.array_equal(pr_box(g).table, box)
-        assert np.array_equal(deterministic_behaviour(g, amap, bmap).table, det)
+        assert np.array_equal(deterministic_behaviour(amap, bmap).table, det)
 
 
 def test_mix_with_uniform():
@@ -173,29 +177,27 @@ def test_value_and_correlator_ranges():
 
 def test_game_invariant_validation():
     with pytest.raises(ValidationError):
-        XorGame(name="bad", nu=2, nv=2, mu=np.full((2, 2), 0.3), f=np.zeros((2, 2)))
+        XorGame(name="bad", mu=np.full((2, 2), 0.3), f=np.zeros((2, 2)))
     with pytest.raises(ValidationError):
-        XorGame(name="bad", nu=2, nv=2,
-                mu=np.array([[0.5, 0.5], [0.5, -0.5]]), f=np.zeros((2, 2)))
+        XorGame(name="bad", mu=np.array([[0.5, 0.5], [0.5, -0.5]]),
+                f=np.zeros((2, 2)))
     with pytest.raises(ValidationError):
-        XorGame(name="bad", nu=2, nv=2, mu=np.full((2, 2), 0.25),
+        XorGame(name="bad", mu=np.full((2, 2), 0.25),
                 f=np.array([[0, 0], [0, 2]]))
     for x in (math.nan, math.inf):
         mu = np.full((2, 2), 0.25)
         mu[1, 0] = x
         with pytest.raises(ValidationError, match=r"non-finite entry at \[1\]\[0\]"):
-            XorGame(name="bad", nu=2, nv=2, mu=mu, f=np.zeros((2, 2)))
+            XorGame(name="bad", mu=mu, f=np.zeros((2, 2)))
     with pytest.raises(ValidationError, match="'f'"):
-        XorGame(name="bad", nu=2, nv=2, mu=np.full((2, 2), 0.25),
+        XorGame(name="bad", mu=np.full((2, 2), 0.25),
                 f=np.array([[0, 0], [0, math.nan]]))
-    for nu, nv in ((0, 2), (2, 0)):
-        with pytest.raises(ValidationError, match="nu >= 1 and nv >= 1"):
-            XorGame(name="bad", nu=nu, nv=nv, mu=[[1.0]], f=[[0]])
-    with pytest.raises(ValidationError, match=r"'mu': shape \(2, 2\) != \(2, 3\)"):
-        XorGame(name="bad", nu=2, nv=3, mu=np.full((2, 2), 0.25),
-                f=np.zeros((2, 3)))
+    for shape in ((0, 2), (2, 0), (4,), (1, 2, 2)):
+        with pytest.raises(ValidationError, match="'mu': need a non-empty "
+                           f"2-D array, got shape {re.escape(str(shape))}"):
+            XorGame(name="bad", mu=np.zeros(shape), f=np.zeros(shape))
     with pytest.raises(ValidationError, match=r"'f': shape \(2, 2\) != \(1, 4\)"):
-        XorGame(name="bad", nu=1, nv=4, mu=np.full((1, 4), 0.25),
+        XorGame(name="bad", mu=np.full((1, 4), 0.25),
                 f=np.zeros((2, 2)))
 
 
@@ -203,18 +205,19 @@ def test_behaviour_invariant_validation():
     t = np.full((2, 2, 2, 2), 0.25)
     t[0, 0, 0, 0] = 0.5  # slice sums to 1.25
     with pytest.raises(ValidationError):
-        Behaviour(2, 2, t)
+        Behaviour(t)
     t = np.full((2, 2, 2, 2), 0.25)
     t[1, 1] = [[0.5, 0.5], [0.5, -0.5]]
     with pytest.raises(ValidationError):
-        Behaviour(2, 2, t)
+        Behaviour(t)
     t = np.full((2, 2, 2, 2), 0.25)
     t[1, 0, 1, 0] = math.nan
     with pytest.raises(ValidationError, match=r"non-finite entry at \[1\]\[0\]\[1\]\[0\]"):
-        Behaviour(2, 2, t)
-    with pytest.raises(ValidationError,
-                       match=r"shape \(2, 2, 2, 2\) != \(2, 3, 2, 2\)"):
-        Behaviour(2, 3, np.full((2, 2, 2, 2), 0.25))
+        Behaviour(t)
+    for shape in ((0, 2, 2, 2), (2, 0, 2, 2), (2, 2, 2, 3), (2, 2, 4)):
+        with pytest.raises(ValidationError,
+                           match=r"non-empty \(nu, nv, 2, 2\) array, got shape"):
+            Behaviour(np.full(shape, 0.25))
 
 
 def test_correlator_matrix_range():
@@ -368,7 +371,7 @@ def test_max_file_bytes_admits_largest_simulated_behaviour(tmp_path):
     rng = np.random.default_rng(3)
     t = rng.random((256, 256, 2, 2))
     path = tmp_path / "b.json"
-    save_behaviour(Behaviour(256, 256, t / t.sum(axis=(2, 3), keepdims=True)),
+    save_behaviour(Behaviour(t / t.sum(axis=(2, 3), keepdims=True)),
                    str(path))
     assert 3 * os.path.getsize(path) < games.MAX_FILE_BYTES
 

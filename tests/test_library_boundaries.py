@@ -3,7 +3,7 @@
 Each row is a callable, a malformed input and the package error it must
 raise: counts that are not integers (operator.index decides: ints and numpy
 ints pass, floats and NaN do not), seeds that are not a non-negative integer
-or a tuple of them, game and behaviour sizes that are not integers,
+or a tuple of them, game and behaviour arrays of the wrong rank,
 correlator matrices that are not 2-D, and gap paths or log-log points that
 are not finite.  Every row runs under a 5 s bound, so a call that would
 never return fails its row instead of stalling the suite.
@@ -81,9 +81,10 @@ ROWS = [
         fit_loglog_slope, [1, 2, 3], [0.1, math.nan, 0.3]),
     row("loglog-inf-tau", "finite",
         fit_loglog_slope, [1, 2, math.inf], [0.1, 0.2, 0.3]),
-    row("game-float-size", "nu", XorGame, name="g", nu=2.0, nv=2,
-        mu=CHSH.mu, f=CHSH.f),
-    row("behaviour-float-size", "nv", Behaviour, 2, 2.0, TABLE),
+    row("game-1d-mu", r"2-D array, got shape \(4,\)", XorGame, name="g",
+        mu=CHSH.mu.ravel(), f=CHSH.f.ravel()),
+    row("behaviour-3d-table", r"\(nu, nv, 2, 2\) array, got shape \(2, 2, 2\)",
+        Behaviour, TABLE[0]),
     row("correlator-1d", r"shape \(1,\)", correlator_behaviour, [0.5]),
     row("correlator-1d-out-of-range", r"shape \(1,\)",
         correlator_behaviour, [1.5]),

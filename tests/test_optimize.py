@@ -25,7 +25,7 @@ def brute_force_local(game):
         itertools.product((0, 1), repeat=game.nu),
         itertools.product((0, 1), repeat=game.nv)))
     for amap, bmap in reversed(strategies):
-        w = game_value(game, deterministic_behaviour(game, amap, bmap))
+        w = game_value(game, deterministic_behaviour(amap, bmap))
         if w >= best - 1e-15:  # ties resolved toward later = lex smaller
             if w > best + 1e-15 or (amap, bmap) < best_pair:
                 best = max(best, w)
@@ -38,15 +38,15 @@ def random_game(nu, nv, seed):
     mu = rng.random((nu, nv))
     mu /= mu.sum()
     f = rng.integers(0, 2, size=(nu, nv))
-    return XorGame(name=f"rand{seed}", nu=nu, nv=nv, mu=mu, f=f)
+    return XorGame(name=f"rand{seed}", mu=mu, f=f)
 
 
 def uniform_game(nu, nv, seed=None):
     """Uniform weights; the all-zero predicate, or a random one from seed."""
     f = (np.zeros((nu, nv), dtype=int) if seed is None
          else np.random.default_rng(seed).integers(0, 2, size=(nu, nv)))
-    return XorGame(name=f"uniform{seed}", nu=nu, nv=nv,
-                   mu=np.full((nu, nv), 1.0 / (nu * nv)), f=f)
+    return XorGame(name=f"uniform{seed}", mu=np.full((nu, nv), 1.0 / (nu * nv)),
+                   f=f)
 
 
 def sparse_game(nu, nv, cells, seed):
@@ -56,8 +56,7 @@ def sparse_game(nu, nv, cells, seed):
     for u, v in cells:
         mu[u, v] = rng.random() + 0.5
     mu /= mu.sum()
-    return XorGame(name=f"sparse{seed}", nu=nu, nv=nv, mu=mu,
-                   f=rng.integers(0, 2, size=(nu, nv)))
+    return XorGame(name=f"sparse{seed}", mu=mu, f=rng.integers(0, 2, size=(nu, nv)))
 
 
 def seeded_seesaw(game, seed=DEFAULT_SEED, tol=DEFAULT_TOL,
@@ -72,14 +71,12 @@ def seeded_seesaw(game, seed=DEFAULT_SEED, tol=DEFAULT_TOL,
         converged=upper - bias < tol)
 
 
-PERFECT = XorGame(name="perfect-2x4", nu=2, nv=4, mu=[[0.125] * 4] * 2,
-                  f=[[0] * 4] * 2)
-ONE = XorGame(name="one", nu=1, nv=1, mu=[[1.0]], f=[[1]])
+PERFECT = XorGame(name="perfect-2x4", mu=[[0.125] * 4] * 2, f=[[0] * 4] * 2)
+ONE = XorGame(name="one", mu=[[1.0]], f=[[1]])
 
 
 def transpose(game):
-    return XorGame(name=f"{game.name}^T", nu=game.nv, nv=game.nu,
-                   mu=game.mu.T, f=game.f.T)
+    return XorGame(name=f"{game.name}^T", mu=game.mu.T, f=game.f.T)
 
 
 def test_local_value_chsh():
@@ -93,12 +90,12 @@ def test_local_value_chained(n, expect):
     w, amap, bmap = local_value(make_chained(n))
     assert w == pytest.approx(expect, abs=1e-15)
     assert game_value(make_chained(n),
-                      deterministic_behaviour(make_chained(n), amap, bmap)) \
+                      deterministic_behaviour(amap, bmap)) \
         == pytest.approx(w, abs=1e-12)
 
 
 def test_local_value_single_question():
-    g = XorGame(name="one", nu=1, nv=1, mu=[[1.0]], f=[[0]])
+    g = XorGame(name="one", mu=[[1.0]], f=[[0]])
     assert local_value(g)[0] == 1.0
 
 
@@ -122,7 +119,7 @@ def test_local_matches_brute_force_oracle():
         w_ref, pair_ref = brute_force_local(g)
         assert abs(w - w_ref) < 1e-12
         # the returned strategy achieves the oracle maximum
-        assert game_value(g, deterministic_behaviour(g, amap, bmap)) \
+        assert game_value(g, deterministic_behaviour(amap, bmap)) \
             == pytest.approx(w_ref, abs=1e-12)
         assert (amap, bmap) == pair_ref
         assert local_value(transpose(g))[0] == w
@@ -134,9 +131,9 @@ def test_local_tall_game_within_budget():
     w, amap, bmap = local_value(g)
     wt, bmap_t, amap_t = local_value(transpose(g))
     assert wt == w
-    assert game_value(g, deterministic_behaviour(g, amap, bmap)) \
+    assert game_value(g, deterministic_behaviour(amap, bmap)) \
         == pytest.approx(w, abs=1e-12)
-    assert game_value(g, deterministic_behaviour(g, amap_t, bmap_t)) \
+    assert game_value(g, deterministic_behaviour(amap_t, bmap_t)) \
         == pytest.approx(w, abs=1e-12)
     # reference: Bob's four maps, each with Alice's best answer per question
     ref = max(
@@ -152,7 +149,7 @@ def test_local_one_cell_game_is_instant():
         g = sparse_game(20, 20, [(3, 5)], seed=5)
         f = g.f.copy()
         f[3, 5] = f_cell
-        g = XorGame(name="one-cell", nu=20, nv=20, mu=g.mu, f=f)
+        g = XorGame(name="one-cell", mu=g.mu, f=f)
         t0 = time.perf_counter()
         w, amap, bmap = local_value(g)
         assert time.perf_counter() - t0 < 0.1
@@ -170,7 +167,7 @@ def test_local_budget_error(monkeypatch):
     monkeypatch.setattr(optimize, "_seesaw", no_seesaw)
     nu = 41
     mu = np.full((nu, 1), 1.0 / nu)
-    g = XorGame(name="big", nu=nu, nv=1, mu=mu, f=np.zeros((nu, 1)))
+    g = XorGame(name="big", mu=mu, f=np.zeros((nu, 1)))
     for func in (local_value, quantum_behaviour):
         with pytest.raises(BudgetError, match=r"nu \+ nv = 42 > 40"):
             func(g)
@@ -190,7 +187,7 @@ def test_quantum_value_chained3():
 
 def test_quantum_value_trivial_game():
     mu = np.full((2, 2), 0.25)
-    g = XorGame(name="all-zero", nu=2, nv=2, mu=mu, f=np.zeros((2, 2)))
+    g = XorGame(name="all-zero", mu=mu, f=np.zeros((2, 2)))
     w, _ = quantum_value(g, seed=3)
     assert abs(w - 1.0) < 1e-9
 
@@ -266,8 +263,7 @@ def test_rejected_top_block_leaves_the_seeded_run_unchanged():
 def test_top_block_missing_a_question_falls_back():
     # the top singular block of diag(0.6, 0.4) has no component on
     # question 1, so the seeded seesaw runs
-    g = XorGame(name="diag", nu=2, nv=2, mu=[[0.6, 0.0], [0.0, 0.4]],
-                f=np.zeros((2, 2)))
+    g = XorGame(name="diag", mu=[[0.6, 0.0], [0.0, 0.4]], f=np.zeros((2, 2)))
     w, state = quantum_value(g, seed=2)
     w_ref, ref = seeded_seesaw(g, seed=2)
     assert state.converged and state.iterations == ref.iterations > 0
@@ -356,29 +352,23 @@ def values_games():
 def test_checks_on_cadence_and_run_stops_at_first_certified(monkeypatch):
     # the dual check runs at step 0, at every multiple of CHECK_EVERY and at
     # max_iter, and nowhere else; a run returns at its first check whose gap
-    # is below tol (a run stopped at an earlier check is that check's state)
+    # is below tol (a run stopped at an earlier check is that check's state);
+    # a run starts with plain steps, and Young's omega raises some of them
+    relaxed = False
     for g in values_games():
-        _, state, _, checks = trace_run(monkeypatch, g, seed=3)
+        _, state, omegas, checks = trace_run(monkeypatch, g, seed=3)
         assert state.converged, g.name
+        assert omegas[:1] in ([], [1.0]), g.name
+        relaxed = relaxed or any(o != 1.0 for o in omegas)
         assert checks == list(range(0, state.iterations + 1, CHECK_EVERY))
         for c in checks[:-1]:
             _, early = seeded_seesaw(g, seed=3, max_iter=c)
             assert early.upper - early.bias >= DEFAULT_TOL, (g.name, c)
+    assert relaxed
     _, state, _, checks = trace_run(monkeypatch, make_chained(12),
                                     max_iter=CHECK_EVERY + 5)
     assert not state.converged
     assert checks == [0, CHECK_EVERY, CHECK_EVERY + 5]
-
-
-@pytest.mark.parametrize("game", [make_chained(12), make_chained(30),
-                                  random_game(7, 4, 135)], ids=lambda g: g.name)
-def test_first_check_after_omega_change_within_check_every(monkeypatch, game):
-    _, state, omegas, checks = trace_run(monkeypatch, game)
-    assert state.converged and checks[0] == 0
-    changes = [k for k in range(1, len(omegas)) if omegas[k] != omegas[k - 1]]
-    assert changes and omegas[0] == 1.0
-    for k in changes:  # omega changed before step k + 1
-        assert any(k < c <= k + CHECK_EVERY for c in checks), (k, checks)
 
 
 def test_overshooting_step_returns_run_to_plain_steps(monkeypatch):
@@ -521,8 +511,7 @@ def test_seesaw_state_validates_unit_norms():
 
 
 @pytest.mark.parametrize("game", [make_chsh(), make_chained(5),
-                                  XorGame(name="pair", nu=1, nv=1,
-                                          mu=[[1.0]], f=[[1]])])
+                                  XorGame(name="pair", mu=[[1.0]], f=[[1]])])
 def test_ns_value_certificate(game):
     # the nonsignalling value 1 is certified by the predicate box
     assert class_report(game).omega_ns == 1.0
@@ -538,12 +527,12 @@ def test_is_nonsignalling_detects_violation():
     t[0, 1, 0, 0] = 0.8
     t[0, 1, 1, 0] = 0.2
     t[1, :, 0, 0] = 1.0
-    rep = is_nonsignalling(Behaviour(2, 2, t))
+    rep = is_nonsignalling(Behaviour(t))
     assert not rep
     assert rep.max_violation == pytest.approx(0.2, abs=1e-12)
     assert rep.location[:2] == ("alice", 0)
     # the mirror image: Bob's marginal for v=0 depends on u
-    rep = is_nonsignalling(Behaviour(2, 2, t.transpose(1, 0, 3, 2)))
+    rep = is_nonsignalling(Behaviour(t.transpose(1, 0, 3, 2)))
     assert not rep
     assert rep.max_violation == pytest.approx(0.2, abs=1e-12)
     assert rep.location[:2] == ("bob", 0)
@@ -551,7 +540,7 @@ def test_is_nonsignalling_detects_violation():
 
 def test_is_nonsignalling_deterministic_and_pr():
     g = make_chsh()
-    assert is_nonsignalling(deterministic_behaviour(g, [0, 1], [1, 0]), tol=0.0).ok
+    assert is_nonsignalling(deterministic_behaviour([0, 1], [1, 0]), tol=0.0).ok
     assert is_nonsignalling(pr_box(g), tol=0.0).ok
 
 

@@ -17,11 +17,12 @@ scaling_fit gets the linear ramp at that rate as its schedule template.
 Exit codes: 0 ok, 2 parse (also a game or behaviour file that is not a
 UTF-8 JSON object, nests too deeply or gives non-integer sizes, a --kt that
 is not finite and > 0, a --tau-grid entry that is not a number, and an
-output file that cannot be written), 3 validation, 4 budget (game and
-behaviour file bytes, chained:N length, the nu + nv questions of value,
-local-opt and quantum-opt, round-table cells, rounds per simulate batch
-and kept transcript rows, finite-time steps and reps*steps, sweep rows),
-5 regime.
+output file that cannot be written, an empty path included), 3 validation,
+4 budget (game and behaviour file bytes, chained:N length, the nu + nv
+questions of value, local-opt and quantum-opt, round-table cells, rounds
+per simulate batch and kept transcript rows, finite-time steps and
+reps*steps, sweep rows), 5 regime.  ``main`` is every command's one exit:
+a command that fails leaves none of the files it wrote (--out, --records).
 The environment variable XORSZILARD_OUT_DIR sets the default directory for
 relative output paths.
 """
@@ -90,52 +91,49 @@ def _z(deviation: float, stderr: float) -> float:
     return deviation / stderr if stderr > 0.0 else 0.0
 
 
-def _out_path(path: str | None) -> str | None:
-    if path is None:
-        return None
+def _open_out(args, path: str):
+    """Open the output file ``path`` for writing, under XORSZILARD_OUT_DIR
+    when relative.  An empty path is a file that cannot be written.
+
+    The path joins ``args.written`` only once it is open, so main removes
+    every file the command created, and no other, when the command fails.
+    """
     base = os.environ.get("XORSZILARD_OUT_DIR")
     if base and not os.path.isabs(path):
-        return os.path.join(base, path)
-    return path
+        path = os.path.join(base, path)
+    fh = open(path, "w", encoding="utf-8")
+    args.written.append(path)
+    return fh
 
 
-def _strict_json(data: dict) -> str:
+def _emit_json(data: dict, args, path: str | None):
+    """Print ``data`` as JSON, and write it to ``path`` too unless None."""
     try:
-        return json.dumps(data, indent=2, allow_nan=False)
+        text = json.dumps(data, indent=2, allow_nan=False)
     except ValueError:  # strict JSON has no NaN or Infinity
         raise ValidationError(
             "a result is not finite (a --kt this large overflows it)") from None
-
-
-def _emit_json(data: dict, out: str | None):
-    text = _strict_json(data)
-    path = _out_path(out)
-    if path:
-        with open(path, "w", encoding="utf-8") as fh:
+    if path is not None:
+        with _open_out(args, path) as fh:
             fh.write(text + "\n")
     print(text)
 
 
-def _write_csv(chunks, header: list[str], path: str | None):
-    """Write CSV to ``path`` or stdout: the header, then each list of rows
-    in ``chunks`` as one string, so only one chunk's text is held at a time.
+def _write_csv(args, chunks, header: list[str], path: str | None):
+    """Write CSV to ``path``, or stdout when None: the header, then each
+    list of rows in ``chunks`` as one string, so only one chunk's text is
+    held at a time.
 
-    A ValidationError raised while the chunks are produced removes the
-    output file, so a failed command leaves no partial file.
+    The chunks are produced as they are written, so a chunk that fails
+    leaves the rows before it in the file; main removes it.
     """
-    resolved = _out_path(path)
-    try:
-        with (open(resolved, "w", encoding="utf-8") if resolved
-              else contextlib.nullcontext(sys.stdout)) as fh:
-            fh.write(",".join(header) + "\n")
-            for rows in chunks:
-                fh.write("".join(
-                    ",".join(_fmt(x) if isinstance(x, float) else str(x)
-                             for x in row) + "\n" for row in rows))
-    except ValidationError:
-        if resolved:
-            os.remove(resolved)
-        raise
+    with (_open_out(args, path) if path is not None
+          else contextlib.nullcontext(sys.stdout)) as fh:
+        fh.write(",".join(header) + "\n")
+        for rows in chunks:
+            fh.write("".join(
+                ",".join(_fmt(x) if isinstance(x, float) else str(x)
+                         for x in row) + "\n" for row in rows))
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +213,7 @@ def cmd_value(args) -> int:
     data["ceilings_bits"] = {"local": w_l, "quantum": w_q, "ns": w_ns}
     data["ceilings_kt"] = {"local": w_l * scale, "quantum": w_q * scale,
                            "ns": w_ns * scale}
-    _emit_json(data, args.out)
+    _emit_json(data, args, args.out)
     return 0
 
 
@@ -239,7 +237,7 @@ def cmd_channel(args) -> int:
     }
     if (game.nu, game.nv) == (2, 2):
         data["chsh_S"] = games.chsh_S(behaviour)
-    _emit_json(data, args.out)
+    _emit_json(data, args, args.out)
     return 0
 
 
@@ -258,9 +256,11 @@ def cmd_simulate(args) -> int:
     data["mean_work_scaled"] = stats.mean_work_kt * args.kt
     data["z_score"] = z
     if transcript:
-        _strict_json(data)  # a result that cannot print writes no transcript
-        chan.rounds_to_csv(*transcript, _out_path(args.records))
-    _emit_json(data, args.out)
+        # created here, so main removes a transcript that fails partway
+        fh = _open_out(args, args.records)
+        fh.close()
+        chan.rounds_to_csv(*transcript, fh.name)
+    _emit_json(data, args, args.out)
     return 0
 
 
@@ -276,7 +276,7 @@ def cmd_sweep(args) -> int:
     chunks = ([(s, bits, kt * args.kt) for s, bits, kt
                in engine.sweep_s_curve(s_values[start:start + _SWEEP_CHUNK])]
               for start in range(0, len(s_values), _SWEEP_CHUNK))
-    _write_csv(chunks, ["param", "value_bits", "value_kt"], args.out)
+    _write_csv(args, chunks, ["param", "value_bits", "value_kt"], args.out)
     return 0
 
 
@@ -305,7 +305,7 @@ def cmd_cycle(args) -> int:
     data["w_fb_scaled"] = ledger.w_fb_bits * scale
     data["w_reset_scaled"] = ledger.w_reset_bits * scale
     data["w_net_scaled"] = ledger.w_net_bits * scale
-    _emit_json(data, args.out)
+    _emit_json(data, args, args.out)
     return 0
 
 
@@ -315,13 +315,13 @@ def cmd_finite_time(args) -> int:
         lambda tau: dynamics.ProtocolSchedule.linear(tau, rate=args.rate))
     rows = [(pt.tau, pt.mean_sigma, pt.stderr, pt.reps, args.seed)
             for pt in fit.points]
-    _write_csv([rows], ["tau", "sigma_mean", "sigma_stderr", "reps", "seed"],
-               args.out)
+    _write_csv(args, [rows],
+               ["tau", "sigma_mean", "sigma_stderr", "reps", "seed"], args.out)
     band = 1.96 * fit.slope_stderr
     data = {"slope": fit.slope, "slope_stderr": fit.slope_stderr,
             "slope_band": [fit.slope - band, fit.slope + band],
             "seed": args.seed}
-    _emit_json(data, None)
+    _emit_json(data, args, None)
     return 0
 
 
@@ -388,26 +388,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# exit code and label of each error a command may raise; an OSError comes
+# from a write only, as games maps a failed read to ParseError
+_EXITS = {ParseError: (EXIT_PARSE, "parse"),
+          ValidationError: (EXIT_VALIDATION, "validation"),
+          BudgetError: (EXIT_BUDGET, "budget"),
+          RegimeError: (EXIT_REGIME, "regime"),
+          OSError: (EXIT_PARSE, "output")}
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command: its exit code, or on an error of ``_EXITS`` that
+    error's code and label on stderr, with every file it wrote removed."""
+    args = build_parser().parse_args(argv)
+    args.written = []
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error (parse): {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except ValidationError as exc:
-        print(f"error (validation): {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except BudgetError as exc:
-        print(f"error (budget): {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    except RegimeError as exc:
-        print(f"error (regime): {exc}", file=sys.stderr)
-        return EXIT_REGIME
-    except OSError as exc:  # writes only: games maps failed reads to ParseError
-        print(f"error (output): {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    except tuple(_EXITS) as exc:
+        code, label = next(_EXITS[c] for c in type(exc).__mro__ if c in _EXITS)
+        print(f"error ({label}): {exc}", file=sys.stderr)
+        for path in args.written:
+            with contextlib.suppress(OSError):  # a path given twice
+                os.remove(path)
+        return code
 
 
 if __name__ == "__main__":

@@ -135,6 +135,10 @@ def test_value_perfect_game_caps_quantum_value(capsys, tmp_path):
     (["simulate", "--game", "chsh", "--behaviour", "uniform", "--rounds",
       "100", "--p-model", "0.999", "--kt", "1e308", "--records", "r.csv"],
      EXIT_VALIDATION),
+    (["simulate", "--game", "chsh", "--behaviour", "pr", "--rounds", "100",
+      "--records", "r.csv", "--out", "/nonexistent/o.json"], EXIT_PARSE),
+    (["value", "--game", "chsh", "--out="], EXIT_PARSE),
+    (["sweep", "--out="], EXIT_PARSE),
 ], ids=["value-seed", "simulate-seed", "finite-time-seed", "finite-time-p1",
         "sweep-nan", "sweep-inf", "finite-time-rate-nan", "finite-time-rate-inf",
         "finite-time-tau-nan", "finite-time-tau-inf", "finite-time-tau-abc",
@@ -148,7 +152,9 @@ def test_value_perfect_game_caps_quantum_value(capsys, tmp_path):
         "p-model-one-lucky", "p-model-one-loses", "finite-time-kt",
         "finite-time-monte-carlo",
         "chained-abc", "noisy-no-delta", "noisy-delta-abc", "mix-no-v",
-        "mix-v-abc", "kt-overflows-work", "kt-overflows-records"])
+        "mix-v-abc", "kt-overflows-work", "kt-overflows-records",
+        "simulate-out-unwritable-after-records", "value-out-empty",
+        "sweep-out-empty"])
 def test_bad_input_exit_codes(capsys, tmp_path, monkeypatch, argv, code):
     # a command that fails leaves no file in its working directory
     monkeypatch.chdir(tmp_path)
@@ -620,23 +626,51 @@ def test_sweep_memory_bounded(tmp_path):
     assert peak < 6 * 2**20, peak
 
 
-def test_sweep_validation_error_leaves_no_file(capsys, tmp_path,
-                                               monkeypatch):
-    # a chunk after the first fails: the rows written so far are removed
+def _fail_second_sweep_chunk(monkeypatch, error):
+    """Make the second sweep chunk raise ``error``; returns the call log."""
     calls = []
     curve = engine.sweep_s_curve
 
     def failing(s_values):
         calls.append(len(s_values))
         if len(calls) == 2:
-            raise ValidationError("injected")
+            raise error
         return curve(s_values)
 
     monkeypatch.setattr(engine, "sweep_s_curve", failing)
+    return calls
+
+
+def test_sweep_validation_error_leaves_no_file(capsys, tmp_path,
+                                               monkeypatch):
+    # a chunk after the first fails: the rows written so far are removed
+    calls = _fail_second_sweep_chunk(monkeypatch, ValidationError("injected"))
     path = tmp_path / "sweep.csv"
     code, out, err = run(capsys, "sweep", "--step", "4e-4", "--out", str(path))
     assert code == EXIT_VALIDATION and "injected" in err
     assert len(calls) == 2 and not path.exists()
+
+
+def test_sweep_os_error_leaves_no_file(capsys, tmp_path, monkeypatch):
+    # any error main maps to an exit code removes the partial file, not
+    # only a ValidationError
+    calls = _fail_second_sweep_chunk(monkeypatch, OSError("injected"))
+    code, _, err = run(capsys, "sweep", "--step", "4e-4",
+                       "--out", str(tmp_path / "sweep.csv"))
+    assert code == EXIT_PARSE and "error (output): injected" in err
+    assert len(calls) == 2 and list(tmp_path.iterdir()) == []
+
+
+def test_failed_command_keeps_an_output_it_never_opened(capsys, tmp_path):
+    # --records fails before --out is opened: an existing --out file keeps
+    # its bytes
+    keep = tmp_path / "keep.json"
+    keep.write_bytes(b"old bytes\n")
+    code, _, _ = run(capsys, "simulate", "--game", "chsh", "--behaviour", "pr",
+                     "--rounds", "100", "--records", "/nonexistent/dir/r.csv",
+                     "--out", str(keep))
+    assert code == EXIT_PARSE
+    assert keep.read_bytes() == b"old bytes\n"
 
 
 def test_cycle(capsys):

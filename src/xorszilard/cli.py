@@ -22,7 +22,9 @@ output file that cannot be written, an empty path included), 3 validation,
 questions of value, local-opt and quantum-opt, round-table cells, rounds
 per simulate batch and kept transcript rows, finite-time steps and
 reps*steps, sweep rows), 5 regime.  ``main`` is every command's one exit:
-a command that fails leaves none of the files it wrote (--out, --records).
+a command that fails, with any of these codes or an uncaught error, leaves
+none of the files it wrote (--out, --records); a device or symlink it wrote
+through is not removed.
 The environment variable XORSZILARD_OUT_DIR sets the default directory for
 relative output paths.
 """
@@ -34,6 +36,7 @@ import contextlib
 import json
 import math
 import os
+import stat
 import sys
 
 import numpy as np
@@ -95,14 +98,16 @@ def _open_out(args, path: str):
     """Open the output file ``path`` for writing, under XORSZILARD_OUT_DIR
     when relative.  An empty path is a file that cannot be written.
 
-    The path joins ``args.written`` only once it is open, so main removes
-    every file the command created, and no other, when the command fails.
+    The path joins ``args.written`` only once it is open, and only when it
+    names a regular file and not a symlink, so main removes every file the
+    command wrote when it fails, and never a device such as /dev/null.
     """
     base = os.environ.get("XORSZILARD_OUT_DIR")
     if base and not os.path.isabs(path):
         path = os.path.join(base, path)
     fh = open(path, "w", encoding="utf-8")
-    args.written.append(path)
+    if stat.S_ISREG(os.fstat(fh.fileno()).st_mode) and not os.path.islink(path):
+        args.written.append(path)
     return fh
 
 
@@ -255,11 +260,9 @@ def cmd_simulate(args) -> int:
     data["noise_delta"] = delta
     data["mean_work_scaled"] = stats.mean_work_kt * args.kt
     data["z_score"] = z
-    if transcript:
-        # created here, so main removes a transcript that fails partway
-        fh = _open_out(args, args.records)
-        fh.close()
-        chan.rounds_to_csv(*transcript, fh.name)
+    if transcript:  # opened here too, so main removes a partial transcript
+        with _open_out(args, args.records) as fh:
+            chan.rounds_to_csv(*transcript, fh.name)
     _emit_json(data, args, args.out)
     return 0
 
@@ -399,17 +402,20 @@ _EXITS = {ParseError: (EXIT_PARSE, "parse"),
 
 def main(argv=None) -> int:
     """Run one command: its exit code, or on an error of ``_EXITS`` that
-    error's code and label on stderr, with every file it wrote removed."""
+    error's code and label on stderr.  Whatever stops a command, every file
+    it wrote is removed; an error outside ``_EXITS`` is then raised again."""
     args = build_parser().parse_args(argv)
     args.written = []
     try:
         return args.func(args)
-    except tuple(_EXITS) as exc:
-        code, label = next(_EXITS[c] for c in type(exc).__mro__ if c in _EXITS)
-        print(f"error ({label}): {exc}", file=sys.stderr)
+    except BaseException as exc:
         for path in args.written:
             with contextlib.suppress(OSError):  # a path given twice
                 os.remove(path)
+        if not isinstance(exc, tuple(_EXITS)):
+            raise
+        code, label = next(_EXITS[c] for c in type(exc).__mro__ if c in _EXITS)
+        print(f"error ({label}): {exc}", file=sys.stderr)
         return code
 
 

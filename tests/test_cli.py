@@ -673,6 +673,36 @@ def test_failed_command_keeps_an_output_it_never_opened(capsys, tmp_path):
     assert keep.read_bytes() == b"old bytes\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--game", "chsh", "--behaviour", "pr", "--rounds", "100",
+     "--records", os.devnull, "--out", "/nonexistent/o.json"],
+    ["sweep", "--step", "4e-4", "--out", os.devnull],
+    ["sweep", "--step", "4e-4", "--out", "link.csv"]],
+    ids=["records-devnull", "out-devnull", "out-symlink"])
+def test_failed_command_removes_no_device_or_symlink(capsys, tmp_path,
+                                                     monkeypatch, argv):
+    # a failure removes only regular files the command opened, never a
+    # device or a symlink; os.remove is recorded, not run
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "target.csv").write_bytes(b"")
+    (tmp_path / "link.csv").symlink_to(tmp_path / "target.csv")
+    removed = []
+    monkeypatch.setattr(os, "remove", removed.append)
+    _fail_second_sweep_chunk(monkeypatch, ValidationError("injected"))
+    code, _, _ = run(capsys, *argv)
+    assert code in (EXIT_PARSE, EXIT_VALIDATION)
+    assert removed == []
+
+
+def test_interrupted_command_leaves_no_file(capsys, tmp_path, monkeypatch):
+    # an error main does not map, such as Ctrl-C, still removes the partial
+    # file before it propagates
+    calls = _fail_second_sweep_chunk(monkeypatch, KeyboardInterrupt())
+    with pytest.raises(KeyboardInterrupt):
+        main(["sweep", "--step", "4e-4", "--out", str(tmp_path / "s.csv")])
+    assert len(calls) == 2 and list(tmp_path.iterdir()) == []
+
+
 def test_cycle(capsys):
     assert run_json(capsys, "cycle", "--p", "1.0")["w_net_bits"] == 0.0
     data = run_json(capsys, "cycle", "--p", "0.75")

@@ -11,7 +11,11 @@ through ``cli.main``:
   keyed by the argv joined with spaces.  CSV lines that a command prints
   before its JSON, or in its place, are kept as text under ``csv``: they
   carry 9 significant digits, so they are compared exactly;
-- records.csv: the transcript RECORDS_ARGV writes, compared as bytes.
+- records.csv: the transcript RECORDS_ARGV writes, compared as bytes;
+- bench_jobs.json: the same for the round-0 jobs of each benchmark workload
+  at workload seed BENCH_SEED, with each job seeded as bench/run.py seeds
+  it, keyed by "<workload>/<slot> <label>".  A --records job also stores
+  the sha256 of its transcript, whose 10^4-10^5 rows are too many to keep.
 
 The corpus is a regression net, not an oracle: tests/test_golden.py holds
 the program to the outputs it printed when the corpus was last written.  A
@@ -19,6 +23,7 @@ change that rewrites an entry names it in CHANGES.md with the reason.
 """
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -32,9 +37,15 @@ from xorszilard import XorGame, save_game
 from xorszilard.cli import main
 
 HERE = os.path.dirname(os.path.abspath(__file__))
+sys.path.append(os.path.join(os.path.dirname(os.path.dirname(HERE)), "bench"))
+import workloads  # noqa: E402  (the benchmark's job lists, read only)
+
 CORPUS = os.path.join(HERE, "value.json")
 COMMANDS_CORPUS = os.path.join(HERE, "commands.json")
 RECORDS = os.path.join(HERE, "records.csv")
+BENCH_CORPUS = os.path.join(HERE, "bench_jobs.json")
+BENCH_WORKLOADS = ("values", "rounds", "transcripts", "dissipation")
+BENCH_SEED = 1
 NAMED = ["chsh"] + [f"chained:{n}" for n in (3, 4, 5, 6, 7, 8, 10, 12)]
 # the values benchmark's shapes: tall, wide and square
 RANDOM_SHAPES = ((15, 3), (12, 3), (3, 14), (3, 12), (6, 6), (8, 8), (10, 10))
@@ -100,6 +111,23 @@ def command_outputs(workdir: str) -> dict:
     return entries
 
 
+def bench_outputs(workdir: str) -> dict:
+    """Every bench_jobs.json entry: the round-0 jobs of BENCH_WORKLOADS at
+    BENCH_SEED, with game files and transcripts in workdir."""
+    records = os.path.join(workdir, "bench-records.csv")
+    entries = {}
+    for workload in BENCH_WORKLOADS:
+        for job in workloads.build(workload, BENCH_SEED, workdir):
+            seed = workloads.sub_seed(BENCH_SEED, 0, job.slot)
+            argv = job.command(seed, records)
+            entry = entries[f"{workload}/{job.slot} {job.label}"] = run(argv)
+            if "--records" in argv:
+                with open(records, "rb") as fh:
+                    entry["records_sha256"] = hashlib.sha256(
+                        fh.read()).hexdigest()
+    return entries
+
+
 def _dump(data: dict, path: str):
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(data, fh, indent=1)
@@ -111,7 +139,10 @@ if __name__ == "__main__":
         values = outputs(workdir)
         commands = command_outputs(workdir)
         shutil.copyfile(os.path.join(workdir, RECORDS_ARGV[-1]), RECORDS)
+        bench = bench_outputs(workdir)
     _dump(values, CORPUS)
     _dump(commands, COMMANDS_CORPUS)
+    _dump(bench, BENCH_CORPUS)
     print(f"wrote {len(values)} entries to {CORPUS}, {len(commands)} to "
-          f"{COMMANDS_CORPUS} and a transcript to {RECORDS}", file=sys.stderr)
+          f"{COMMANDS_CORPUS}, a transcript to {RECORDS} and {len(bench)} "
+          f"entries to {BENCH_CORPUS}", file=sys.stderr)

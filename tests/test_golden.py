@@ -9,8 +9,9 @@ import sys
 import numpy as np
 import pytest
 
-from golden.regen import (COMMANDS, COMMANDS_CORPUS, CORPUS, NAMED, RECORDS,
-                          RECORDS_ARGV, command_outputs, outputs, random_games)
+from golden.regen import (BENCH_CORPUS, COMMANDS, COMMANDS_CORPUS, CORPUS,
+                          NAMED, RECORDS, RECORDS_ARGV, bench_outputs,
+                          command_outputs, outputs, random_games)
 from xorszilard import apply_noise, cli, game_value, orient
 
 # Floats are held to a few ulp.  omega_quantum_upper is rounded to nearest,
@@ -99,10 +100,14 @@ def mismatches(got, want, record, path=""):
     return [] if ok else [f"{path}: {got!r} != {want!r}"]
 
 
+def _load(path: str) -> dict:
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
 @pytest.fixture(scope="module")
 def corpus():
-    with open(CORPUS, encoding="utf-8") as fh:
-        return json.load(fh)
+    return _load(CORPUS)
 
 
 @pytest.fixture(scope="module")
@@ -121,8 +126,7 @@ def test_value_matches_golden(corpus, current, name):
 
 @pytest.fixture(scope="module")
 def commands_corpus():
-    with open(COMMANDS_CORPUS, encoding="utf-8") as fh:
-        return json.load(fh)
+    return _load(COMMANDS_CORPUS)
 
 
 @pytest.fixture(scope="module")
@@ -152,6 +156,27 @@ def test_records_match_golden_bytes(commands_current, commands_workdir):
     assert (commands_workdir / RECORDS_ARGV[-1]).read_bytes() == want
 
 
+@pytest.fixture(scope="module")
+def bench_corpus():
+    return _load(BENCH_CORPUS)
+
+
+@pytest.fixture(scope="module")
+def bench_current(tmp_path_factory):
+    return bench_outputs(str(tmp_path_factory.mktemp("golden-bench")))
+
+
+def test_bench_corpus_covers_every_job(bench_corpus, bench_current):
+    assert bench_current.keys() == bench_corpus.keys()
+
+
+# keyed by the stored slice, so a job the benchmark drops fails the test above
+@pytest.mark.parametrize("key", list(_load(BENCH_CORPUS)))
+def test_bench_job_matches_golden(bench_corpus, bench_current, key):
+    want = bench_corpus[key]
+    assert mismatches(bench_current[key], want, want) == []
+
+
 def _openblas() -> bool:
     """Whether numpy's BLAS is OpenBLAS (False where numpy cannot say)."""
     try:
@@ -165,13 +190,16 @@ def _openblas() -> bool:
                     or not _openblas(),
                     reason="needs OpenBLAS on x86-64")
 def test_commands_hold_on_a_second_blas_kernel(tmp_path):
-    # the command corpus, in a child process on OpenBLAS's Prescott kernels,
-    # which run on any x86-64 machine: a kernel moves an SVD's last bits
+    # the value, command and bench-job corpus, in a child process on
+    # OpenBLAS's Prescott kernels, which run on any x86-64 machine: a kernel
+    # moves an SVD's last bits
     env = dict(os.environ, OPENBLAS_CORETYPE="Prescott")
     proc = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
          "--basetemp", str(tmp_path / "child"),
+         f"{__file__}::test_value_matches_golden",
          f"{__file__}::test_command_matches_golden",
-         f"{__file__}::test_records_match_golden_bytes"],
+         f"{__file__}::test_records_match_golden_bytes",
+         f"{__file__}::test_bench_job_matches_golden"],
         env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stdout[-4000:] + proc.stderr[-4000:]

@@ -132,11 +132,8 @@ def _gaps(p: float, sched: ProtocolSchedule, k0: int, k1: int) -> np.ndarray:
 
 
 def _pi_other(gaps: np.ndarray) -> np.ndarray:
-    """Gibbs weight 1/(1 + e^gap) of the other level, built in place."""
-    pi = np.exp(gaps)
-    pi += 1.0
-    np.reciprocal(pi, out=pi)
-    return pi
+    """Gibbs weight 1/(1 + e^gap) of the other level."""
+    return 1.0 / (1.0 + np.exp(gaps))
 
 
 def _decay_scan(x: np.ndarray, decay: float) -> np.ndarray:
@@ -145,15 +142,12 @@ def _decay_scan(x: np.ndarray, decay: float) -> np.ndarray:
     Hillis-Steele doubling: after the pass at shift s each entry sums its
     last 2s terms, each scaled by decay to its distance, so log2(len(x))
     numpy passes replace a Python loop over the entries.  decay <= 1 keeps
-    every partial sum bounded, and a decay power that reaches zero ends
-    the passes (decay = 0 is the identity).
+    every partial sum bounded; a decay power that reaches zero adds exact
+    zeros (decay = 0 is the identity).
     """
     s = 1
     while s < x.size:
-        scale = decay ** s
-        if scale == 0.0:
-            break
-        x[s:] += scale * x[:-s]
+        x[s:] += decay ** s * x[:-s]
         s *= 2
     return x
 

@@ -71,12 +71,10 @@ def _near_best_rows(weights: np.ndarray) -> np.ndarray:
     low = min(n - 1, _CHUNK_BITS)
     low_part = _signs(1 << low, low) @ weights[n - low:]
     high_part = _signs(1 << (n - 1 - low), n - low) @ weights[:n - low]
-    column = np.empty_like(low_part)
     best = -math.inf
     kept = []  # (index, bias) of the maps within _SLACK of the running best
     for h, shift in enumerate(high_part):
-        np.add(low_part, shift, out=column)
-        bias = np.abs(column, out=column).sum(axis=1)
+        bias = np.abs(low_part + shift).sum(axis=1)
         top = bias.max()
         if top > best:
             best = top
@@ -239,24 +237,12 @@ def _toward(target: np.ndarray, rows: np.ndarray, omega: float) -> np.ndarray:
     c = 1/omega - 1.  At a fixed point |s| = (1 + c) |t|, so it has the
     fixed points and the linearisation of unit(v + omega (unit(t) - v)) =
     unit(t + c |t| v): the lag in |s| moves s along v only.  omega = 1 is the
-    plain step t.
+    plain step t + 0 s = t.
     """
-    if omega == 1.0:
-        return target
     return target + (1.0 - omega) * rows
 
 
-def _dual_matrix(weights: np.ndarray) -> np.ndarray:
-    """M = [[0, -W/2], [-W^T/2, 0]], whose diagonal _dual_bound writes."""
-    nu, nv = weights.shape
-    m = np.zeros((nu + nv, nu + nv))
-    m[:nu, nu:] = -0.5 * weights
-    m[nu:, :nu] = -0.5 * weights.T
-    return m
-
-
-def _dual_bound(m: np.ndarray, w_sq: float, wb: np.ndarray,
-                wta: np.ndarray) -> float:
+def _dual_bound(weights: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
     """Bound on the bias of every unit-vector strategy from the XOR-game SDP
     dual (Tsirelson; Cleve, Hoyer, Toner and Watrous 2004), valid for any
     unit rows a, b and tight at an optimum: the point y_u = |(W b)_u| / 2,
@@ -265,14 +251,15 @@ def _dual_bound(m: np.ndarray, w_sq: float, wb: np.ndarray,
     backward error n * eps * |M|_F to each of the n = nu + nv diagonal
     entries; |M|_F <= 1, so that costs under 4e-13 for n <= 40.
 
-    Takes the products wb = W b and wta = W^T a, and writes the diagonal
-    (y, z) into ``m`` from _dual_matrix; w_sq = |W|_F^2, so
-    |M|_F^2 = w_sq / 2 + |y|^2 + |z|^2 needs no pass over M."""
-    n = len(m)
-    diag = 0.5 * np.concatenate([_row_norms(wb), _row_norms(wta)])[:, 0]
-    m.flat[::n + 1] = diag
+    |M|_F^2 is taken as |W|_F^2 / 2 + |y|^2 + |z|^2, with no pass over M."""
+    nu = len(weights)
+    diag = 0.5 * np.concatenate([_row_norms(weights @ b),
+                                 _row_norms(weights.T @ a)])[:, 0]
+    n = len(diag)
+    m = np.diag(diag)
+    m[:nu, nu:], m[nu:, :nu] = -0.5 * weights, -0.5 * weights.T
     lam = np.linalg.eigvalsh(m)[0]
-    frob = math.sqrt(0.5 * w_sq + diag @ diag)
+    frob = math.sqrt(0.5 * np.vdot(weights, weights) + diag @ diag)
     slack = -lam + n * np.finfo(float).eps * frob
     return float(diag.sum() + n * max(0.0, slack))
 
@@ -322,8 +309,6 @@ def _seesaw(weights: np.ndarray, a: np.ndarray, b: np.ndarray, tol: float,
     kept.
     """
     wt = weights.T
-    m = _dual_matrix(weights)
-    w_sq = float(np.vdot(weights, weights))
     omega, rho, relax = 1.0, 0.0, True
     kept, best, upper = None, -math.inf, math.inf
     rows_a, rows_b = a, b
@@ -333,7 +318,7 @@ def _seesaw(weights: np.ndarray, a: np.ndarray, b: np.ndarray, tol: float,
     rise = ratio = None  # the last bias increment and increment ratio
     while True:
         if it % CHECK_EVERY == 0 or it == max_iter:
-            upper = min(upper, _dual_bound(m, w_sq, wb, wta))
+            upper = min(upper, _dual_bound(weights, a, b))
             if bias >= best - _SLACK:
                 kept, best = (a, b, bias), max(best, bias)
             elif relax:  # an overshoot: plain steps from here on

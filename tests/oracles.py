@@ -72,8 +72,8 @@ def dual_upper(weights: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
     backward error n * eps * |M|_F to each of the n = nu + nv diagonal
     entries; |M|_F <= 1, so that costs under 4e-13 for n <= 40.
 
-    Reference for optimize._dual_bound, which computes the same bound on a
-    matrix the seesaw allocates once per run."""
+    Reference for optimize._dual_bound, which computes the same bound with
+    |M|_F taken from |W|_F and the diagonal."""
     y = 0.5 * np.linalg.norm(weights @ b, axis=1)
     z = 0.5 * np.linalg.norm(weights.T @ a, axis=1)
     n = len(y) + len(z)

@@ -31,11 +31,15 @@ def _check_prob(p: float, name: str) -> float:
 
 
 def binary_entropy(p: float) -> float:
-    """h2(p) in bits, with the 0 log 0 := 0 convention."""
+    """h2(p) in bits, with the 0 log 0 := 0 convention.
+
+    Below p = 1/2, 1 - p drops p's low digits, so log2(1 - p) is taken from
+    log1p(-p); from 1/2 on, 1 - p is exact."""
     p = _check_prob(p, "binary entropy argument")
     if p == 0.0 or p == 1.0:
         return 0.0
-    return -p * math.log2(p) - (1.0 - p) * math.log2(1.0 - p)
+    tail = math.log1p(-p) / math.log(2.0) if p < 0.5 else math.log2(1.0 - p)
+    return -p * math.log2(p) - (1.0 - p) * tail
 
 
 def mutual_information(p: float) -> float:

@@ -85,6 +85,14 @@ def test_binary_entropy():
         binary_entropy(1.2)
 
 
+@pytest.mark.parametrize("p", [1e-300, 1e-20, 1e-12])
+def test_binary_entropy_keeps_small_p_digits(p):
+    # h2(p) ln 2 = p (1 - ln p) - p^2/2 + O(p^3); 1 - p rounds to 1 below
+    # 2^-54, which would drop the p/ln 2 of the (1 - p) log2(1 - p) term
+    series = (p * (1.0 - math.log(p)) - p * p / 2.0) / math.log(2.0)
+    assert binary_entropy(p) == pytest.approx(series, rel=1e-15, abs=0.0)
+
+
 def test_mutual_information_values():
     # any binary prediction task with success p feeds the engine as the
     # float p; an XOR game is the case guess = a xor b

@@ -226,6 +226,16 @@ def test_simulate_pr_box_exact_any_batch_size(n, parts):
     assert stats.stderr_kt == 0.0
 
 
+def test_simulate_all_miss_batch_is_exact():
+    # CHSH's local-optimal strategy wins 3/4 of the rounds, and the one
+    # round of seed 3 misses: the mean is the miss work, with no spread
+    b = deterministic_behaviour([0, 0], [0, 0])
+    stats = simulate_rounds(make_chsh(), b, 1, seed=3)
+    assert (stats.p_model, stats.hits) == (0.75, 0)
+    assert stats.mean_work_kt == math.log(0.5)
+    assert stats.stderr_kt == 0.0
+
+
 def test_simulate_uniform_zero_work():
     g = make_chsh()
     stats = simulate_rounds(g, uniform_behaviour(g), 5000, seed=6, p_model=0.5)

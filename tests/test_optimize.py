@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 
 from xorszilard import (Behaviour, BudgetError, ValidationError, XorGame,
-                        class_report, correlators, deterministic_behaviour,
-                        game_value, is_nonsignalling, local_value,
-                        make_chained, make_chsh, optimize, pr_box,
-                        quantum_behaviour, quantum_value)
+                        class_report, cli, correlators,
+                        deterministic_behaviour, game_value, is_nonsignalling,
+                        local_value, make_chained, make_chsh, optimize, pr_box,
+                        quantum_behaviour, quantum_value, uniform_behaviour)
 from xorszilard.optimize import (CHECK_EVERY, DEFAULT_MAX_ITER, DEFAULT_SEED,
-                                 DEFAULT_TOL, SeesawState, _omega, _seesaw,
-                                 _seesaw_start, _weights)
+                                 DEFAULT_TOL, ClassValueReport, SeesawState,
+                                 _omega, _seesaw, _seesaw_start, _weights)
 
 from oracles import dual_upper, quantum_optimal_chsh
 
@@ -508,6 +508,31 @@ def test_seesaw_state_validates_unit_norms():
         SeesawState(avecs=np.array([[2.0, 0.0]]),
                     bvecs=np.array([[1.0, 0.0]]), bias=0.5, upper=0.5,
                     iterations=1, converged=True)
+
+
+def test_seesaw_state_validates_bias_range():
+    unit = np.array([[1.0, 0.0]])
+    with pytest.raises(ValidationError, match="outside"):
+        SeesawState(avecs=unit, bvecs=unit, bias=1.5, upper=1.5,
+                    iterations=0, converged=True)
+
+
+def test_class_value_report_validates_order():
+    fields = dict(game="g", omega_local=0.75, omega_quantum=0.85,
+                  omega_quantum_upper=0.85, local_strategy=((0,), (0,)),
+                  converged=True, iterations=0)
+    ClassValueReport(**fields)
+    with pytest.raises(ValidationError, match="below 1/2"):
+        ClassValueReport(**{**fields, "omega_local": 0.4})
+    with pytest.raises(ValidationError, match="out of order"):
+        ClassValueReport(**{**fields, "omega_quantum_upper": 0.84})
+
+
+def test_class_report_rejects_a_failed_certificate(monkeypatch, capsys):
+    # the uniform box signals nothing but wins only half the rounds
+    monkeypatch.setattr(optimize, "pr_box", uniform_behaviour)
+    assert cli.main(["value", "--game", "chsh"]) == cli.EXIT_VALIDATION
+    assert "certificate failed" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("game", [make_chsh(), make_chained(5),

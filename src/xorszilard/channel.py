@@ -44,7 +44,17 @@ def binary_entropy(p: float) -> float:
 
 def mutual_information(p: float) -> float:
     """I(x : g) = 1 - h2(p) bits of a channel of success probability p; the
-    source and output bits are uniform."""
+    source and output bits are uniform.
+
+    Near p = 1/2, 1 - h2(p) cancels all but a few digits, so for
+    |x| < 1/2, x = 2p - 1 (exact there), I is taken as
+    (log1p(-x^2) + 2 x atanh(x)) / (2 ln 2), whose terms cancel at most
+    about one bit; near |x| = 1 that form loses digits to atanh, so it
+    stops at 1/2."""
+    p = _check_prob(p, "binary entropy argument")
+    x = 2.0 * p - 1.0
+    if abs(x) < 0.5:
+        return (math.log1p(-x * x) + 2.0 * x * math.atanh(x)) / math.log(4.0)
     return 1.0 - binary_entropy(p)
 
 

@@ -284,21 +284,15 @@ def cmd_sweep(args) -> int:
 
 
 def _sweep_grid(step: float) -> np.ndarray:
-    """S = 0, step, 2 step, ... while below 4 + 1e-12, each capped at 4,
-    with the markers 2, 2 sqrt(2) and 4, sorted and distinct.
+    """S = k step for k = 0, 1, 2, ... while below 4 + 1e-12, each capped at
+    4, with the markers 2, 2 sqrt(2) and 4, sorted and distinct.
 
-    Each S is the previous one plus step, rounded, as a running float sum
-    makes it: np.add.accumulate adds in sequence.  4/step <= MAX_SWEEP_ROWS
-    keeps the rounding far below one step, so int(4/step) + 2 sums pass
-    4 + 1e-12.
+    Each S is one product, so it lands on a marker whenever k step rounds to
+    it, and never drifts as a running sum would.
     """
-    s = np.full(int(4.0 / step) + 3, step)
-    s[0] = 0.0
-    with np.errstate(over="ignore"):  # a huge step overflows past the cut
-        np.add.accumulate(s, out=s)
-    s = np.minimum(s[:np.searchsorted(s, 4.0 + 1e-12)], 4.0)
-    s = np.sort(np.append(s, [2.0, 2.0 * math.sqrt(2.0), 4.0]))
-    return s[np.append(True, s[1:] > s[:-1])]
+    s = np.arange(int(4.0 / step) + 2) * step
+    s = np.minimum(s[s < 4.0 + 1e-12], 4.0)
+    return np.unique(np.append(s, [2.0, 2.0 * math.sqrt(2.0), 4.0]))
 
 
 def cmd_cycle(args) -> int:

@@ -208,8 +208,7 @@ def sigma_moments(p: float, sched: ProtocolSchedule) -> tuple[float, float]:
     return w_right - mean, math.sqrt(max(var, 0.0))
 
 
-def _run_batch(p: float, sched: ProtocolSchedule, reps: int,
-               seed: int | tuple[int, ...]):
+def _run_batch(p: float, sched: ProtocolSchedule, reps: int, seed: int):
     """Yield (works, heats, sampled_other) for successive blocks of reps.
 
     State s is 0 for the predicted level (posterior probability p) and 1
@@ -217,16 +216,16 @@ def _run_batch(p: float, sched: ProtocolSchedule, reps: int,
     c pi_k and 1 -> 0 with c (1 - pi_k), c = rate*dt, so the new state is
     1 with probability c pi_k + (1 - c) s.  Each block of at most
     _BLOCK_REPS trajectories steps this chain one update at a time, block
-    b drawing from (*seed, b).  Work is the gap drop at fixed state; heat
-    is the gap at each update times the state change.
+    b drawing from the generator seeded [seed, b]; ``seed`` is an int that
+    the caller has checked (errors.check_seed).  Work is the gap drop at
+    fixed state; heat is the gap at each update times the state change.
     """
     _check_branch_p(p)
     gaps = _gaps(p, sched, 0, sched.steps)
-    key = check_seed(seed)
     c = sched.rate * sched.tau / sched.steps
     up = c * _pi_other(gaps)
     for b, r0 in enumerate(range(0, reps, _BLOCK_REPS)):
-        rng = np.random.default_rng([*key, b])
+        rng = np.random.default_rng([seed, b])
         other = rng.random(min(_BLOCK_REPS, reps - r0)) >= p
         s = other.astype(np.float64)
         works = -gaps[0] * s  # assignment quench from the degenerate level
@@ -246,7 +245,7 @@ def trajectory_energy_audit(p: float, sched: ProtocolSchedule,
     The protocol starts and ends degenerate, so the energy change is zero
     and first-law bookkeeping requires heat == work.
     """
-    works, heats, _ = next(_run_batch(p, sched, 1, seed))
+    works, heats, _ = next(_run_batch(p, sched, 1, check_seed(seed)))
     return float(works[0]), float(heats[0]), float(heats[0] - works[0])
 
 
@@ -277,13 +276,13 @@ class SigmaEstimate:
     mean_sigma: float
     stderr: float
     reps: int
-    seed: int | tuple[int, ...]
+    seed: int
     exp_neg_sigma: float
     exp_neg_sigma_stderr: float
 
 
 def estimate_sigma(p: float, sched: ProtocolSchedule, reps: int,
-                   seed: int | tuple[int, ...]) -> SigmaEstimate:
+                   seed: int) -> SigmaEstimate:
     """Estimate Sigma = (quasistatic work - extracted work) / kT.
 
     Each trajectory is paired with the quasistatic work of its own sampled
@@ -291,12 +290,13 @@ def estimate_sigma(p: float, sched: ProtocolSchedule, reps: int,
     averages exactly to ln 2 times mutual_information(p), so the pairing
     leaves the estimate unbiased while cancelling the branch-outcome
     variance.  ``reps`` is an integer >= 100, and ``seed`` a non-negative
-    integer or a tuple of them (a sub-seed; errors.check_seed); block b
-    draws from (*seed, b).
+    integer (errors.check_seed), stored as an int; block b draws from the
+    generator seeded [seed, b].
     """
     reps = _check_reps(reps)
     _check_branch_p(p)
     _check_updates(reps, sched.steps)
+    seed = check_seed(seed)
     w_right, w_wrong = branch_works(p)
     moments = tilted = None
     for works, _, other in _run_batch(p, sched, reps, seed):

@@ -109,7 +109,7 @@ class CycleLedger:
 def cycle_ledger(p: float) -> CycleLedger:
     """The ledger of a channel of success probability p."""
     h_cond = binary_entropy(p)
-    i = 1.0 - h_cond
+    i = mutual_information(p)
     return CycleLedger(p=float(p), i_bits=i, h_g_bits=1.0,
                        h_g_given_x_bits=h_cond, w_fb_bits=i,
                        w_reset_bits=1.0, w_net_bits=-h_cond)
@@ -180,15 +180,17 @@ class SimulationStats:
     so ``(rounds, hits)`` and q determine the batch.  The empirical success
     rate, the mean work and its standard error follow from those integers
     with no per-round sum; a batch of all hits or all misses is exact: its
-    mean is that work and its standard error is 0.  ``flipped`` records
-    that the controller negated its bit to orient a channel below 1/2.
+    mean is that work and its standard error is 0.  ``seeds`` holds the
+    integer seed of each pooled batch, in merge order, and ``flipped``
+    records that the controller negated its bit to orient a channel below
+    1/2.
     """
 
     rounds: int
     hits: int
     p_model: float
     analytic_work_kt: float
-    seeds: tuple  # each pooled batch's seed, an int or a tuple of ints, in order
+    seeds: tuple[int, ...]
     flipped: bool = False
 
     @property
@@ -211,10 +213,9 @@ class SimulationStats:
         """The batch's fields; ``flipped`` appears only when it is true.
 
         One batch gives its ``seed``; a merged batch gives ``seeds``, the
-        list of every pooled batch's seed, so it never reads as one batch
-        with a tuple seed.
+        list of every pooled batch's seed.
         """
-        seeds = [list(s) if isinstance(s, tuple) else s for s in self.seeds]
+        seeds = list(self.seeds)
         return {
             "rounds": self.rounds,
             "empirical_p": self.empirical_p,
@@ -253,8 +254,7 @@ def merge_stats(a: SimulationStats, b: SimulationStats) -> SimulationStats:
                    seeds=a.seeds + b.seeds)
 
 
-def simulate_rounds(game: XorGame, behaviour: Behaviour, n: int,
-                    seed: int | tuple[int, ...],
+def simulate_rounds(game: XorGame, behaviour: Behaviour, n: int, seed: int,
                     p_model: float | None = None, noise_delta: float = 0.0,
                     keep_records: bool = False):
     """Sample n feedback rounds and count the controller's hits.
@@ -269,9 +269,9 @@ def simulate_rounds(game: XorGame, behaviour: Behaviour, n: int,
 
     Rounds are independent, so the batch is one multinomial draw of n over
     the cells of ``enumerate_rounds``, from the generator seeded
-    (*seed, 0) (a bare integer seed is the 1-tuple); the hits are the counts in won cells, controller noise
-    thins the won and the lost counts binomially, and a flipped controller
-    hits exactly the other rounds, with the same draws.  Memory is constant in n
+    [seed, 0]; the hits are the counts in won cells, controller noise thins
+    the won and the lost counts binomially, and a flipped controller hits
+    exactly the other rounds, with the same draws.  Memory is constant in n
     unless records are kept.  Batches of one model combine exactly with
     ``merge_stats``.
 
@@ -287,7 +287,8 @@ def simulate_rounds(game: XorGame, behaviour: Behaviour, n: int,
     A controller model outside [1/2, 1] is rejected (branch_works), and so
     is a model of 1 unless the channel never errs: its branch would cost
     infinite work on a wrong guess (ValidationError, before any draw), as
-    are an n that is not an integer and a bad seed (errors.check_seed).
+    are an n that is not an integer and a seed that is not a non-negative
+    integer (errors.check_seed).
     """
     n = check_count(n, "round count n")
     if n < 1:
@@ -310,9 +311,8 @@ def simulate_rounds(game: XorGame, behaviour: Behaviour, n: int,
     probs, rounds = enumerate_rounds(game, behaviour)
     cells = np.flatnonzero(probs > 0.0)
     pvals = probs[cells] / math.fsum(probs[cells])
-    key = check_seed(seed)
-    seed = key if isinstance(seed, tuple) else key[0]  # as ints, for JSON
-    rng = np.random.default_rng([*key, 0])
+    seed = check_seed(seed)  # an int, for JSON
+    rng = np.random.default_rng([seed, 0])
     counts = rng.multinomial(n, pvals)
     hits = int(counts[rounds.won[cells]].sum())
     if noise_delta > 0.0:

@@ -33,16 +33,10 @@ def check_count(n, name: str) -> int:
         raise ValidationError(f"{name} must be an integer, got {n!r}") from None
 
 
-def check_seed(seed) -> tuple[int, ...]:
-    """The key of a seed, a non-negative integer or a nonempty tuple of them:
-    (seed,) or the tuple itself, as ints (ValidationError otherwise).
-    Generators are seeded with the key followed by a stream index."""
-    key = seed if isinstance(seed, tuple) else (seed,)
-    try:
-        key = tuple(map(operator.index, key))
-    except TypeError:
-        key = ()
-    if not key or min(key) < 0:
-        raise ValidationError(f"seed must be a non-negative integer or a "
-                              f"tuple of them, got {seed!r}")
-    return key
+def check_seed(seed) -> int:
+    """seed as an int if it is a non-negative integer by operator.index, else
+    ValidationError.  Generators are seeded [seed, stream index]."""
+    n = check_count(seed, "seed")
+    if n < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed!r}")
+    return n

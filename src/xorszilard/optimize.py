@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetError, ValidationError, check_count, check_seed
+from .errors import BudgetError, ValidationError, check_seed
 from .games import (Behaviour, XorGame, _weights, correlator_behaviour,
                     game_value, pr_box)
 
@@ -210,11 +210,12 @@ def _omega(bias: float) -> float:
     return min(1.0, (1.0 + float(bias)) / 2.0)
 
 
-def _seesaw_start(game: XorGame, seed: int | tuple[int, ...], k: int):
-    """Random unit-vector start, (nu, dim) and (nv, dim) rows drawn from
-    sub-seed (*seed, k)."""
+def _seesaw_start(game: XorGame, seed: int, k: int):
+    """Random unit-vector start, (nu, dim) and (nv, dim) rows drawn from the
+    generator seeded [seed, k]; ValidationError for a bad seed
+    (errors.check_seed)."""
     dim = game.nu + game.nv
-    rng = np.random.default_rng([*check_seed(seed), k])
+    rng = np.random.default_rng([check_seed(seed), k])
     avecs = rng.normal(size=(game.nu, dim))
     bvecs = rng.normal(size=(game.nv, dim))
     avecs /= np.linalg.norm(avecs, axis=1, keepdims=True)
@@ -371,44 +372,40 @@ def _top_block(weights: np.ndarray, dim: int):
     return a / norm_a, b / norm_b
 
 
-def quantum_value(game: XorGame, tol: float = DEFAULT_TOL,
-                  max_iter: int = DEFAULT_MAX_ITER,
-                  seed: int | tuple[int, ...] = DEFAULT_SEED
+def quantum_value(game: XorGame, seed: int = DEFAULT_SEED
                   ) -> tuple[float, SeesawState]:
     """Lower bound on the quantum value, certified by a dual bound.
 
     The first candidate is W's top singular block (_top_block): if the dual
-    point of those vectors is within ``tol`` of their bias, they are
+    point of those vectors is within DEFAULT_TOL of their bias, they are
     returned with ``iterations=0``, as on CHSH and every chained game.
-    Otherwise one seesaw run starts from the deterministic sub-seed
-    (*seed, 0), so ``seed`` matters only then.  A rejected candidate is not
-    continued: every seesaw step stays in the span of its start, so a run
-    from it would search only the rank of the block.  The seeded run has
+    Otherwise one seesaw run starts from the generator seeded [seed, 0], so
+    ``seed`` matters only then.  A rejected candidate is not continued:
+    every seesaw step stays in the span of its start, so a run from it
+    would search only the rank of the block.  The seeded run has
     dimension nu + nv and factors the XOR-game SDP at full rank, where a
     second-order critical point is generically a global optimum, so it is
     certified on every game tried.  It checks its dual bound every
-    CHECK_EVERY steps; if it is not within ``tol`` by ``max_iter`` steps,
-    the state has ``converged=False``, and its bound still holds.  Questions
-    of zero weight never move the bias or the bound, so both run without
-    them and they keep their seeded start vectors.  ``tol`` must be finite
-    and > 0, ``max_iter`` an integer >= 0 and ``seed`` a valid seed
-    (errors.check_seed), or ValidationError.
+    CHECK_EVERY steps; if it is not within DEFAULT_TOL by DEFAULT_MAX_ITER
+    steps, the state has ``converged=False``, and its bound still holds.
+    Questions of zero weight never move the bias or the bound, so both run
+    without them and they keep their seeded start vectors.  A seed that is
+    not a non-negative integer raises ValidationError (errors.check_seed).
     """
-    max_iter = check_count(max_iter, "max_iter")
-    if not (math.isfinite(tol) and tol > 0.0) or max_iter < 0:
-        raise ValidationError(f"need finite tol > 0 and max_iter >= 0, got "
-                              f"tol = {tol!r}, max_iter = {max_iter!r}")
     weights = _weights(game)
     live_a, live_b = weights.any(axis=1), weights.any(axis=0)
     live = weights[live_a][:, live_b]
     a, b = _seesaw_start(game, seed, 0)
     candidate = _top_block(live, a.shape[1])
-    run = None if candidate is None else _seesaw(live, *candidate, tol, 0)
-    if run is None or run[3] - run[2] >= tol:  # its gap, upper - bias
-        run = _seesaw(live, a[live_a], b[live_b], tol, max_iter)
+    run = (None if candidate is None
+           else _seesaw(live, *candidate, DEFAULT_TOL, 0))
+    if run is None or run[3] - run[2] >= DEFAULT_TOL:  # its gap, upper - bias
+        run = _seesaw(live, a[live_a], b[live_b], DEFAULT_TOL,
+                      DEFAULT_MAX_ITER)
     a[live_a], b[live_b], bias, upper, iterations = run
     state = SeesawState(avecs=a, bvecs=b, bias=bias, upper=upper,
-                        iterations=iterations, converged=upper - bias < tol)
+                        iterations=iterations,
+                        converged=upper - bias < DEFAULT_TOL)
     return _omega(bias), state
 
 
@@ -446,8 +443,9 @@ class NonsignallingReport:
         return self.ok
 
 
-def is_nonsignalling(b: Behaviour, tol: float = 1e-9) -> NonsignallingReport:
-    """Check that each player's marginal ignores the other player's question."""
+def is_nonsignalling(b: Behaviour) -> NonsignallingReport:
+    """Check that each player's marginal ignores the other player's question,
+    to within 1e-9."""
     pa = b.table.sum(axis=3)  # (u, v, a)
     pb = b.table.sum(axis=2)  # (u, v, b)
     spread_a = pa.max(axis=1) - pa.min(axis=1)  # over v -> (u, a)
@@ -462,7 +460,7 @@ def is_nonsignalling(b: Behaviour, tol: float = 1e-9) -> NonsignallingReport:
         v, bb = np.unravel_index(int(spread_b.argmax()), spread_b.shape)
         location = ("bob", int(v), int(bb))
         worst = worst_b
-    return NonsignallingReport(ok=worst <= tol, max_violation=worst,
+    return NonsignallingReport(ok=worst <= 1e-9, max_violation=worst,
                                location=location)
 
 

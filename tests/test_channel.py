@@ -103,6 +103,17 @@ def test_mutual_information_values():
     assert abs(mutual_information(0.6) - 0.029049) < 1e-6
 
 
+@pytest.mark.parametrize("p", [0.5 - 1e-7, 0.5 + 1e-7, 0.5 + 1e-9,
+                               0.5 + 1e-5])
+def test_mutual_information_keeps_digits_near_half(p):
+    # I ln 2 = sum_k x^2k / (2k (2k - 1)) with x = 2p - 1, exact here;
+    # 1 - h2(p) cancels nearly every digit, to 0.0 at p = 1/2 + 1e-9
+    x = 2.0 * p - 1.0
+    series = sum(x ** (2 * k) / (2 * k * (2 * k - 1))
+                 for k in range(1, 6)) / math.log(2.0)
+    assert mutual_information(p) == pytest.approx(series, rel=1e-15, abs=0.0)
+
+
 def test_mutual_information_monotone_in_p():
     last = -1.0
     for i in range(51):

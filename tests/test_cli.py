@@ -367,8 +367,9 @@ def test_endless_file_exits_budget(capsys, kind):
         assert out == "" and "exceeds" in err
 
 
-def test_sweep_huge_step_overflows_quietly(capsys):
-    # the running sum overflows past the cut at 4; no RuntimeWarning
+def test_sweep_huge_step_prints_zero_and_markers(capsys):
+    # 0 and 1e308 are the only multiples of the step drawn, and 1e308 is
+    # past the cut at 4; no RuntimeWarning
     code, out, err = run(capsys, "sweep", "--step", "1e308")
     assert code == 0, err
     assert [line.split(",")[0] for line in out.splitlines()] == [
@@ -587,11 +588,11 @@ def test_sweep_markers(capsys):
 
 
 def _sweep_reference(step, kt):
-    """The CSV of the sweep built in memory, from a running float sum."""
-    s_values, s = [], 0.0
-    while s < 4.0 + 1e-12:
-        s_values.append(min(s, 4.0))
-        s += step
+    """The CSV of the sweep built in memory, S = k step for k = 0, 1, ..."""
+    s_values, k = [], 0
+    while k * step < 4.0 + 1e-12:
+        s_values.append(min(k * step, 4.0))
+        k += 1
     s_values += [2.0, 2.0 * math.sqrt(2.0), 4.0]
     lines = ["param,value_bits,value_kt"]
     for s, bits, w in engine.sweep_s_curve(sorted(set(s_values))):
@@ -600,12 +601,18 @@ def _sweep_reference(step, kt):
 
 
 @pytest.mark.parametrize("step,kt", [("0.25", "1"), ("0.3", "2.5"),
-                                     ("1e-3", "1"), ("7e-5", "0.5")])
+                                     ("1e-3", "1"), ("7e-5", "0.5"),
+                                     ("0.01", "1"), ("0.1", "1"),
+                                     (repr(1 / 3), "1")])
 def test_sweep_matches_running_sum(capsys, tmp_path, step, kt):
-    # 7e-5 writes 57 144 rows, so several chunks
+    # 7e-5 writes 57 144 rows, so several chunks; a running float sum of the
+    # step landed an ulp off the markers 2 and 4 at 0.01, 0.1 and 1/3, and
+    # printed each of them twice
     expected = _sweep_reference(float(step), float(kt))
     code, out, _ = run(capsys, "sweep", "--step", step, "--kt", kt)
     assert code == 0 and out == expected
+    column = [line.split(",")[0] for line in out.splitlines()[1:]]
+    assert len(set(column)) == len(column)
     path = tmp_path / "sweep.csv"
     code, _, _ = run(capsys, "sweep", "--step", step, "--kt", kt,
                      "--out", str(path))

@@ -402,14 +402,18 @@ def test_monte_carlo_matches_exact_moments():
 
 def test_monte_carlo_sub_seeds():
     sched = ProtocolSchedule.linear(10.0)
-    a = estimate_sigma(0.85, sched, 1000, (7, 1))
-    assert a == estimate_sigma(0.85, sched, 1000, (7, 1))
-    assert a.seed == (7, 1)
-    assert a != estimate_sigma(0.85, sched, 1000, (7, 2))
-    # an integer seed draws from (seed, block), as before sub-seeds existed
-    first = [next(dynamics._run_batch(0.85, sched, 1000, key))[0]
-             for key in (7, (7,))]
-    assert np.array_equal(*first)
+    a = estimate_sigma(0.85, sched, 1000, 7)
+    assert a == estimate_sigma(0.85, sched, 1000, 7)
+    assert a.seed == 7
+    assert a != estimate_sigma(0.85, sched, 1000, 8)
+    # block b draws from the generator seeded [seed, b], its first draws
+    # picking each trajectory's level
+    short = ProtocolSchedule(tau=1.0, steps=2)
+    blocks = dynamics._run_batch(0.85, short, dynamics._BLOCK_REPS + 5, 7)
+    for b, (_, _, other) in enumerate(blocks):
+        rng = np.random.default_rng([7, b])
+        assert np.array_equal(other, rng.random(other.size) >= 0.85)
+    assert b == 1
 
 
 def test_sigma_moments_memory_bounded():

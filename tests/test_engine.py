@@ -419,21 +419,22 @@ def test_merge_stats_equals_pooled_counts():
 
 
 def test_merged_seeds_never_read_as_a_tuple_seed():
-    # (1, 2) merged with 3, 1 with 2 with 3, and one batch seeded (1, 2, 3)
-    # once all recorded the seed (1, 2, 3)
+    # one batch gives its int "seed"; a merge gives "seeds", the flat ints of
+    # every pooled batch in merge order, the same for either fold; a tuple
+    # is no seed
     g = make_chsh()
     b = pr_box(g)
-    pair = merge_stats(simulate_rounds(g, b, 10, seed=(1, 2)),
-                       simulate_rounds(g, b, 10, seed=3))
-    three = functools.reduce(merge_stats, [simulate_rounds(g, b, 10, seed=s)
-                                           for s in (1, 2, 3)])
-    single = simulate_rounds(g, b, 10, seed=(1, 2, 3))
-    assert pair.seeds == ((1, 2), 3) and three.seeds == (1, 2, 3)
-    assert single.seeds == ((1, 2, 3),)
-    dicts = [x.to_json_dict() for x in (pair, three, single)]
-    assert [d.get("seeds") for d in dicts] == [[[1, 2], 3], [1, 2, 3], None]
-    assert [d.get("seed") for d in dicts] == [None, None, [1, 2, 3]]
+    batches = [simulate_rounds(g, b, 10, seed=s) for s in (1, 2, 3)]
+    left = functools.reduce(merge_stats, batches)
+    right = merge_stats(batches[0], merge_stats(*batches[1:]))
+    assert left.seeds == right.seeds == (1, 2, 3)
+    assert batches[0].seeds == (1,)
+    dicts = [x.to_json_dict() for x in (left, batches[0])]
+    assert [d.get("seeds") for d in dicts] == [[1, 2, 3], None]
+    assert [d.get("seed") for d in dicts] == [None, 1]
     assert simulate_rounds(g, b, 10, seed=7).to_json_dict()["seed"] == 7
+    with pytest.raises(ValidationError, match="seed"):
+        simulate_rounds(g, b, 10, seed=(1, 2, 3))
 
 
 def test_numpy_scalar_inputs_give_json_results():
@@ -442,15 +443,13 @@ def test_numpy_scalar_inputs_give_json_results():
     g = make_chsh()
     b = quantum_optimal_chsh()
     single = simulate_rounds(g, b, 1000, seed=np.int64(3))
-    pair = simulate_rounds(g, b, 10, seed=(np.int64(1), 2))
     merged = merge_stats(single, simulate_rounds(g, b, 10, seed=np.int64(4)))
     ledger = cycle_ledger(np.float32(0.8))
     assert json.loads(json.dumps(single.to_json_dict()))["seed"] == 3
-    assert json.loads(json.dumps(pair.to_json_dict()))["seed"] == [1, 2]
     assert json.loads(json.dumps(merged.to_json_dict()))["seeds"] == [3, 4]
     assert json.loads(json.dumps(ledger.to_json_dict()))["p"] == \
         float(np.float32(0.8))
-    assert type(single.seeds[0]) is int and pair.seeds == ((1, 2),)
+    assert type(single.seeds[0]) is int and type(merged.seeds[1]) is int
     assert single == simulate_rounds(g, b, 1000, seed=3)
     assert type(ledger.p) is float
 

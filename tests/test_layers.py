@@ -6,10 +6,12 @@ then engine, then dynamics.  ``cli`` sits on top and no module imports it;
 ``__init__`` re-exports the library and may import any module but ``cli``.
 It re-exports exactly the names that the CLI, the benchmark or a test
 imports from the package top level, so a second spelling of a quantity
-cannot come back through it unnoticed.
+cannot come back through it unnoticed, and each export takes exactly the
+parameters listed here, so an added option fails here too.
 """
 
 import ast
+import inspect
 from pathlib import Path
 
 import pytest
@@ -108,3 +110,71 @@ def test_init_exports_exactly_the_listed_names():
             exported.setdefault(node.module, set()).update(
                 alias.asname or alias.name for alias in node.names)
     assert exported == EXPORTS
+
+
+# The parameter names of each exported function and class, in order.  The
+# exception classes take BaseException's message arguments and add none.
+SIGNATURES = {
+    "apply_noise": ("p", "delta"),
+    "binary_entropy": ("p",),
+    "enumerate_rounds": ("game", "b"),
+    "mutual_information": ("p",),
+    "orient": ("p",),
+    "rounds_to_csv": ("rounds", "cells", "path"),
+    "ProtocolSchedule": ("tau", "steps", "rate", "gap_path"),
+    "estimate_sigma": ("p", "sched", "reps", "seed"),
+    "fit_loglog_slope": ("taus", "sigmas"),
+    "scaling_fit": ("p", "tau_grid", "reps", "sched_template"),
+    "sigma_moments": ("p", "sched"),
+    "trajectory_energy_audit": ("p", "sched", "seed"),
+    "branch_decomposition": ("q", "offset_kt"),
+    "branch_works": ("q",),
+    "class_ceilings": ("report",),
+    "cycle_ledger": ("p",),
+    "exact_memory_ledger": ("game", "b"),
+    "memory_ledger": ("rounds", "cells"),
+    "merge_stats": ("a", "b"),
+    "noise_threshold": ("p_resource", "omega_q"),
+    "simulate_rounds": ("game", "behaviour", "n", "seed", "p_model",
+                        "noise_delta", "keep_records"),
+    "small_bias_work": ("beta", "order"),
+    "sweep_s_curve": ("s_values",),
+    "Behaviour": ("table",),
+    "XorGame": ("name", "mu", "f"),
+    "bias": ("game", "b"),
+    "chsh_S": ("b",),
+    "correlator_behaviour": ("e",),
+    "correlators": ("b",),
+    "deterministic_behaviour": ("amap", "bmap"),
+    "game_value": ("game", "b"),
+    "load_behaviour": ("path",),
+    "load_game": ("path",),
+    "make_chained": ("n",),
+    "make_chsh": (),
+    "mix_with_uniform": ("b", "visibility"),
+    "pr_box": ("game",),
+    "save_behaviour": ("b", "path"),
+    "save_game": ("game", "path"),
+    "uniform_behaviour": ("game",),
+    "class_report": ("game", "seed"),
+    "is_nonsignalling": ("b",),
+    "local_value": ("game",),
+    "quantum_behaviour": ("game",),
+    "quantum_value": ("game", "seed"),
+}
+
+
+def test_every_export_has_a_pinned_signature():
+    functions_and_classes = set().union(*EXPORTS.values()) - EXPORTS["errors"]
+    assert set(SIGNATURES) == functions_and_classes
+
+
+@pytest.mark.parametrize("name", sorted(SIGNATURES))
+def test_export_takes_exactly_the_pinned_parameters(name):
+    params = inspect.signature(getattr(xorszilard, name)).parameters
+    assert tuple(params) == SIGNATURES[name]
+
+
+@pytest.mark.parametrize("name", sorted(EXPORTS["errors"]))
+def test_exception_adds_no_parameters(name):
+    assert "__init__" not in vars(getattr(xorszilard, name))

@@ -3,7 +3,7 @@
 Each row is a callable, a malformed input and the package error it must
 raise: counts that are not integers (operator.index decides: ints and numpy
 ints pass, floats and NaN do not), seeds that are not a non-negative integer
-or a tuple of them, game and behaviour arrays of the wrong rank,
+(a tuple included), game and behaviour arrays of the wrong rank,
 correlator matrices that are not 2-D, and gap paths or log-log points that
 are not finite.  Every row runs under a 5 s bound, so a call that would
 never return fails its row instead of stalling the suite.
@@ -47,11 +47,10 @@ ROWS = [
         simulate_rounds, CHSH, PR, 100, seed=-1),
     row("simulate-fractional-seed", "seed",
         simulate_rounds, CHSH, PR, 100, seed=1.5),
-    row("quantum-fractional-max-iter", "max_iter",
-        quantum_value, make_chained(5), max_iter=2.5),
-    row("quantum-nan-max-iter", "max_iter",
-        quantum_value, CHSH, max_iter=math.nan),
+    row("simulate-tuple-seed", "seed",
+        simulate_rounds, CHSH, PR, 100, seed=(1, 2)),
     row("quantum-negative-seed", "seed", quantum_value, CHSH, seed=-1),
+    row("quantum-tuple-seed", "seed", quantum_value, CHSH, seed=(1, 2)),
     row("class-report-negative-seed", "seed", class_report, CHSH, seed=-1),
     row("schedule-float-steps", "steps",
         ProtocolSchedule, tau=10.0, steps=100.0),
@@ -59,8 +58,7 @@ ROWS = [
         ProtocolSchedule, tau=10.0, steps=math.nan),
     row("sigma-fractional-reps", "reps", estimate_sigma, 0.85, SCHED, 150.5, 1),
     row("sigma-negative-seed", "seed", estimate_sigma, 0.85, SCHED, 200, -1),
-    row("sigma-negative-sub-seed", "seed",
-        estimate_sigma, 0.85, SCHED, 200, (1, -2)),
+    row("sigma-tuple-seed", "seed", estimate_sigma, 0.85, SCHED, 200, (1, 2)),
     row("audit-negative-seed", "seed",
         trajectory_energy_audit, 0.85, SCHED, -1),
     row("scaling-fit-nan-reps", "reps",
@@ -102,15 +100,17 @@ def test_boundary_input_raises_package_error(within, func, args, kwargs,
 
 def test_numpy_integers_pass_as_counts_and_seeds():
     # operator.index admits numpy integers: the same batch, estimate and
-    # seesaw as with Python ints, and the stored counts are Python ints
+    # seesaw as with Python ints, and the stored counts and seeds are
+    # Python ints
     ints = simulate_rounds(CHSH, PR, 100, seed=3)
     nps = simulate_rounds(CHSH, PR, np.int64(100), seed=np.int64(3))
     assert (nps.rounds, nps.hits) == (ints.rounds, ints.hits)
     assert type(nps.rounds) is int
-    assert estimate_sigma(0.85, SCHED, np.int64(200), (np.int64(1), 2)) \
-        == estimate_sigma(0.85, SCHED, 200, (1, 2))
-    assert quantum_value(CHSH, max_iter=np.int64(50), seed=np.int64(7))[0] \
-        == quantum_value(CHSH, max_iter=50, seed=7)[0]
+    est = estimate_sigma(0.85, SCHED, np.int64(200), np.int64(1))
+    assert est == estimate_sigma(0.85, SCHED, 200, 1)
+    assert type(est.reps) is int and type(est.seed) is int
+    assert quantum_value(CHSH, seed=np.int64(7))[0] \
+        == quantum_value(CHSH, seed=7)[0]
     assert ProtocolSchedule(tau=10.0, steps=np.int64(100)) == SCHED
     assert make_chained(np.int64(3)).nu == 3
 
